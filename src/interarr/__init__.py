@@ -33,8 +33,8 @@ from .signed_partitions import (EdgeClass, LatticeVariant, NotACoverError,
                                 covers, enumerate_lattice, representative,
                                 variant_b, variant_d, variant_dn_set,
                                 variant_dns)
-from .topegraph import (BaseNotAChamberError, DirectedTopeGraph, TopeGraph,
-                        build_tope_graph, direct, h_via_indegree,
-                        h_via_separation)
+from .topegraph import (BaseNotAChamberError, NotSimplicialError,
+                        build_tope_graph, h_via_indegree, h_via_separation,
+                        in_degrees)
 
 __version__ = "0.1.0"

@@ -4,9 +4,10 @@ Provides the standard families (type A/B/D and the intermediate family
 interpolating between D and B), restrictions, the intersection lattice,
 chamber enumeration, and the f-vector of the induced simplicial complex.
 
-Chambers are encoded as sign vectors over the hyperplane list.  Internally
-a sign vector is a bitmask (bit h set <=> negative side of hyperplane h);
-the public encoding is a string over '+'/'-'.
+A chamber is a bitmask over the hyperplane list (bit h set <=> negative
+side of hyperplane h).  Sign strings over '+'/'-' exist only at the
+boundary: `chambers()`, `ChamberComplex.sign_strings()`, the
+`dump_tope_graph` text and the CLI's `--base`.
 
 Chamber enumeration is breadth-first wall-crossing.  For arrangements
 flagged simplicial the walls of a newly discovered chamber are derived
@@ -280,6 +281,11 @@ class ChamberComplex:
         self.facets = facets                # sorted wall hyperplanes per chamber
         self.edges = edges                  # (chamber, chamber, hyperplane), id-sorted
         self.index = {mk: i for i, mk in enumerate(masks)}
+
+    @property
+    def vertices(self):
+        """The chambers as vertices of the chamber graph: their bitmasks."""
+        return self.masks
 
     def sign_strings(self):
         m = self.arrangement.m

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .linalg import dot
+from .linalg import dot, scale_to_int
 
 
 def _phase1_simplex(a_rows, n: int):
@@ -83,27 +83,12 @@ def _phase1_simplex(a_rows, n: int):
     return x
 
 
-def _to_int_vector(fracs) -> tuple[int, ...]:
-    from math import lcm
-
-    denom = 1
-    for f in fracs:
-        denom = lcm(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
-
-
 def feasible_strict(rows, n: int) -> tuple[int, ...] | None:
     """Integer witness of {x : r . x > 0 for all r}, or None if empty."""
     sol = _phase1_simplex(list(rows), n)
     if sol is None:
         return None
-    w = _to_int_vector(sol)
+    w = scale_to_int(sol)
     if any(dot(r, w) <= 0 for r in rows):
         raise AssertionError("simplex returned a non-witness; oracle bug")
     return w

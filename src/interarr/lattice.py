@@ -15,7 +15,7 @@ class NotComparableError(ValueError):
 
 class GradedLattice:
     __slots__ = ("elements", "rank", "covers", "bottom", "top",
-                 "_lower", "_index", "_down_masks")
+                 "_lower", "_down_masks")
 
     def __init__(self, elements, rank, covers, bottom: int, top: int):
         self.elements = tuple(elements)
@@ -24,7 +24,6 @@ class GradedLattice:
         self.bottom = bottom
         self.top = top
         self._lower = None
-        self._index = None
         self._down_masks = None
 
     def __len__(self) -> int:
@@ -44,11 +43,6 @@ class GradedLattice:
             self._lower = tuple(tuple(l) for l in lower)
         return self._lower
 
-    def index_of(self, payload) -> int:
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements)}
-        return self._index[payload]
-
     def atoms(self):
         return [i for i, r in enumerate(self.rank) if r == 1]
 
@@ -60,20 +54,6 @@ class GradedLattice:
         while dq:
             v = dq.popleft()
             for w in self.covers[v]:
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-                    dq.append(w)
-        return order
-
-    def down_set(self, x: int):
-        seen = {x}
-        order = [x]
-        dq = deque([x])
-        lower = self.lower_covers()
-        while dq:
-            v = dq.popleft()
-            for w in lower[v]:
                 if w not in seen:
                     seen.add(w)
                     order.append(w)

@@ -187,28 +187,6 @@ def solve_square_int(rows, rhs) -> tuple[list[int], int] | None:
     return nums, det
 
 
-def solve_square_fraction(rows, rhs) -> list[Fraction] | None:
-    """Solve a square exact system; None if singular."""
-    d = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    for c in range(d):
-        piv = None
-        for r in range(c, d):
-            if a[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
-        for r in range(d):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [a[r][d] for r in range(d)]
-
-
 def scale_to_int(values) -> tuple[int, ...]:
     """Clear denominators of a Fraction vector and gcd-reduce."""
     from math import lcm

@@ -153,9 +153,6 @@ class GammaVector:
         if self.entries and 2 * (len(self.entries) - 1) > self.d:
             raise ValueError("gamma vector longer than floor(d/2) + 1")
 
-    def to_list(self) -> list[int]:
-        return list(self.entries)
-
 
 def one_plus_t_power(k: int) -> IntPolynomial:
     """(1 + t)^k via binomial coefficients."""

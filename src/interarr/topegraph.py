@@ -1,15 +1,16 @@
-"""Chamber adjacency graph and h-polynomials from chamber geometry.
+"""Chamber graph and h-polynomials from chamber geometry.
 
-The tope graph has one vertex per chamber and an edge whenever two chambers
-share a wall.  Directing every edge toward the vertex with more minus signs
-(relative to a base chamber) makes the base the unique source; both the
-in-degree generating polynomial and the separating-wall statistic yield the
-h-polynomial of the arrangement's sphere triangulation.
+The chamber graph is the certified `ChamberComplex`: one vertex per chamber
+(a bitmask over the hyperplanes) and an edge whenever two chambers share a
+wall.  Directing every edge away from a base chamber makes the base the
+unique source; both the in-degree generating polynomial and the
+separating-wall statistic yield the h-polynomial of the arrangement's
+sphere triangulation.  The h routines take an arrangement or the graph
+`build_tope_graph` returned for it.  Sign strings appear only in the
+optional base argument and in the text dump.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .arrangement import (Arrangement, ChamberComplex, chamber_complex,
                           signs_to_mask)
@@ -21,32 +22,8 @@ class BaseNotAChamberError(ValueError):
     """Raised when the requested base sign vector is not a chamber."""
 
 
-@dataclass(frozen=True)
-class TopeGraph:
-    arrangement: Arrangement
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int, int], ...]   # (vertex, vertex, hyperplane)
-
-    def degree_sequence(self) -> list[int]:
-        deg = [0] * len(self.vertices)
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-
-@dataclass(frozen=True)
-class DirectedTopeGraph:
-    arrangement: Arrangement
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[int, int, int], ...]   # directed (tail, head, hyperplane)
-    base: str
-
-    def in_degrees(self) -> list[int]:
-        indeg = [0] * len(self.vertices)
-        for _, head, _ in self.edges:
-            indeg[head] += 1
-        return indeg
+class NotSimplicialError(ValueError):
+    """Raised when some chamber does not have exactly dim walls."""
 
 
 def _verify_walls(cc: ChamberComplex) -> None:
@@ -73,73 +50,70 @@ def _verify_walls(cc: ChamberComplex) -> None:
                 raise AssertionError("wall certificate violates a chamber constraint")
 
 
-def build_tope_graph(a: Arrangement) -> TopeGraph:
-    """Graph on chambers; edges carry the index of the shared wall."""
+def build_tope_graph(a: Arrangement) -> ChamberComplex:
+    """The chamber complex with every wall certified; edges carry the index
+    of the shared wall.  Every chamber must be a simplicial cone."""
     cc = chamber_complex(a)
     _verify_walls(cc)
-    return TopeGraph(a, tuple(cc.sign_strings()), tuple(cc.edges))
+    for v, walls in enumerate(cc.facets):
+        if len(walls) != a.dim:
+            raise NotSimplicialError(
+                f"arrangement is not simplicial: chamber {cc.sign_strings()[v]} "
+                f"has {len(walls)} walls, expected {a.dim}")
+    return cc
 
 
-def _resolve_base(g: TopeGraph, base: str | None) -> int:
+def _resolve_base(cc: ChamberComplex, base: str | None) -> int:
+    """Bitmask of the base chamber; the first chamber when no base is given."""
     if base is None:
-        return 0
-    try:
-        return g.vertices.index(base)
-    except ValueError:
-        raise BaseNotAChamberError(f"{base!r} is not a chamber") from None
+        return cc.masks[0]
+    if len(base) == cc.arrangement.m and set(base) <= {"+", "-"}:
+        bmask = signs_to_mask(base)
+        if bmask in cc.index:
+            return bmask
+    raise BaseNotAChamberError(f"{base!r} is not a chamber")
 
 
-def direct(g: TopeGraph, base: str | None = None) -> DirectedTopeGraph:
-    """Direct every edge toward the vertex with more minus signs once all
-    hyperplanes are re-oriented so the base chamber is all-plus."""
-    bi = _resolve_base(g, base)
-    bmask = signs_to_mask(g.vertices[bi])
-    masks = [signs_to_mask(v) ^ bmask for v in g.vertices]
-    directed = []
+def in_degrees(g: ChamberComplex, base: str | None = None) -> list[int]:
+    """In-degree of every chamber once each edge points away from the base
+    chamber, toward the endpoint that the edge's wall separates from it."""
+    bmask = _resolve_base(g, base)
+    masks = g.masks
+    indeg = [0] * len(masks)
     for i, j, h in g.edges:
-        # relative sign vectors differ exactly at h; minus count differs by 1
-        if masks[i] >> h & 1:
-            directed.append((j, i, h))
-        else:
-            directed.append((i, j, h))
-    base_str = g.vertices[bi]
-    return DirectedTopeGraph(g.arrangement, g.vertices, tuple(directed), base_str)
+        # the endpoints differ exactly at h, so exactly one is separated
+        indeg[i if (masks[i] ^ bmask) >> h & 1 else j] += 1
+    return indeg
 
 
-def _as_graph(a) -> TopeGraph:
-    return a if isinstance(a, TopeGraph) else build_tope_graph(a)
+def _as_graph(a) -> ChamberComplex:
+    return a if isinstance(a, ChamberComplex) else build_tope_graph(a)
 
 
 def h_via_indegree(a, base: str | None = None) -> IntPolynomial:
-    """h(t) = sum over vertices of t^indegree in the directed tope graph."""
+    """h(t) = sum over chambers of t^indegree in the directed chamber graph."""
     g = _as_graph(a)
-    dg = direct(g, base)
     coeffs = [0] * (g.arrangement.dim + 1)
-    for deg in dg.in_degrees():
+    for deg in in_degrees(g, base):
         coeffs[deg] += 1
     return IntPolynomial(coeffs)
 
 
 def h_via_separation(a, base: str | None = None) -> IntPolynomial:
     """h(t) = sum over chambers of t^sep, sep counting the chamber's own
-    walls whose hyperplane separates it from the base chamber."""
+    walls (as recorded by the walk) whose hyperplane separates it from the
+    base chamber."""
     g = _as_graph(a)
-    bi = _resolve_base(g, base)
-    bmask = signs_to_mask(g.vertices[bi])
-    walls_of = [[] for _ in g.vertices]
-    for i, j, h in g.edges:
-        walls_of[i].append(h)
-        walls_of[j].append(h)
+    bmask = _resolve_base(g, base)
     coeffs = [0] * (g.arrangement.dim + 1)
-    for v, signs in enumerate(g.vertices):
-        rel = signs_to_mask(signs) ^ bmask
-        sep = sum(1 for h in walls_of[v] if rel >> h & 1)
-        coeffs[sep] += 1
+    for mask, walls in zip(g.masks, g.facets):
+        rel = mask ^ bmask
+        coeffs[sum(1 for h in walls if rel >> h & 1)] += 1
     return IntPolynomial(coeffs)
 
 
-def dump_tope_graph(g: TopeGraph) -> str:
-    """Text dump: vertices as sign strings, then one line "i j k" per edge."""
-    lines = list(g.vertices)
+def dump_tope_graph(g: ChamberComplex) -> str:
+    """Text dump: chambers as sign strings, then one line "i j k" per edge."""
+    lines = g.sign_strings()
     lines += [f"{i} {j} {h}" for i, j, h in g.edges]
     return "\n".join(lines) + "\n"

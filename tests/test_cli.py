@@ -88,6 +88,25 @@ def test_flag_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("normals", [
+    ["1 0 1", "-1 0 1", "0 1 1", "0 -1 1"],            # cone over a square
+    ["1 0 0", "0 1 0", "1 1 0", "0 0 1", "1 2 3"],     # three planes share a line
+])
+@pytest.mark.parametrize("method", ["topegraph", "separation"])
+def test_gamma_non_simplicial_file_exits_2(tmp_path, capsys, normals, method):
+    path = tmp_path / "arr.txt"
+    path.write_text("dim 3\n" + "\n".join(normals) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "gamma", "--family", "file", "--path", str(path),
+                         "--method", method)
+    assert code == 2 and out == ""
+    assert "not simplicial" in err and "Traceback" not in err
+
+
+def test_gamma_base_not_a_chamber_exits_2(capsys):
+    code, _, err = run(capsys, "gamma", "--family", "b", "--n", "2", "--base=++")
+    assert code == 2 and "is not a chamber" in err
+
+
 def test_missing_file_exits_2(capsys):
     code = cli.main(["gamma", "--family", "file", "--path", "/nonexistent/x.txt"])
     assert code == 2

@@ -5,23 +5,31 @@ import pytest
 from interarr.arrangement import make_arrangement, make_family
 from interarr.poly import IntPolynomial, f_to_h, is_palindromic
 from interarr.arrangement import f_polynomial, f_vector, chamber_count
-from interarr.topegraph import (BaseNotAChamberError, build_tope_graph, direct,
+from interarr.topegraph import (BaseNotAChamberError, build_tope_graph,
                                 dump_tope_graph, h_via_indegree,
-                                h_via_separation)
+                                h_via_separation, in_degrees)
+
+
+def edge_degrees(g):
+    """Chamber degrees counted from the edge list, independent of facets."""
+    deg = [0] * len(g.masks)
+    for i, j, _ in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
 
 
 def test_single_hyperplane_graph():
     g = build_tope_graph(make_arrangement(1, [(1,)]))
     assert len(g.vertices) == 2 and len(g.edges) == 1
-    dg = direct(g, "+")
-    assert dg.edges == ((g.vertices.index("+"), g.vertices.index("-"), 0),)
+    assert in_degrees(g, "+") == [int(v == "-") for v in g.sign_strings()]
     assert h_via_indegree(g) == IntPolynomial((1, 1))
 
 
 def test_b2_is_an_octagon():
     g = build_tope_graph(make_family("b", 2))
     assert len(g.vertices) == 8 and len(g.edges) == 8
-    assert set(g.degree_sequence()) == {2}
+    assert edge_degrees(g) == [len(f) for f in g.facets] == [2] * 8
     h = h_via_indegree(g)
     assert h == IntPolynomial((1, 6, 1))
 
@@ -29,27 +37,29 @@ def test_b2_is_an_octagon():
 def test_d3_simplicial_degrees():
     g = build_tope_graph(make_family("d", 3))
     assert len(g.vertices) == 24
-    assert set(g.degree_sequence()) == {3}
+    assert edge_degrees(g) == [len(f) for f in g.facets] == [3] * 24
 
 
-def test_direct_unique_source_and_antipode():
+def test_in_degrees_unique_source_and_antipode():
     g = build_tope_graph(make_family("d", 3))
-    for base in (g.vertices[0], g.vertices[7]):
-        dg = direct(g, base)
-        indeg = dg.in_degrees()
+    signs = g.sign_strings()
+    for base in (signs[0], signs[7]):
+        indeg = in_degrees(g, base)
         assert indeg.count(0) == 1
-        assert indeg[dg.vertices.index(base)] == 0
+        assert indeg[signs.index(base)] == 0
         anti = "".join("-" if c == "+" else "+" for c in base)
-        assert indeg[dg.vertices.index(anti)] == 3
+        assert indeg[signs.index(anti)] == 3
         assert sum(indeg) == len(g.edges)
 
 
-def test_direct_rejects_non_chamber():
+def test_base_rejects_non_chamber():
     g = build_tope_graph(make_family("b", 2))
-    with pytest.raises(BaseNotAChamberError):
-        direct(g, "+0+-")
-    with pytest.raises(BaseNotAChamberError):
-        direct(g, "++--")
+    # "++" is too short: read as a bitmask it would be the chamber "++++"
+    for base in ("+0+-", "++--", "++"):
+        with pytest.raises(BaseNotAChamberError):
+            in_degrees(g, base)
+        with pytest.raises(BaseNotAChamberError):
+            h_via_separation(g, base)
 
 
 def test_h_examples():
@@ -74,26 +84,26 @@ def test_method_agreement_family():
 
 def test_base_independence_all_bases_d3():
     g = build_tope_graph(make_family("d", 3))
-    values = {h_via_indegree(g, v) for v in g.vertices}
+    values = {h_via_indegree(g, v) for v in g.sign_strings()}
     assert len(values) == 1
-    values_sep = {h_via_separation(g, v) for v in g.vertices}
+    values_sep = {h_via_separation(g, v) for v in g.sign_strings()}
     assert values_sep == values
 
 
 def test_base_independence_sampled_b4():
     g = build_tope_graph(make_family("b", 4))
     rng = random.Random(2)
-    picks = rng.sample(range(len(g.vertices)), 10)
-    values = {h_via_indegree(g, g.vertices[i]) for i in picks}
+    signs = g.sign_strings()
+    picks = rng.sample(range(len(signs)), 10)
+    values = {h_via_indegree(g, signs[i]) for i in picks}
     assert len(values) == 1
 
 
 def test_sep_of_base_and_antipode():
     g = build_tope_graph(make_family("d", 3))
-    base = g.vertices[0]
-    dg = direct(g, base)
-    indeg = dg.in_degrees()
-    assert indeg[g.vertices.index(base)] == 0  # contributes the constant 1
+    base = g.sign_strings()[0]
+    indeg = in_degrees(g, base)
+    assert indeg[0] == 0  # contributes the constant 1
 
 
 def test_dump_format():
@@ -102,3 +112,10 @@ def test_dump_format():
     assert lines[0] in ("+", "-") and lines[1] in ("+", "-")
     i, j, h = lines[2].split()
     assert h == "0" and {lines[int(i)], lines[int(j)]} == {"+", "-"}
+
+
+def test_dump_b2_exact():
+    # the boundary format, byte for byte: chambers in walk order, then edges
+    assert dump_tope_graph(build_tope_graph(make_family("b", 2))) == (
+        "++++\n-+++\n+++-\n-+-+\n+-+-\n---+\n+---\n----\n"
+        "0 1 0\n0 2 3\n1 3 2\n2 4 1\n3 5 1\n4 6 2\n5 7 3\n6 7 0\n")
