@@ -12,8 +12,8 @@ from .arrangement import (Arrangement, Flat, InvalidParamsError,
                           intersection_lattice, load_arrangement, make_arrangement,
                           make_family,
                           matroid_rank, restrict)
-from .chow import (ArithmeticityReport, MoebiusTable, NonDivisibleError,
-                   TooLargeError, char_poly_bruteforce, characteristic_poly,
+from .chow import (ArithmeticityReport, NonDivisibleError, TooLargeError,
+                   char_poly_bruteforce, characteristic_poly,
                    chow_dns, chow_recursive, chow_type_a, chow_type_b,
                    chow_via_chains, dns_lattice, moebius,
                    reduced_characteristic_poly, verify_chow_arithmetic,

@@ -34,16 +34,9 @@ class TooLargeError(ValueError):
     """Raised when the subset-sum oracle is asked for more than 2^20 subsets."""
 
 
-@dataclass
-class MoebiusTable:
-    """Moebius values on the interval [base, top] of one lattice."""
-
-    base: int
-    values: dict[int, int]
-
-
-def moebius(lat: GradedLattice, base: int) -> MoebiusTable:
-    """mu(base) = 1 and mu(a) = -sum of mu over [base, a) by rank order."""
+def moebius(lat: GradedLattice, base: int) -> dict[int, int]:
+    """Moebius values on [base, top]: mu(base) = 1 and mu(a) = -sum of mu
+    over [base, a), by rank order."""
     up = lat.up_set(base)
     up_mask = 0
     for v in up:
@@ -61,14 +54,14 @@ def moebius(lat: GradedLattice, base: int) -> MoebiusTable:
             total += values[lsb.bit_length() - 1]
             below ^= lsb
         values[a] = -total
-    return MoebiusTable(base, values)
+    return values
 
 
 def characteristic_poly(lat: GradedLattice, lo: int, hi: int) -> IntPolynomial:
     """chi of the interval [lo, hi] in the corank convention:
     sum of mu(a) * t^(rank(hi) - rank(a))."""
     ids = lat.interval(lo, hi)  # raises NotComparableError
-    mu = moebius(lat, lo).values
+    mu = moebius(lat, lo)
     top_rank = lat.rank[hi]
     coeffs = [0] * (top_rank - lat.rank[lo] + 1)
     for a in ids:
@@ -222,7 +215,7 @@ def chow_recursive(lat: GradedLattice, use_cache: bool = True) -> IntPolynomial:
             return IntPolynomial.one()
         if use_cache and f in cache:
             return cache[f]
-        mu = moebius(lat, f).values
+        mu = moebius(lat, f)
         up = lat.up_set(f)
         masks = lat._ensure_down_masks()
         total = IntPolynomial.zero()
@@ -253,8 +246,8 @@ def dns_lattice(n: int, s: int) -> GradedLattice:
     return enumerate_lattice(variant_dns(n, s))
 
 
-def chow_dns(n: int, s: int, method: str = "auto") -> IntPolynomial:
-    return chow_via_chains(dns_lattice(n, s), el_label, method=method)
+def chow_dns(n: int, s: int) -> IntPolynomial:
+    return chow_via_chains(dns_lattice(n, s), el_label)
 
 
 @dataclass
@@ -271,12 +264,10 @@ class ArithmeticityReport:
         return not self.failures
 
 
-def verify_chow_arithmetic(n: int, method: str = "auto") -> ArithmeticityReport:
-    """Chow polynomials of the intermediate family: consecutive differences
-    all equal, and n*H_s = s*H_B + (n-s)*H_D with cleared denominators."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    values = [chow_dns(n, s, method=method) for s in range(n + 1)]
+def check_chow_arithmetic(values: list) -> ArithmeticityReport:
+    """Chow polynomials H_0..H_n of one n: consecutive differences all
+    equal, and n*H_s = s*H_B + (n-s)*H_D with cleared denominators."""
+    n = len(values) - 1
     failures = []
     increment = values[1] - values[0]
     for s in range(1, n):
@@ -287,6 +278,14 @@ def verify_chow_arithmetic(n: int, method: str = "auto") -> ArithmeticityReport:
         if n * values[s] != s * h_b + (n - s) * h_d:
             failures.append(f"interpolation identity fails at s={s}")
     return ArithmeticityReport(n, values, increment, failures)
+
+
+def verify_chow_arithmetic(n: int) -> ArithmeticityReport:
+    """`check_chow_arithmetic` on the chain-route Chow polynomials of
+    dns(n, 0..n)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return check_chow_arithmetic([chow_dns(n, s) for s in range(n + 1)])
 
 
 def gamma_increment_closed(n: int) -> GammaVector:
@@ -304,17 +303,10 @@ def gamma_increment_closed(n: int) -> GammaVector:
     return GammaVector(tuple(entries), n)
 
 
-def verify_gamma_arithmetic(n: int) -> ArithmeticityReport:
-    """gamma vectors of the intermediate family via the tope graph:
-    constant increments matching the closed maxima-census formula."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    gammas = []
-    hs = []
-    for s in range(n + 1):
-        h = h_via_indegree(make_family("dns", n, s))
-        hs.append(h)
-        gammas.append(h_to_gamma(h))
+def check_gamma_arithmetic(hs: list) -> ArithmeticityReport:
+    """h-polynomials h_0..h_n of one n: constant increments whose gamma
+    vector matches the closed maxima-census formula."""
+    n = len(hs) - 1
     failures = []
     inc_h = hs[1] - hs[0]
     for s in range(1, n):
@@ -325,4 +317,13 @@ def verify_gamma_arithmetic(n: int) -> ArithmeticityReport:
     if observed.entries != closed.entries:
         failures.append(
             f"gamma increment {observed.entries} differs from closed form {closed.entries}")
-    return ArithmeticityReport(n, gammas, observed, failures)
+    return ArithmeticityReport(n, [h_to_gamma(h) for h in hs], observed, failures)
+
+
+def verify_gamma_arithmetic(n: int) -> ArithmeticityReport:
+    """`check_gamma_arithmetic` on the tope-graph h-polynomials of
+    dns(n, 0..n)."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return check_gamma_arithmetic(
+        [h_via_indegree(make_family("dns", n, s)) for s in range(n + 1)])

@@ -64,16 +64,30 @@ def _halve(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(tuple(c // 2 for c in p.coeffs))
 
 
+def _census(n: int, stat, weight=None) -> dict[int, int]:
+    """For each value k of `stat`, the total weight (1 each by default) of
+    the permutations u of [n] with stat(u) = k."""
+    out: dict[int, int] = {}
+    for u in permutations(range(1, n + 1)):
+        k = stat(u)
+        out[k] = out.get(k, 0) + (weight(u) if weight else 1)
+    return out
+
+
+def _census_poly(census: dict[int, int], n: int) -> IntPolynomial:
+    """sum over the census of c * (4t)^k (1+t)^(n-2k)."""
+    acc = IntPolynomial.zero()
+    for k, c in sorted(census.items()):
+        acc = acc + IntPolynomial.t_power(k, c * 4 ** k) * one_plus_t_power(n - 2 * k)
+    return acc
+
+
 def h_b_closed(n: int) -> IntPolynomial:
     """h-polynomial of the full type-B arrangement via the peak census:
     sum over S_n of (4t)^p(u) (1+t)^(n-2p(u))."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = IntPolynomial.zero()
-    for u in permutations(range(1, n + 1)):
-        p = peaks(u)
-        acc = acc + IntPolynomial.t_power(p, 4 ** p) * one_plus_t_power(n - 2 * p)
-    return acc
+    return _census_poly(_census(n, peaks), n)
 
 
 def h_d_closed(n: int) -> IntPolynomial:
@@ -82,13 +96,7 @@ def h_d_closed(n: int) -> IntPolynomial:
     weight inspects u_1, u_2, u_3."""
     if n < 3:
         raise ValueError("the type-D closed form needs n >= 3")
-    acc = IntPolynomial.zero()
-    for u in permutations(range(1, n + 1)):
-        w = _phi(u)
-        if w:
-            p = peaks(u)
-            acc = acc + IntPolynomial.t_power(p, w * 4 ** p) * one_plus_t_power(n - 2 * p)
-    return _halve(acc)
+    return _halve(_census_poly(_census(n, peaks, _phi), n))
 
 
 def increment_closed(n: int) -> IntPolynomial:
@@ -96,29 +104,18 @@ def increment_closed(n: int) -> IntPolynomial:
     half the maxima census of S_(n-1), sum (4t)^m(u) (1+t)^(n-2m(u))."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    acc = IntPolynomial.zero()
-    for u in permutations(range(1, n)):
-        m = maxima(u)
-        acc = acc + IntPolynomial.t_power(m, 4 ** m) * one_plus_t_power(n - 2 * m)
-    return _halve(acc)
+    return _halve(_census_poly(_census(n - 1, maxima), n))
 
 
 def maxima_census(n: int) -> dict[int, int]:
     """How many permutations of [n] have k maxima, for each k."""
-    out: dict[int, int] = {}
-    for u in permutations(range(1, n + 1)):
-        m = maxima(u)
-        out[m] = out.get(m, 0) + 1
-    return out
+    return _census(n, maxima)
 
 
 def gamma_b_closed(n: int) -> GammaVector:
     """gamma_k = 4^k * #{u in S_n : p(u) = k}, the direct peak census."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    census: dict[int, int] = {}
-    for u in permutations(range(1, n + 1)):
-        p = peaks(u)
-        census[p] = census.get(p, 0) + 1
+    census = _census(n, peaks)
     entries = [4 ** k * census.get(k, 0) for k in range(n // 2 + 1)]
     return GammaVector(tuple(entries), n)

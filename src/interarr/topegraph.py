@@ -5,9 +5,10 @@ The chamber graph is the certified `ChamberComplex`: one vertex per chamber
 wall.  Directing every edge away from a base chamber makes the base the
 unique source; both the in-degree generating polynomial and the
 separating-wall statistic yield the h-polynomial of the arrangement's
-sphere triangulation.  The h routines take an arrangement or the graph
-`build_tope_graph` returned for it.  Sign strings appear only in the
-optional base argument and in the text dump.
+sphere triangulation.  The h routines take an arrangement or a chamber
+complex; a complex is checked to be simplicial, in time linear in the
+chambers, but only `build_tope_graph` certifies its walls.  Sign strings
+appear only in the optional base argument and in the text dump.
 """
 
 from __future__ import annotations
@@ -50,17 +51,23 @@ def _verify_walls(cc: ChamberComplex) -> None:
                 raise AssertionError("wall certificate violates a chamber constraint")
 
 
+def _require_simplicial(cc: ChamberComplex) -> ChamberComplex:
+    """`cc` itself, once every chamber is known to have exactly dim walls."""
+    dim = cc.arrangement.dim
+    for v, walls in enumerate(cc.facets):
+        if len(walls) != dim:
+            raise NotSimplicialError(
+                f"arrangement is not simplicial: chamber {cc.sign_strings()[v]} "
+                f"has {len(walls)} walls, expected {dim}")
+    return cc
+
+
 def build_tope_graph(a: Arrangement) -> ChamberComplex:
     """The chamber complex with every wall certified; edges carry the index
     of the shared wall.  Every chamber must be a simplicial cone."""
     cc = chamber_complex(a)
     _verify_walls(cc)
-    for v, walls in enumerate(cc.facets):
-        if len(walls) != a.dim:
-            raise NotSimplicialError(
-                f"arrangement is not simplicial: chamber {cc.sign_strings()[v]} "
-                f"has {len(walls)} walls, expected {a.dim}")
-    return cc
+    return _require_simplicial(cc)
 
 
 def _resolve_base(cc: ChamberComplex, base: str | None) -> int:
@@ -87,7 +94,9 @@ def in_degrees(g: ChamberComplex, base: str | None = None) -> list[int]:
 
 
 def _as_graph(a) -> ChamberComplex:
-    return a if isinstance(a, ChamberComplex) else build_tope_graph(a)
+    if isinstance(a, ChamberComplex):
+        return _require_simplicial(a)
+    return build_tope_graph(a)
 
 
 def h_via_indegree(a, base: str | None = None) -> IntPolynomial:

@@ -3,29 +3,24 @@
 Run with `pytest tests/test_acceptance.py -s` to see the PASS lines; the
 whole module is also part of the default pytest run.  The heavy shared
 computations (tope graphs up to n = 6, chain sums up to n = 7) live in
-session/module fixtures.
+session/module fixtures.  Criteria 5-7 are the `interarr verify` suites
+el, chains and lattice at --n-max 4, run through the same check registry.
 """
 
 from __future__ import annotations
-
-import math
-from itertools import permutations
 
 import pytest
 
 from interarr.arrangement import (chamber_count, f_polynomial, f_vector,
                                   intersection_lattice, make_family)
-from interarr.chow import (char_poly_bruteforce, characteristic_poly,
-                           chow_dns, chow_type_a, chow_type_b, chow_via_chains,
-                           gamma_increment_closed)
+from interarr.chow import (check_chow_arithmetic, check_gamma_arithmetic,
+                           chow_dns, chow_type_a, chow_type_b, chow_via_chains)
+from interarr.cli import _run_verify_task, _verify_tasks
 from interarr.fixtures import (CHOW_A_EXAMPLES, CHOW_B_EXAMPLES, chow_table,
                                gamma_table)
-from interarr.labeling import (count_chains_with_word, el_label,
-                               min_atom_label, verify_el)
-from interarr.lattice import lattice_isomorphic
+from interarr.labeling import min_atom_label
 from interarr.permstats import gamma_b_closed, h_d_closed
 from interarr.poly import f_to_h, h_to_gamma, is_palindromic
-from interarr.signed_partitions import enumerate_lattice, variant_b, variant_dns
 from interarr.topegraph import build_tope_graph, h_via_indegree, h_via_separation
 
 
@@ -40,6 +35,14 @@ def _announce(num: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"acceptance {num} [{name}]: {status}{suffix}")
     assert ok, f"criterion {num} ({name}) failed{suffix}"
+
+
+def _announce_suite(num: int, name: str, suite: str) -> None:
+    """Run one verify suite at --n-max 4; name every failing check."""
+    results = [_run_verify_task(task) for task in _verify_tasks(suite, 4)]
+    failed = [f"{r['check']}: {r['details']}" for r in results
+              if r["status"] != "pass"]
+    _announce(num, name, not failed, "; ".join(failed))
 
 
 def test_criterion_1_appendix_chow_tables(chow_computed):
@@ -82,82 +85,24 @@ def test_criterion_3_gamma_tables(gamma_computed):
 
 
 def test_criterion_4_arithmeticity(gamma_computed, chow_computed):
-    ok = True
-    details = []
-    for n in range(3, 7):
-        hs = [gamma_computed[(n, s)][0] for s in range(n + 1)]
-        incs = {(hs[s + 1] - hs[s]).coeffs for s in range(n)}
-        if len(incs) != 1:
-            ok = False
-            details.append(f"gamma increment varies at n={n}")
-            continue
-        observed = h_to_gamma(hs[1] - hs[0], d=n).entries
-        closed = gamma_increment_closed(n).entries
-        if observed != closed:
-            ok = False
-            details.append(f"n={n}: {observed} != closed {closed}")
-    for n in range(2, 8):
-        vals = [chow_computed[(n, s)] for s in range(n + 1)]
-        incs = {(vals[s + 1] - vals[s]).coeffs for s in range(n)}
-        if len(incs) != 1:
-            ok = False
-            details.append(f"chow increment varies at n={n}")
-        if any(n * vals[s] != s * vals[n] + (n - s) * vals[0] for s in range(n + 1)):
-            ok = False
-            details.append(f"chow interpolation identity fails at n={n}")
-    _announce(4, "gamma and Chow arithmeticity", ok, "; ".join(details))
+    reports = [("gamma", check_gamma_arithmetic(
+        [gamma_computed[(n, s)][0] for s in range(n + 1)])) for n in range(3, 7)]
+    reports += [("chow", check_chow_arithmetic(
+        [chow_computed[(n, s)] for s in range(n + 1)])) for n in range(2, 8)]
+    details = [f"{kind} n={r.n}: {f}" for kind, r in reports for f in r.failures]
+    _announce(4, "gamma and Chow arithmeticity", not details, "; ".join(details))
 
 
 def test_criterion_5_el_verification():
-    ok = True
-    for n in range(2, 5):
-        if verify_el(enumerate_lattice(variant_b(n)), el_label):
-            ok = False
-        for s in range(n):
-            if verify_el(enumerate_lattice(variant_dns(n, s)), el_label):
-                ok = False
-
-    def corrupted(x, y):
-        lab = el_label(x, y)
-        return (0, 1) if lab == (1, 1) else lab
-
-    negative = bool(verify_el(enumerate_lattice(variant_b(2)), corrupted))
-    _announce(5, "EL-labeling verification n<=4 plus negative control",
-              ok and negative)
+    _announce_suite(5, "EL-labeling verification n<=4 plus negative control", "el")
 
 
 def test_criterion_6_chain_count_oracle():
-    ok = True
-    for n in range(2, 5):
-        lat = enumerate_lattice(variant_b(n))
-        total = 0
-        for sigma in permutations(range(1, n + 1)):
-            inv = [sum(1 for j in range(i, n) if sigma[j] <= sigma[i])
-                   for i in range(n)]
-            count = count_chains_with_word(lat, lat.bottom, lat.top, sigma)
-            if count != math.prod(2 * a - 1 for a in inv):
-                ok = False
-            total += count
-        if total != math.factorial(n) ** 2:
-            ok = False
-    _announce(6, "chain counts match the inversion-sequence product", ok)
+    _announce_suite(6, "chain counts match the inversion-sequence product", "chains")
 
 
 def test_criterion_7_cross_method_lattice_checks():
-    iso_ok = all(
-        lattice_isomorphic(intersection_lattice(make_family("b", n)),
-                           enumerate_lattice(variant_b(n)))
-        for n in range(2, 5))
-    arrangements = [make_family("a", 3), make_family("b", 3), make_family("d", 3)]
-    arrangements += [make_family("dns", 3, s) for s in range(4)]
-    arrangements += [make_family("dns", 4, s) for s in range(5)]
-    chi_ok = True
-    for a in arrangements:
-        assert a.m <= 16
-        lat = intersection_lattice(a)
-        if characteristic_poly(lat, lat.bottom, lat.top) != char_poly_bruteforce(a):
-            chi_ok = False
-    _announce(7, "lattice isomorphisms and Moebius vs subset-sum", iso_ok and chi_ok)
+    _announce_suite(7, "lattice isomorphisms and Moebius vs subset-sum", "lattice")
 
 
 def test_criterion_8_h_method_agreement():

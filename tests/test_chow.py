@@ -2,7 +2,8 @@ import pytest
 
 from interarr.arrangement import intersection_lattice, make_family
 from interarr.chow import (NonDivisibleError, TooLargeError,
-                           char_poly_bruteforce, characteristic_poly, chow_dns,
+                           char_poly_bruteforce, characteristic_poly,
+                           check_chow_arithmetic, check_gamma_arithmetic, chow_dns,
                            chow_recursive, chow_type_a, chow_type_b,
                            chow_via_chains, divide_by_t_minus_1, dns_lattice,
                            gamma_increment_closed, moebius,
@@ -12,24 +13,25 @@ from interarr.fixtures import CHOW_A_EXAMPLES, CHOW_B_EXAMPLES, chow_table
 from interarr.labeling import el_label, min_atom_label
 from interarr.lattice import GradedLattice, NotComparableError
 from interarr.poly import IntPolynomial, is_palindromic
+from interarr.topegraph import h_via_indegree
 
 
 def test_moebius_three_chain():
     lat = GradedLattice(("a", "b", "c"), (0, 1, 2), ((1,), (2,), ()), 0, 2)
-    assert moebius(lat, 0).values == {0: 1, 1: -1, 2: 0}
+    assert moebius(lat, 0) == {0: 1, 1: -1, 2: 0}
 
 
 def test_moebius_pi2(pi_b):
     lat = pi_b[2]
     table = moebius(lat, lat.bottom)
-    assert table.values[lat.top] == 3
-    assert sum(table.values.values()) == 0
+    assert table[lat.top] == 3
+    assert sum(table.values()) == 0
 
 
 def test_moebius_partial_sums_vanish(pi_b):
     lat = pi_b[3]
     for base in range(len(lat)):
-        table = moebius(lat, base).values
+        table = moebius(lat, base)
         masks = lat._ensure_down_masks()
         for a in lat.up_set(base):
             total = sum(mu for b, mu in table.items() if masks[a] >> b & 1)
@@ -39,7 +41,7 @@ def test_moebius_partial_sums_vanish(pi_b):
 def test_moebius_alternates_with_rank(pi_b):
     for n in (2, 3, 4):
         lat = pi_b[n]
-        table = moebius(lat, lat.bottom).values
+        table = moebius(lat, lat.bottom)
         for i, mu in table.items():
             assert mu != 0
             assert (mu > 0) == (lat.rank[i] % 2 == 0)
@@ -192,6 +194,21 @@ def test_verify_gamma_arithmetic_small():
     assert r3.ok and r3.increment.entries == (0, 4)
     r4 = verify_gamma_arithmetic(4)
     assert r4.ok and r4.increment.entries == (0, 8, 16)
+
+
+def test_arithmetic_checks_report_broken_values():
+    # the checks that criterion 4 applies to the fixture values
+    chows = [chow_dns(3, s) for s in range(4)]
+    chows[1] = chows[1] + IntPolynomial.t_power(1)
+    assert check_chow_arithmetic(chows).failures == [
+        "increment changes at s=1", "increment changes at s=2",
+        "interpolation identity fails at s=1"]
+    # a bump growing linearly in s keeps the increments equal but moves
+    # the increment's gamma vector off the closed form
+    hs = [h_via_indegree(make_family("dns", 3, s)) + s * IntPolynomial((0, 1, 1))
+          for s in range(4)]
+    assert check_gamma_arithmetic(hs).failures == [
+        "gamma increment (0, 5) differs from closed form (0, 4)"]
 
 
 def test_gamma_increment_closed_values():

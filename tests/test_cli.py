@@ -107,19 +107,35 @@ def test_gamma_base_not_a_chamber_exits_2(capsys):
     assert code == 2 and "is not a chamber" in err
 
 
+@pytest.mark.parametrize("flag", ["--base=++", "--dump-tope-graph"])
+def test_gamma_closed_rejects_chamber_graph_flags(tmp_path, capsys, flag):
+    dump = tmp_path / "graph.txt"
+    argv = ["gamma", "--family", "b", "--n", "2", "--method", "closed", flag]
+    if flag == "--dump-tope-graph":
+        argv.append(str(dump))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2 and not dump.exists()
+    assert "require --method topegraph or separation" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     code = cli.main(["gamma", "--family", "file", "--path", "/nonexistent/x.txt"])
     assert code == 2
 
 
 def test_dump_tope_graph(tmp_path, capsys):
-    dump = tmp_path / "graph.txt"
-    code, _, _ = run(capsys, "gamma", "--family", "b", "--n", "2",
-                     "--dump-tope-graph", str(dump))
-    assert code == 0
-    lines = dump.read_text().strip().split("\n")
+    dumps = []
+    for method in ("topegraph", "separation"):  # both routes build the graph
+        dump = tmp_path / f"{method}.txt"
+        code, _, _ = run(capsys, "gamma", "--family", "b", "--n", "2",
+                         "--method", method, "--dump-tope-graph", str(dump))
+        assert code == 0
+        dumps.append(dump.read_text())
+    lines = dumps[0].strip().split("\n")
     assert len(lines) == 8 + 8  # octagon: vertices then edges
     assert all(len(l) == 4 for l in lines[:8])
+    assert dumps[1] == dumps[0]
 
 
 def test_dump_chains(tmp_path, capsys):
@@ -148,11 +164,79 @@ def test_verify_jobs_deterministic(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
-def test_tables_small_monkeypatched(monkeypatch, capsys):
+VERIFY_ALL_4 = [
+    "el/pi-b-2", "el/dns-2-0", "el/dns-2-1", "el/pi-b-3", "el/dns-3-0",
+    "el/dns-3-1", "el/dns-3-2", "el/pi-b-4", "el/dns-4-0", "el/dns-4-1",
+    "el/dns-4-2", "el/dns-4-3", "el/negative-control",
+    "chains/count-formula-2", "chains/count-formula-3", "chains/count-formula-4",
+    "chow/four-way-2-0", "chow/four-way-2-1", "chow/four-way-2-2",
+    "chow/four-way-3-0", "chow/four-way-3-1", "chow/four-way-3-2",
+    "chow/four-way-3-3", "chow/four-way-4-0", "chow/four-way-4-1",
+    "chow/four-way-4-2", "chow/four-way-4-3", "chow/four-way-4-4",
+    "chow/type-b-2", "chow/type-b-3", "chow/type-b-4",
+    "chow/type-a-2", "chow/type-a-3", "chow/type-a-4",
+    "gamma/arithmetic-3", "gamma/arithmetic-4",
+    "chow/arithmetic-2", "chow/arithmetic-3", "chow/arithmetic-4",
+    "lattice/iso-b-2", "lattice/iso-b-3", "lattice/iso-b-4", "charpoly/a-3",
+    "charpoly/dns-3-0", "charpoly/dns-3-1", "charpoly/dns-3-2", "charpoly/dns-3-3",
+    "charpoly/dns-4-0", "charpoly/dns-4-1", "charpoly/dns-4-2", "charpoly/dns-4-3",
+    "charpoly/dns-4-4",
+]
+
+
+def test_verify_task_labels():
+    # the benchmark's verify workload expects exactly these 52 checks
+    assert [label for _, _, label in cli._verify_tasks("all", 4)] == VERIFY_ALL_4
+    # no check of rank n runs below --n-max n, so below 2 none runs at all
+    assert [label for _, _, label in cli._verify_tasks("lattice", 2)] == ["lattice/iso-b-2"]
+    assert cli._verify_tasks("all", 1) == []
+
+
+@pytest.fixture
+def small_tables(monkeypatch):
     small_gamma = {3: {s: fixtures.gamma_table()[3][s] for s in range(4)}}
     small_chow = {2: fixtures.chow_table()[2]}
     monkeypatch.setattr(cli.fixtures, "gamma_table", lambda: small_gamma)
     monkeypatch.setattr(cli.fixtures, "chow_table", lambda: small_chow)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "chains"], ["tables"]],
+                         ids=["verify", "tables"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exits_2(small_tables, capsys, argv, jobs):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--jobs", jobs])
+    assert exc.value.code == 2 and "--jobs" in capsys.readouterr().err
+
+
+def test_pool_never_larger_than_task_list(small_tables, monkeypatch, capsys):
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    code, out, _ = run(capsys, "verify", "--suite", "chains", "--n-max", "3",
+                       "--jobs", "64")
+    assert code == 0 and "VERIFY: PASS (2/2 checks)" in out
+    code, out, _ = run(capsys, "tables", "--jobs", "64")
+    assert code == 0 and "TABLES: PASS (7 rows)" in out
+    code, _, _ = run(capsys, "verify", "--suite", "lattice", "--n-max", "2", "--jobs", "8")
+    assert code == 0
+    assert sizes == [2, 7]  # a single task runs without a pool
+
+
+def test_tables_small_monkeypatched(small_tables, capsys):
     code1, out1, _ = run(capsys, "tables")
     assert code1 == 0 and "TABLES: PASS (7 rows)" in out1
     code2, out2, _ = run(capsys, "tables", "--jobs", "2")

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from interarr.arrangement import make_arrangement, make_family
+from interarr.arrangement import (chamber_complex, make_arrangement,
+                                  make_family)
 from interarr.poly import IntPolynomial, f_to_h, is_palindromic
 from interarr.arrangement import f_polynomial, f_vector, chamber_count
-from interarr.topegraph import (BaseNotAChamberError, build_tope_graph,
-                                dump_tope_graph, h_via_indegree,
-                                h_via_separation, in_degrees)
+from interarr.topegraph import (BaseNotAChamberError, NotSimplicialError,
+                                build_tope_graph, dump_tope_graph,
+                                h_via_indegree, h_via_separation, in_degrees)
 
 
 def edge_degrees(g):
@@ -60,6 +61,14 @@ def test_base_rejects_non_chamber():
             in_degrees(g, base)
         with pytest.raises(BaseNotAChamberError):
             h_via_separation(g, base)
+
+
+@pytest.mark.parametrize("route", [h_via_indegree, h_via_separation])
+def test_h_routes_reject_uncertified_non_simplicial_complex(route):
+    # a complex straight from the walk, never through build_tope_graph
+    square_cone = make_arrangement(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])
+    with pytest.raises(NotSimplicialError):
+        route(chamber_complex(square_cone))
 
 
 def test_h_examples():
