@@ -15,14 +15,14 @@ from .arrangement import (Arrangement, Flat, InvalidParamsError,
 from .chow import (ArithmeticityReport, NonDivisibleError, TooLargeError,
                    char_poly_bruteforce, characteristic_poly,
                    chow_dns, chow_recursive, chow_type_a, chow_type_b,
-                   chow_via_chains, dns_lattice, moebius,
+                   chow_via_chains, dns_lattice,
                    reduced_characteristic_poly, verify_chow_arithmetic,
                    verify_gamma_arithmetic)
 from .labeling import (LabeledChain, count_chains_with_word, el_label,
                        enumerate_filtered_chains, label_set, min_atom_label,
                        r_label, verify_el, verify_r_labeling)
 from .lattice import (GradedLattice, NotComparableError, contract_interval,
-                      lattice_isomorphic)
+                      lattice_isomorphic, moebius)
 from .permstats import (OddSumError, descents, gamma_b_closed, h_b_closed,
                         h_d_closed, horizontal_flip, increment_closed,
                         inversion_sequence, maxima, peaks)

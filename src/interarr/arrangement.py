@@ -2,7 +2,8 @@
 
 Provides the standard families (type A/B/D and the intermediate family
 interpolating between D and B), restrictions, the intersection lattice,
-chamber enumeration, and the f-vector of the induced simplicial complex.
+chamber enumeration, and the f-vector of the induced simplicial complex
+(from Moebius values on the intersection lattice, with no chamber walk).
 
 A chamber is a bitmask over the hyperplane list (bit h set <=> negative
 side of hyperplane h).  Sign strings over '+'/'-' exist only at the
@@ -27,7 +28,7 @@ from functools import lru_cache
 from math import gcd
 
 from .feasibility import feasible_on_hyperplane, feasible_strict, generic_point
-from .lattice import GradedLattice
+from .lattice import GradedLattice, moebius
 from .linalg import (EchelonBasis, dot, int_rank, integer_kernel_basis,
                      primitive_vector, scale_to_int, solve_square_int)
 
@@ -51,6 +52,8 @@ class Arrangement:
     simplicial: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise InvalidParamsError(f"dim must be >= 0, got {self.dim}")
         seen = set()
         for v in self.normals:
             if len(v) != self.dim:
@@ -182,42 +185,40 @@ class Flat:
 
 
 def intersection_lattice(a: Arrangement) -> GradedLattice:
-    """All flats by iterated closure, graded by codimension."""
+    """All flats by iterated closure, graded by codimension.
+
+    The covers of a flat partition the hyperplanes outside it, so each
+    cover is closed once: hyperplanes inside a cover already found for the
+    flat are skipped.
+    """
     bottom = frozenset()
-    bases = {bottom: EchelonBasis()}
-    layers = [[bottom]]
-    cover_pairs: set[tuple[frozenset, frozenset]] = set()
-    current = [bottom]
-    while current:
+    ranks = {bottom: 0}
+    cover_pairs: list[tuple[frozenset, frozenset]] = []
+    layer = {bottom: EchelonBasis()}
+    while layer:
         nxt: dict[frozenset, EchelonBasis] = {}
-        for flat in current:
-            basis = bases[flat]
+        for flat, basis in layer.items():
+            covered = set(flat)
             for h in range(a.m):
-                if h in flat:
+                if h in covered:
                     continue
                 b2 = basis.copy()
                 b2.add(a.normals[h])
                 bigger = frozenset(
                     g for g in range(a.m) if b2.contains(a.normals[g]))
-                if bigger not in nxt:
-                    nxt[bigger] = b2
-                cover_pairs.add((flat, bigger))
-        current = sorted(nxt.keys(), key=lambda f: tuple(sorted(f)))
-        for f in current:
-            bases[f] = nxt[f]
-        if current:
-            layers.append(current)
+                covered |= bigger
+                nxt.setdefault(bigger, b2)
+                ranks[bigger] = ranks[flat] + 1
+                cover_pairs.append((flat, bigger))
+        layer = nxt
 
-    flats = []
-    for r, layer in enumerate(layers):
-        flats.extend(Flat(f, r) for f in layer)
-    flats.sort(key=Flat.sort_key)
+    flats = sorted((Flat(f, r) for f, r in ranks.items()), key=Flat.sort_key)
     index = {f.hyperplanes: i for i, f in enumerate(flats)}
     covers: list[list[int]] = [[] for _ in flats]
-    for lo, hi in sorted(cover_pairs, key=lambda p: (tuple(sorted(p[0])), tuple(sorted(p[1])))):
+    for lo, hi in cover_pairs:
         covers[index[lo]].append(index[hi])
-    top = max(range(len(flats)), key=lambda i: flats[i].rank)
-    return GradedLattice(flats, [f.rank for f in flats], covers, index[bottom], top)
+    return GradedLattice(flats, [f.rank for f in flats], [sorted(c) for c in covers],
+                         index[bottom], len(flats) - 1)
 
 
 def restrict_to_flat(a: Arrangement, hyperplanes) -> Arrangement:
@@ -479,6 +480,9 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
                 facets.append(tuple(sorted(nf)))
                 index[nmask] = ni
                 queue.append(ni)
+            elif w not in facets[ni]:
+                # a wall of one chamber is a wall of the chamber across it
+                raise _SimplicialityError("crossed wall is not a wall of the neighbour")
             ekey = (ci, ni) if ci < ni else (ni, ci)
             prev = edges.get(ekey)
             if prev is not None and prev != w:
@@ -643,20 +647,17 @@ def chamber_count(a: Arrangement) -> int:
 def f_vector(a: Arrangement) -> list[int]:
     """(f_-1, f_0, ..., f_(d-1)) of the induced sphere triangulation.
 
-    A cone of dimension k+1 is a pair (flat of dimension k+1, chamber of
-    the arrangement induced on that flat), so each entry is a sum of
-    chamber counts over a rank level of the intersection lattice.
+    A cone of dimension k+1 is a pair (flat X of dimension k+1, chamber of
+    the restriction A^X).  By Zaslavsky's theorem A^X has
+    sum over Y >= X of |mu(X, Y)| chambers, so every entry is a sum of
+    Moebius values on the lattice of flats.
     """
-    if a.rank() != a.dim:
+    if not a.is_essential():
         raise NotEssentialError("f-vector requires an essential arrangement")
     lat = intersection_lattice(a)
     out = [0] * (a.dim + 1)
-    for flat in lat.elements:
-        sub_dim = a.dim - flat.rank
-        if sub_dim == 0:
-            out[0] += 1
-        else:
-            out[sub_dim] += chamber_count(restrict_to_flat(a, flat.hyperplanes))
+    for x, rank in enumerate(lat.rank):
+        out[a.dim - rank] += sum(abs(mu) for mu in moebius(lat, x).values())
     return out
 
 

@@ -1,12 +1,12 @@
 """Chow polynomials of geometric lattices by four independent routes.
 
-1. labeled-chain sums over any R-labeling (pruned DFS, or the same sum
-   aggregated by a rank-layer sweep for the big lattices),
+1. labeled-chain sums over any R-labeling, aggregated by a rank-layer
+   sweep (`labeling.enumerate_filtered_chains` streams the same chains),
 2. a closed form for the rank-n braid lattice,
 3. a closed form for the full type-B lattice,
 4. the recursion through reduced characteristic polynomials of minors.
 
-Also the Moebius/characteristic-polynomial machinery these need, the
+Also the characteristic-polynomial machinery these need, the
 2^m subset-sum oracle, and the arithmeticity verifiers for the
 intermediate-arrangement family.
 """
@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .arrangement import Arrangement, make_family
-from .labeling import el_label, enumerate_filtered_chains, filtered_descent_counts
-from .lattice import GradedLattice
+from .labeling import el_label, filtered_descent_counts
+from .lattice import GradedLattice, moebius
 from .linalg import EchelonBasis
 from .permstats import maxima_census
 from .poly import GammaVector, IntPolynomial, h_to_gamma, one_plus_t_power
@@ -32,29 +32,6 @@ class NonDivisibleError(ArithmeticError):
 
 class TooLargeError(ValueError):
     """Raised when the subset-sum oracle is asked for more than 2^20 subsets."""
-
-
-def moebius(lat: GradedLattice, base: int) -> dict[int, int]:
-    """Moebius values on [base, top]: mu(base) = 1 and mu(a) = -sum of mu
-    over [base, a), by rank order."""
-    up = lat.up_set(base)
-    up_mask = 0
-    for v in up:
-        up_mask |= 1 << v
-    masks = lat._ensure_down_masks()
-    values: dict[int, int] = {}
-    for a in sorted(up, key=lambda v: lat.rank[v]):
-        if a == base:
-            values[a] = 1
-            continue
-        below = masks[a] & up_mask & ~(1 << a)
-        total = 0
-        while below:
-            lsb = below & -below
-            total += values[lsb.bit_length() - 1]
-            below ^= lsb
-        values[a] = -total
-    return values
 
 
 def characteristic_poly(lat: GradedLattice, lo: int, hi: int) -> IntPolynomial:
@@ -119,31 +96,21 @@ def _chain_weight(descents: int, n: int) -> IntPolynomial:
     return IntPolynomial.t_power(descents) * one_plus_t_power(n - 1 - 2 * descents)
 
 
-def chow_via_chains(lat: GradedLattice, labeler, method: str = "auto") -> IntPolynomial:
-    """sum over filtered maximal chains of t^des (t+1)^(n-1-2des).
-
-    method "dfs" streams chains one by one; "layered" aggregates the same
-    pruned prefix tree rank by rank; "auto" picks by lattice size.  Both
-    compute the identical sum.
-    """
-    n = lat.height
-    if n == 0:
-        return IntPolynomial.one()
-    if method == "auto":
-        method = "dfs" if len(lat) <= 1000 else "layered"
-    if method == "dfs":
-        counts: dict[int, int] = {}
-        for chain in enumerate_filtered_chains(lat, labeler):
-            d = chain.descent_count
-            counts[d] = counts.get(d, 0) + 1
-    elif method == "layered":
-        counts = filtered_descent_counts(lat, labeler)
-    else:
-        raise ValueError(f"unknown chain method {method!r}")
+def chain_sum(descent_counts: dict[int, int], n: int) -> IntPolynomial:
+    """sum over descent counts d of count(d) * t^d (t+1)^(n-1-2d), the Chow
+    polynomial of a rank-n lattice (n >= 1) from its filtered chains."""
     acc = IntPolynomial.zero()
-    for d, c in sorted(counts.items()):
+    for d, c in sorted(descent_counts.items()):
         acc = acc + c * _chain_weight(d, n)
     return acc
+
+
+def chow_via_chains(lat: GradedLattice, labeler) -> IntPolynomial:
+    """sum over filtered maximal chains of t^des (t+1)^(n-1-2des), with the
+    chains aggregated by the rank-layer sweep."""
+    if lat.height == 0:
+        return IntPolynomial.one()
+    return chain_sum(filtered_descent_counts(lat, labeler), lat.height)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
 from . import fixtures
 from .arrangement import (InvalidParamsError, f_vector, intersection_lattice,
                           load_arrangement, make_family)
-from .chow import (char_poly_bruteforce, characteristic_poly, chow_dns,
-                   chow_recursive, chow_type_a, chow_type_b, chow_via_chains,
-                   dns_lattice, verify_chow_arithmetic, verify_gamma_arithmetic)
+from .chow import (chain_sum, char_poly_bruteforce, characteristic_poly,
+                   chow_dns, chow_recursive, chow_type_a, chow_type_b,
+                   chow_via_chains, dns_lattice, verify_chow_arithmetic,
+                   verify_gamma_arithmetic)
 from .labeling import (count_chains_with_word, dump_chain_line, el_label,
                        enumerate_filtered_chains, min_atom_label, verify_el)
 from .lattice import lattice_isomorphic
@@ -263,8 +265,9 @@ def _check_chains(task):
 def _check_four_way(task):
     _, n, s = task
     lat = dns_lattice(n, s)
-    dfs = chow_via_chains(lat, el_label, method="dfs")
-    layered = chow_via_chains(lat, el_label, method="layered")
+    chains = enumerate_filtered_chains(lat, el_label)
+    dfs = chain_sum(Counter(c.descent_count for c in chains), lat.height)
+    layered = chow_via_chains(lat, el_label)
     rec = chow_recursive(lat)
     expected = fixtures.chow_table()[n][s]
     if not dfs == layered == rec == expected:
@@ -283,7 +286,7 @@ def _check_type_b(task):
 def _check_type_a(task):
     _, n, _ = task
     lat = intersection_lattice(make_family("a", n))
-    got = chow_via_chains(lat, min_atom_label(lat), method="dfs")
+    got = chow_via_chains(lat, min_atom_label(lat))
     want = chow_type_a(n)
     return (got == want, f"chains {got.to_text()} vs closed {want.to_text()}")
 

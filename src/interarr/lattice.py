@@ -102,6 +102,29 @@ class GradedLattice:
                     stack.append((w, chain + (w,)))
 
 
+def moebius(lat: GradedLattice, base: int) -> dict[int, int]:
+    """Moebius values on [base, top]: mu(base) = 1 and mu(a) = -sum of mu
+    over [base, a), by rank order."""
+    up = lat.up_set(base)
+    up_mask = 0
+    for v in up:
+        up_mask |= 1 << v
+    masks = lat._ensure_down_masks()
+    values: dict[int, int] = {}
+    for a in sorted(up, key=lambda v: lat.rank[v]):
+        if a == base:
+            values[a] = 1
+            continue
+        below = masks[a] & up_mask & ~(1 << a)
+        total = 0
+        while below:
+            lsb = below & -below
+            total += values[lsb.bit_length() - 1]
+            below ^= lsb
+        values[a] = -total
+    return values
+
+
 def check_graded(lat: GradedLattice) -> None:
     """Assert the grading axioms; used by tests, not production paths."""
     assert lat.rank[lat.bottom] == 0

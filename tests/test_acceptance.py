@@ -108,7 +108,7 @@ def test_criterion_7_cross_method_lattice_checks():
 def test_criterion_8_h_method_agreement():
     cases = [("a", 3, None), ("b", 2, None), ("b", 3, None), ("b", 4, None),
              ("d", 3, None), ("d", 4, None)]
-    cases += [("dns", 4, s) for s in range(5)]
+    cases += [("dns", n, s) for n in (4, 5) for s in range(n + 1)]  # dns(5, 5) is b5
     ok = True
     for fam, n, s in cases:
         a = make_family(fam, n, s)

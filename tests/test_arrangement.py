@@ -2,15 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import interarr.arrangement as arr
-from interarr.arrangement import (InvalidParamsError,
+from interarr.arrangement import (Flat, InvalidParamsError,
                                   NotEssentialError,
                                   arrangement_to_text, chamber_complex, make_arrangement,
                                   chamber_count, chambers, closure_of,
                                   f_polynomial, f_vector, intersection_lattice,
                                   make_family, matroid_rank,
-                                  parse_arrangement_text, restrict)
+                                  parse_arrangement_text, restrict, restrict_to_flat)
+from interarr.linalg import primitive_vector
 from interarr.lattice import check_graded, contract_interval, lattice_isomorphic
 from interarr.poly import f_to_h
 
@@ -113,20 +116,69 @@ def test_general_bfs_on_non_simplicial_input():
     assert all((mk ^ full) in cc.index for mk in cc.masks)
 
 
+# Integer arrangements of the benchmark's files workload (dim 3, 8 and 10
+# normals); neither is simplicial, so their walks use the LP oracle.
+RANDOM_POOL = (
+    make_arrangement(3, [(0, 1, -2), (1, 0, -1), (1, 2, -1), (1, 2, 2), (2, 1, 2),
+                         (2, -2, -1), (1, 0, 2), (2, -1, 2)]),
+    make_arrangement(3, [(1, 0, 0), (1, 1, 1), (2, -1, 2), (1, 2, -1), (1, -1, 1),
+                         (1, 0, 1), (1, 2, 2), (1, -1, 0), (2, 1, -2), (1, -1, -1)]),
+)
+
+
+def _f_vector_by_walks(a):
+    """Oracle: count the chambers of every restriction A^X by a chamber walk
+    inside X, in integer coordinates."""
+    lat = intersection_lattice(a)
+    out = [0] * (a.dim + 1)
+    for flat in lat.elements:
+        out[a.dim - flat.rank] += chamber_count(restrict_to_flat(a, flat.hyperplanes))
+    return out
+
+
+def _euler_ok(fv) -> bool:
+    d = len(fv) - 1
+    return sum((-1) ** k * fv[k + 1] for k in range(d)) == 1 + (-1) ** (d - 1)
+
+
+def test_f_vector_matches_walk_oracle():
+    cases = [make_family(f, n) for f, n in
+             [("b", 2), ("b", 3), ("b", 4), ("d", 3), ("d", 4), ("a", 3), ("a", 4)]]
+    cases += [make_family("dns", 4, s) for s in range(5)]
+    for a in cases + list(RANDOM_POOL):
+        assert f_vector(a) == _f_vector_by_walks(a), a.normals
+
+
+@st.composite
+def _essential_dim3(draw):
+    vecs = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+                         min_size=3, max_size=7))
+    a = make_arrangement(3, sorted({primitive_vector(v) for v in vecs}))
+    assume(a.is_essential())
+    return a
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_essential_dim3())
+def test_f_vector_property_random_dim3(a):
+    fv = f_vector(a)
+    assert fv == _f_vector_by_walks(a)
+    assert fv[-1] == chamber_count(a)
+    assert _euler_ok(fv)
+
+
 def test_f_vector_examples():
     assert f_vector(make_family("d", 3)) == [1, 14, 36, 24]
     assert f_vector(make_arrangement(1, [(1,)])) == [1, 2]
     b2 = f_vector(make_family("b", 2))
     assert b2 == [1, 8, 8]
+    assert f_vector(make_family("b", 5)) == [1, 242, 2640, 8160, 9600, 3840]
 
 
 def test_f_vector_euler_relation():
     for fam, n, s in [("b", 2, None), ("b", 3, None), ("d", 3, None),
                       ("dns", 3, 2), ("a", 3, None), ("dns", 4, 1)]:
-        fv = f_vector(make_family(fam, n, s))
-        d = len(fv) - 1
-        alt = sum((-1) ** k * fv[k + 1] for k in range(d))
-        assert alt == 1 + (-1) ** (d - 1)
+        assert _euler_ok(f_vector(make_family(fam, n, s)))
 
 
 def test_f_vector_matches_h_and_chambers():
@@ -148,6 +200,41 @@ def test_intersection_lattice_b2():
 def test_intersection_lattice_single_hyperplane():
     lat = intersection_lattice(make_arrangement(1, [(1,)]))
     assert len(lat) == 2 and lat.height == 1
+
+
+def _lattice_by_every_closure(a):
+    """Oracle: close every (flat, hyperplane outside it) pair, then number
+    the flats by (rank, sorted hyperplanes)."""
+    ranks = {frozenset(): 0}
+    pairs = set()
+    layer = [frozenset()]
+    while layer:
+        nxt = set()
+        for f in layer:
+            for h in range(a.m):
+                if h not in f:
+                    g = closure_of(a, f | {h})
+                    ranks[g] = ranks[f] + 1
+                    pairs.add((f, g))
+                    nxt.add(g)
+        layer = nxt
+    flats = sorted((Flat(f, r) for f, r in ranks.items()), key=Flat.sort_key)
+    ids = {f.hyperplanes: i for i, f in enumerate(flats)}
+    covers = [[] for _ in flats]
+    for lo, hi in pairs:
+        covers[ids[lo]].append(ids[hi])
+    return flats, [sorted(c) for c in covers]
+
+
+def test_intersection_lattice_matches_every_closure_oracle():
+    for fam in ("b", "a"):
+        for n in range(2, 6):
+            lat = intersection_lattice(make_family(fam, n))
+            flats, covers = _lattice_by_every_closure(make_family(fam, n))
+            assert list(lat.elements) == flats, (fam, n)
+            assert [list(c) for c in lat.covers] == covers, (fam, n)
+            assert lat.rank == tuple(f.rank for f in flats)
+            assert (lat.bottom, lat.top) == (0, len(flats) - 1)
 
 
 def _join(lat, x, y):

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from interarr.arrangement import intersection_lattice, make_family
-from interarr.chow import (NonDivisibleError, TooLargeError,
+from interarr.chow import (NonDivisibleError, TooLargeError, chain_sum,
                            char_poly_bruteforce, characteristic_poly,
                            check_chow_arithmetic, check_gamma_arithmetic, chow_dns,
                            chow_recursive, chow_type_a, chow_type_b,
@@ -10,7 +12,7 @@ from interarr.chow import (NonDivisibleError, TooLargeError,
                            reduced_characteristic_poly, verify_chow_arithmetic,
                            verify_gamma_arithmetic)
 from interarr.fixtures import CHOW_A_EXAMPLES, CHOW_B_EXAMPLES, chow_table
-from interarr.labeling import el_label, min_atom_label
+from interarr.labeling import el_label, enumerate_filtered_chains, min_atom_label
 from interarr.lattice import GradedLattice, NotComparableError
 from interarr.poly import IntPolynomial, is_palindromic
 from interarr.topegraph import h_via_indegree
@@ -132,9 +134,10 @@ def test_chow_type_b_examples():
 
 def test_chow_chain_methods_agree(dns_lattices):
     for (n, s), lat in dns_lattices.items():
-        dfs = chow_via_chains(lat, el_label, method="dfs")
-        layered = chow_via_chains(lat, el_label, method="layered")
-        assert dfs == layered, (n, s)
+        chains = enumerate_filtered_chains(lat, el_label)
+        dfs = chain_sum(Counter(c.descent_count for c in chains), lat.height)
+        sweep = chow_via_chains(lat, el_label)
+        assert dfs == sweep, (n, s)
         assert dfs == chow_table()[n][s]
 
 
@@ -234,12 +237,12 @@ def test_type_b_closed_matches_chains_up_to_6():
 
     for n in (5, 6):
         lat = enumerate_lattice(variant_b(n))
-        assert chow_via_chains(lat, el_label, method="layered") == chow_type_b(n)
+        assert chow_via_chains(lat, el_label) == chow_type_b(n)
 
 
 def test_type_a_closed_matches_chains_n5():
     lat = intersection_lattice(make_family("a", 5))
-    assert chow_via_chains(lat, min_atom_label(lat), method="dfs") == chow_type_a(5)
+    assert chow_via_chains(lat, min_atom_label(lat)) == chow_type_a(5)
 
 
 def test_reduced_char_poly_is_monic(pi_b):

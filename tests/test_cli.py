@@ -4,7 +4,7 @@ import pytest
 
 import interarr.cli as cli
 from interarr import fixtures
-from interarr.arrangement import arrangement_to_text, make_family
+from interarr.arrangement import arrangement_to_text, chamber_complex, make_family
 
 
 def run(capsys, *argv):
@@ -88,18 +88,44 @@ def test_flag_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("normals", [
+NON_SIMPLICIAL_NORMALS = [
     ["1 0 1", "-1 0 1", "0 1 1", "0 -1 1"],            # cone over a square
     ["1 0 0", "0 1 0", "1 1 0", "0 0 1", "1 2 3"],     # three planes share a line
-])
+    ["0 1 0", "1 0 0", "1 1 0", "1 1 1", "1 2 2"],     # fast walk closes up wrongly
+]
+
+
+@pytest.mark.parametrize("normals", NON_SIMPLICIAL_NORMALS)
 @pytest.mark.parametrize("method", ["topegraph", "separation"])
 def test_gamma_non_simplicial_file_exits_2(tmp_path, capsys, normals, method):
+    _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method, [])
+
+
+@pytest.mark.parametrize("normals", NON_SIMPLICIAL_NORMALS)
+@pytest.mark.parametrize("method", ["topegraph", "separation"])
+def test_gamma_non_simplicial_file_with_simplicial_flag_exits_2(tmp_path, capsys,
+                                                                normals, method):
+    _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method, ["--simplicial"])
+
+
+def _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method, flags):
     path = tmp_path / "arr.txt"
     path.write_text("dim 3\n" + "\n".join(normals) + "\n", encoding="utf-8")
+    # the walk cache ignores the simplicial flag; start every case cold
+    chamber_complex.cache_clear()
     code, out, err = run(capsys, "gamma", "--family", "file", "--path", str(path),
-                         "--method", method)
+                         "--method", method, *flags)
     assert code == 2 and out == ""
     assert "not simplicial" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gamma", "chow", "fvector"])
+def test_negative_dim_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "arr.txt"
+    path.write_text("dim -1\n", encoding="utf-8")
+    code, out, err = run(capsys, command, "--family", "file", "--path", str(path))
+    assert code == 2 and out == ""
+    assert "dim must be >= 0" in err
 
 
 def test_gamma_base_not_a_chamber_exits_2(capsys):
