@@ -18,6 +18,7 @@ from .chow import (ArithmeticityReport, NonDivisibleError, TooLargeError,
                    chow_via_chains, dns_lattice,
                    reduced_characteristic_poly, verify_chow_arithmetic,
                    verify_gamma_arithmetic)
+from .feasibility import CertificateError
 from .labeling import (LabeledChain, count_chains_with_word, el_label,
                        enumerate_filtered_chains, label_set, min_atom_label,
                        r_label, verify_el, verify_r_labeling)

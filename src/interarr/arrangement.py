@@ -22,12 +22,13 @@ rational feasibility oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .feasibility import feasible_on_hyperplane, feasible_strict, generic_point
+from .feasibility import (CertificateError, feasible_on_hyperplane, feasible_strict,
+                          generic_point)
 from .lattice import GradedLattice, moebius
 from .linalg import (EchelonBasis, dot, int_rank, integer_kernel_basis,
                      primitive_vector, scale_to_int, solve_square_int)
@@ -49,7 +50,7 @@ class _SimplicialityError(RuntimeError):
 class Arrangement:
     dim: int
     normals: tuple[tuple[int, ...], ...]
-    simplicial: bool = field(default=False, compare=False)
+    simplicial: bool = False  # compared, so the walk cache keys on it
 
     def __post_init__(self):
         if self.dim < 0:
@@ -386,7 +387,7 @@ class _FlatLocalizer:
             lam_num = dot(vec, ah)
             if lam_num <= 0 or any(vec[t] * ah[u] != vec[u] * ah[t]
                                    for t in range(a.dim) for u in range(a.dim)):
-                raise AssertionError("rank-2 localization failed; linalg bug")
+                raise CertificateError("rank-2 localization failed; linalg bug")
             nus.append((ca, cb))
         entry = (lines, tuple(nus))
         self.cache[key] = entry
@@ -613,7 +614,7 @@ def _verify_central_symmetry(cc: ChamberComplex) -> None:
     full = (1 << cc.arrangement.m) - 1
     for mk in cc.masks:
         if (mk ^ full) not in cc.index:
-            raise AssertionError("chamber set not closed under negation; BFS bug")
+            raise CertificateError("chamber set not closed under negation; BFS bug")
 
 
 @lru_cache(maxsize=12)

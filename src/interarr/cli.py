@@ -1,7 +1,7 @@
 """Command-line front end: compute invariants, regenerate the golden
 tables, and run the verification suites.
 
-Exit codes: 0 success, 1 verification/diff failure, 2 flag errors.
+Exit codes: 0 success, 1 verification/diff/certificate failure, 2 flag errors.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .chow import (chain_sum, char_poly_bruteforce, characteristic_poly,
                    chow_dns, chow_recursive, chow_type_a, chow_type_b,
                    chow_via_chains, dns_lattice, verify_chow_arithmetic,
                    verify_gamma_arithmetic)
+from .feasibility import CertificateError
 from .labeling import (count_chains_with_word, dump_chain_line, el_label,
                        enumerate_filtered_chains, min_atom_label, verify_el)
 from .lattice import lattice_isomorphic
@@ -476,6 +477,9 @@ def main(argv=None) -> int:
     except (InvalidParamsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

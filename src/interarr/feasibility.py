@@ -15,6 +15,10 @@ from math import gcd
 from .linalg import dot, scale_to_int
 
 
+class CertificateError(RuntimeError):
+    """An exact witness, wall or chamber-set check failed: a bug, not bad input."""
+
+
 def _phase1_simplex(a_rows, n: int):
     """Feasibility of A x >= 1 with x free; returns a Fraction solution or None.
 
@@ -90,7 +94,7 @@ def feasible_strict(rows, n: int) -> tuple[int, ...] | None:
         return None
     w = scale_to_int(sol)
     if any(dot(r, w) <= 0 for r in rows):
-        raise AssertionError("simplex returned a non-witness; oracle bug")
+        raise CertificateError("simplex returned a non-witness; oracle bug")
     return w
 
 
@@ -129,7 +133,7 @@ def feasible_on_hyperplane(rows, eq, n: int) -> tuple[int, ...] | None:
     if g > 1:
         lifted = [v // g for v in lifted]
     if dot(eq, lifted) != 0 or any(dot(r, lifted) <= 0 for r in rows):
-        raise AssertionError("hyperplane witness lift failed; oracle bug")
+        raise CertificateError("hyperplane witness lift failed; oracle bug")
     return tuple(lifted)
 
 

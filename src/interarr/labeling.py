@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .lattice import GradedLattice, NotComparableError
 from .signed_partitions import (EdgeClass, NotACoverError, SignedPartition,
-                                classify_edge, is_cover, merged_representatives,
-                                representative)
+                                decode_cover, representative)
 
 # labels are either scalars (max-of-min labeling) or lex-ordered pairs
 Label = "int | tuple[int, int]"
@@ -28,22 +27,18 @@ Label = "int | tuple[int, int]"
 def r_label(x: SignedPartition, y: SignedPartition) -> int:
     """Scalar label of a cover: the larger of the two absolute minima of the
     non-zero blocks merged along the edge."""
-    if not is_cover(x, y):
-        raise NotACoverError("r_label requires a cover relation")
-    i, j = merged_representatives(x, y)
-    return max(i, j)
+    return decode_cover(x, y)[2]
 
 
 def el_label(x: SignedPartition, y: SignedPartition) -> tuple[int, int]:
     """Pair label: (0, max) on coherent, (1, 1) on signed, (2, min) on
     non-coherent edges; pairs compare lexicographically."""
-    cls = classify_edge(x, y)
+    cls, i, j = decode_cover(x, y)
     if cls is EdgeClass.SIGNED:
         return (1, 1)
-    i, j = merged_representatives(x, y)
     if cls is EdgeClass.COHERENT:
-        return (0, max(i, j))
-    return (2, min(i, j))
+        return (0, j)
+    return (2, i)
 
 
 def label_set(x: SignedPartition, y: SignedPartition) -> frozenset[int]:
@@ -208,55 +203,42 @@ def filtered_descent_counts(lat: GradedLattice, labeler) -> dict[int, int]:
     return out
 
 
+def _interval_words(lat: GradedLattice, labeler):
+    """(lo, hi, words) for every interval lo < hi, where words lists the
+    label word of each maximal chain from lo to hi."""
+    labels = _edge_labels(lat, labeler)
+    for lo in range(len(lat)):
+        for hi in lat.up_set(lo):
+            if hi != lo:
+                yield lo, hi, [tuple(labels[c[k]][lat.covers[c[k]].index(c[k + 1])]
+                                     for k in range(len(c) - 1))
+                               for c in lat.maximal_chains(lo, hi)]
+
+
 def verify_el(lat: GradedLattice, labeler) -> list[tuple[int, int, str]]:
     """Check the EL-labeling property on every interval, strict convention:
     exactly one strictly increasing maximal chain, lexicographically first
     among all maximal chain words.  Returns violations; empty means verified.
     """
-    labels = _edge_labels(lat, labeler)
     report = []
-    size = len(lat)
-    for lo in range(size):
-        for hi in lat.up_set(lo):
-            if hi == lo:
-                continue
-            increasing = 0
-            inc_word = None
-            min_word = None
-            for chain in lat.maximal_chains(lo, hi):
-                word = tuple(
-                    labels[chain[k]][lat.covers[chain[k]].index(chain[k + 1])]
-                    for k in range(len(chain) - 1))
-                if min_word is None or word < min_word:
-                    min_word = word
-                if all(word[k] < word[k + 1] for k in range(len(word) - 1)):
-                    increasing += 1
-                    inc_word = word
-            if increasing != 1:
-                report.append((lo, hi, f"{increasing} increasing chains"))
-            elif inc_word != min_word:
-                report.append((lo, hi, "increasing chain is not lex-first"))
+    for lo, hi, words in _interval_words(lat, labeler):
+        rising = [w for w in words if all(w[k] < w[k + 1] for k in range(len(w) - 1))]
+        if len(rising) != 1:
+            report.append((lo, hi, f"{len(rising)} increasing chains"))
+        elif rising[0] != min(words):
+            report.append((lo, hi, "increasing chain is not lex-first"))
     return report
 
 
 def verify_r_labeling(lat: GradedLattice, labeler) -> list[tuple[int, int, str]]:
     """Check the R-labeling property on every interval, weak convention:
     exactly one weakly increasing maximal chain."""
-    labels = _edge_labels(lat, labeler)
     report = []
-    for lo in range(len(lat)):
-        for hi in lat.up_set(lo):
-            if hi == lo:
-                continue
-            increasing = 0
-            for chain in lat.maximal_chains(lo, hi):
-                word = [
-                    labels[chain[k]][lat.covers[chain[k]].index(chain[k + 1])]
-                    for k in range(len(chain) - 1)]
-                if all(word[k] <= word[k + 1] for k in range(len(word) - 1)):
-                    increasing += 1
-            if increasing != 1:
-                report.append((lo, hi, f"{increasing} weakly increasing chains"))
+    for lo, hi, words in _interval_words(lat, labeler):
+        increasing = sum(all(word[k] <= word[k + 1] for k in range(len(word) - 1))
+                         for word in words)
+        if increasing != 1:
+            report.append((lo, hi, f"{increasing} weakly increasing chains"))
     return report
 
 

@@ -198,39 +198,36 @@ def covers(p: SignedPartition) -> list[SignedPartition]:
     return out
 
 
-def is_cover(x: SignedPartition, y: SignedPartition) -> bool:
-    return y.rank == x.rank + 1 and x.refines(y)
+def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int, int]:
+    """Read the cover x < y once: its edge class and the representatives
+    i <= j of the two merged x-classes, (r, r) when the pair of r folds into
+    the zero block.  A merge is coherent when j lies in the new normalized
+    block, the y-block of i.  Raises NotACoverError unless y is one rank up
+    and every block of x lies inside one block of y."""
+    if y.rank != x.rank + 1:
+        raise NotACoverError(f"{render(x)} is not covered by {render(y)}")
+    yblocks = y.blocks
+    where = {e: bi for bi, b in enumerate(yblocks) for e in b}
+    reps = []
+    for xi, b in enumerate(x.blocks):
+        bi = where[b[0]]
+        for e in b:
+            if where[e] != bi:
+                raise NotACoverError(f"{render(x)} is not covered by {render(y)}")
+        if xi and len(yblocks[bi]) != len(b):
+            reps.append(min(map(abs, b)))
+    i, j = min(reps), max(reps)
+    if len(yblocks[0]) != len(x.blocks[0]):
+        return EdgeClass.SIGNED, i, j
+    if where[i] == where[j]:
+        return EdgeClass.COHERENT, i, j
+    return EdgeClass.NON_COHERENT, i, j
 
 
 def classify_edge(x: SignedPartition, y: SignedPartition) -> EdgeClass:
     """Signed if the zero block grew; else coherent when the two normalized
     merged blocks land in the same block of y, non-coherent otherwise."""
-    if not is_cover(x, y):
-        raise NotACoverError(f"{render(x)} is not covered by {render(y)}")
-    if len(y.zero_block) > len(x.zero_block):
-        return EdgeClass.SIGNED
-    x_blocks = set(x.blocks)
-    target = next(b for b in y.blocks[1:] if b not in x_blocks)
-    inside = [b for b in x.blocks[1:] if set(b) <= set(target)]
-    reps = sorted(representative(b) for b in inside)
-    i, j = reps[0], reps[-1]
-    tset = set(target)
-    same_sign = (i in tset) == (j in tset)
-    return EdgeClass.COHERENT if same_sign else EdgeClass.NON_COHERENT
-
-
-def merged_representatives(x: SignedPartition, y: SignedPartition) -> tuple[int, int]:
-    """Representatives (i, j) of the two x-classes merged along the cover."""
-    if len(y.zero_block) > len(x.zero_block):
-        folded = [b for b in x.normalized_classes()
-                  if set(b) <= set(y.zero_block)]
-        r = representative(folded[0])
-        return (r, r)
-    x_blocks = set(x.blocks)
-    target = next(b for b in y.blocks[1:] if b not in x_blocks)
-    inside = [b for b in x.blocks[1:] if set(b) <= set(target)]
-    reps = sorted(representative(b) for b in inside)
-    return (reps[0], reps[-1])
+    return decode_cover(x, y)[0]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .arrangement import (Arrangement, ChamberComplex, chamber_complex,
                           signs_to_mask)
+from .feasibility import CertificateError
 from .linalg import dot
 from .poly import IntPolynomial
 
@@ -34,7 +35,7 @@ def _verify_walls(cc: ChamberComplex) -> None:
     normals = a.normals
     for ci, cj, h in cc.edges:
         if cc.masks[ci] ^ cc.masks[cj] != 1 << h:
-            raise AssertionError("edge endpoints differ off the recorded wall")
+            raise CertificateError("edge endpoints differ off the recorded wall")
         p, q = cc.witnesses[ci], cc.witnesses[cj]
         ah = normals[h]
         c1, c2 = dot(ah, p), dot(ah, q)
@@ -46,9 +47,9 @@ def _verify_walls(cc: ChamberComplex) -> None:
             d = dot(aj, z)
             if j == h:
                 if d != 0:
-                    raise AssertionError("wall certificate misses its hyperplane")
+                    raise CertificateError("wall certificate misses its hyperplane")
             elif d == 0 or (d < 0) != bool(mask >> j & 1):
-                raise AssertionError("wall certificate violates a chamber constraint")
+                raise CertificateError("wall certificate violates a chamber constraint")
 
 
 def _require_simplicial(cc: ChamberComplex) -> ChamberComplex:

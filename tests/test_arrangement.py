@@ -13,6 +13,8 @@ from interarr.arrangement import (Flat, InvalidParamsError,
                                   f_polynomial, f_vector, intersection_lattice,
                                   make_family, matroid_rank,
                                   parse_arrangement_text, restrict, restrict_to_flat)
+from interarr.chow import chow_recursive, chow_via_chains
+from interarr.labeling import min_atom_label
 from interarr.linalg import primitive_vector
 from interarr.lattice import check_graded, contract_interval, lattice_isomorphic
 from interarr.poly import f_to_h
@@ -165,6 +167,30 @@ def test_f_vector_property_random_dim3(a):
     assert fv == _f_vector_by_walks(a)
     assert fv[-1] == chamber_count(a)
     assert _euler_ok(fv)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_essential_dim3())
+def test_chow_chains_match_recursion_random_dim3(a):
+    lat = intersection_lattice(a)
+    assert chow_via_chains(lat, min_atom_label(lat)) == chow_recursive(lat)
+
+
+def test_simplicial_flag_runs_its_own_walk(monkeypatch):
+    flags = []
+    fast_walk = arr._chamber_bfs_simplicial
+
+    def recording(a):
+        flags.append(a.simplicial)
+        return fast_walk(a)
+
+    monkeypatch.setattr(arr, "_chamber_bfs_simplicial", recording)
+    chamber_complex.cache_clear()  # earlier tests may have walked flagged b3
+    normals = make_family("b", 3).normals
+    plain = chamber_complex(make_arrangement(3, normals))
+    flagged = chamber_complex(make_arrangement(3, normals, simplicial=True))
+    assert flags == [True]
+    assert flagged is not plain and set(flagged.masks) == set(plain.masks)
 
 
 def test_f_vector_examples():

@@ -3,8 +3,9 @@ import json
 import pytest
 
 import interarr.cli as cli
+import interarr.topegraph as topegraph
 from interarr import fixtures
-from interarr.arrangement import arrangement_to_text, chamber_complex, make_family
+from interarr.arrangement import ChamberComplex, arrangement_to_text, make_family
 
 
 def run(capsys, *argv):
@@ -111,8 +112,6 @@ def test_gamma_non_simplicial_file_with_simplicial_flag_exits_2(tmp_path, capsys
 def _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method, flags):
     path = tmp_path / "arr.txt"
     path.write_text("dim 3\n" + "\n".join(normals) + "\n", encoding="utf-8")
-    # the walk cache ignores the simplicial flag; start every case cold
-    chamber_complex.cache_clear()
     code, out, err = run(capsys, "gamma", "--family", "file", "--path", str(path),
                          "--method", method, *flags)
     assert code == 2 and out == ""
@@ -126,6 +125,21 @@ def test_negative_dim_file_exits_2(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "--family", "file", "--path", str(path))
     assert code == 2 and out == ""
     assert "dim must be >= 0" in err
+
+
+def test_corrupted_wall_certificate_exits_1(capsys, monkeypatch):
+    walk = topegraph.chamber_complex
+
+    def corrupted(a):
+        cc = walk(a)  # cached: corrupt a copy, not the cached complex
+        witnesses = list(cc.witnesses)
+        witnesses[1] = tuple(-x for x in witnesses[1])
+        return ChamberComplex(a, cc.masks, witnesses, cc.facets, cc.edges)
+
+    monkeypatch.setattr(topegraph, "chamber_complex", corrupted)
+    code, out, err = run(capsys, "gamma", "--family", "b", "--n", "2")
+    assert code == 1 and out == ""
+    assert err == "error: wall certificate violates a chamber constraint\n"
 
 
 def test_gamma_base_not_a_chamber_exits_2(capsys):

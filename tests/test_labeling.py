@@ -11,8 +11,10 @@ from interarr.labeling import (count_chains_with_word, dump_chain_line,
                                min_atom_label, r_label, verify_el,
                                verify_r_labeling)
 from interarr.lattice import NotComparableError
-from interarr.signed_partitions import (NotACoverError, SignedPartition,
-                                        enumerate_lattice, variant_b)
+from interarr.signed_partitions import (EdgeClass, NotACoverError,
+                                        SignedPartition, classify_edge,
+                                        decode_cover, enumerate_lattice,
+                                        representative, variant_b, variant_dns)
 from interarr.arrangement import intersection_lattice, make_family
 
 
@@ -37,6 +39,61 @@ def test_el_label_figure_edges():
     assert el_label(bottom, noncoh) == (2, 2)
     coatom = SignedPartition.from_blocks(3, [(-1, 0, 1, 2, -2), (3,), (-3,)])
     assert el_label(coatom, SignedPartition.top(3)) == (1, 1)
+
+
+def _oracle_cover(x, y):
+    """The cover reading before decode_cover: a refinement test, then a
+    search for the first new block of y and the x-blocks inside it."""
+    if not (y.rank == x.rank + 1 and x.refines(y)):
+        raise NotACoverError("not a cover")
+    if len(y.zero_block) > len(x.zero_block):
+        folded = [b for b in x.normalized_classes() if set(b) <= set(y.zero_block)]
+        r = representative(folded[0])
+        return EdgeClass.SIGNED, r, r
+    x_blocks = set(x.blocks)
+    target = set(next(b for b in y.blocks[1:] if b not in x_blocks))
+    reps = sorted(representative(b) for b in x.blocks[1:] if set(b) <= target)
+    i, j = reps[0], reps[-1]
+    same_sign = (i in target) == (j in target)
+    return (EdgeClass.COHERENT if same_sign else EdgeClass.NON_COHERENT), i, j
+
+
+def _oracle_el_label(x, y):
+    cls, i, j = _oracle_cover(x, y)
+    if cls is EdgeClass.SIGNED:
+        return (1, 1)
+    return (0, max(i, j)) if cls is EdgeClass.COHERENT else (2, min(i, j))
+
+
+def test_cover_readers_match_oracle_on_every_cover():
+    variants = [variant_b(n) for n in range(1, 6)] + [variant_dns(5, s) for s in range(6)]
+    for v in variants:
+        lat = enumerate_lattice(v)
+        for a, ups in enumerate(lat.covers):
+            x = lat.elements[a]
+            for b in ups:
+                y = lat.elements[b]
+                cls, i, j = _oracle_cover(x, y)
+                assert decode_cover(x, y) == (cls, i, j)
+                assert classify_edge(x, y) is cls
+                assert r_label(x, y) == max(i, j)
+                assert el_label(x, y) == _oracle_el_label(x, y)
+
+
+NOT_COVERS = [
+    # two ranks apart
+    (SignedPartition.bottom(2), SignedPartition.top(2)),
+    # one rank up, but the block 12 is split between 10-1 and 23
+    (SignedPartition.from_blocks(3, [(0,), (1, 2), (-1, -2), (3,), (-3,)]),
+     SignedPartition.from_blocks(3, [(-1, 0, 1), (2, 3), (-2, -3)])),
+]
+
+
+@pytest.mark.parametrize("reader", [el_label, r_label, classify_edge, decode_cover])
+@pytest.mark.parametrize("x, y", NOT_COVERS, ids=["two-ranks", "not-refining"])
+def test_cover_readers_reject_non_covers(reader, x, y):
+    with pytest.raises(NotACoverError):
+        reader(x, y)
 
 
 def test_label_set_examples(pi_b):

@@ -142,7 +142,7 @@ def test_one_jump_law():
 
 
 def test_lattice_isomorphic_to_arrangement_side():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         assert lattice_isomorphic(enumerate_lattice(variant_b(n)),
                                   intersection_lattice(make_family("b", n)))
     for n in (2, 3, 4):
