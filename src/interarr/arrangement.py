@@ -16,7 +16,10 @@ exactly from the walls of its neighbour by pivoting inside rank-2
 localizations (no linear programming on the hot path); every chamber is
 still certified by an integer witness point, and any inconsistency falls
 back to the general path, which decides each candidate wall with the exact
-rational feasibility oracle.
+rational feasibility oracle.  Both walks test a witness through its
+pairing row (a_j . w for every hyperplane j): the row of a witness
+mirrored across a wall follows from its parent's row and the Gram matrix
+of the normals, with no dot product.
 """
 
 from __future__ import annotations
@@ -294,16 +297,25 @@ class ChamberComplex:
         return [mask_to_signs(mk, m) for mk in self.masks]
 
 
-def _sign_mask(normals, p) -> int | None:
-    """Bitmask of a strictly generic point; None if p lies on a hyperplane."""
+def _pairings(normals, p) -> tuple[int, ...]:
+    """The pairing row of a point: a_j . p for every hyperplane j."""
+    return tuple(dot(a, p) for a in normals)
+
+
+def _row_mask(row) -> int | None:
+    """Bitmask of a pairing row; None if the point lies on a hyperplane."""
     mask = 0
-    for h, a in enumerate(normals):
-        d = dot(a, p)
+    for h, d in enumerate(row):
         if d == 0:
             return None
         if d < 0:
             mask |= 1 << h
     return mask
+
+
+def _gram(normals) -> tuple[tuple[int, ...], ...]:
+    """G[i][j] = a_i . a_j, so a reflected point's pairings need no dot product."""
+    return tuple(_pairings(normals, a) for a in normals)
 
 
 def _signed_rows(normals, mask):
@@ -413,7 +425,9 @@ def _sector_bounds(lines, nus, mask):
     return bounds
 
 
-def _witness_from_facets(a: Arrangement, mask: int, facets) -> tuple[int, ...]:
+def _witness_from_facets(a: Arrangement, mask: int, facets):
+    """An interior point of the chamber solved from its walls, with its
+    pairing row."""
     rows = []
     for f in facets:
         v = a.normals[f]
@@ -428,31 +442,36 @@ def _witness_from_facets(a: Arrangement, mask: int, facets) -> tuple[int, ...]:
     for x in nums:
         g = gcd(g, x)
     wit = tuple(x // g for x in nums) if g > 1 else tuple(nums)
-    if _sign_mask(a.normals, wit) != mask:
+    row = _pairings(a.normals, wit)
+    if _row_mask(row) != mask:
         raise _SimplicialityError("facet witness landed in the wrong chamber")
-    return wit
+    return wit, row
 
 
 def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
     normals = a.normals
     d = a.dim
     p0 = generic_point(normals, d)
-    mask0 = _sign_mask(normals, p0)
+    row0 = _pairings(normals, p0)
+    mask0 = _row_mask(row0)
     facets0 = _seed_facets(a, mask0, p0)
     if len(facets0) != d:
         raise _SimplicialityError(f"seed chamber has {len(facets0)} walls, expected {d}")
     loc = _FlatLocalizer(a)
+    gram = _gram(normals)
 
     masks = [mask0]
     witnesses = [p0]
     facets = [tuple(sorted(facets0))]
     index = {mask0: 0}
+    rows = {0: row0}  # pairing rows of the chambers still to expand
     edges: dict[tuple[int, int], int] = {}
     queue = deque([0])
     while queue:
         ci = queue.popleft()
         mask = masks[ci]
         walls = facets[ci]
+        row = rows.pop(ci)
         for w in walls:
             nmask = mask ^ (1 << w)
             ni = index.get(nmask)
@@ -470,14 +489,13 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
                     raise _SimplicialityError("pivoted walls collide")
                 # mirroring the parent witness is usually an interior point of
                 # the neighbour and avoids the exact solve; verify, never trust
-                wit = _try_mirror(normals, witnesses[ci], w, nmask)
-                if wit is not None and max(map(abs, wit)) > 1 << 24:
-                    wit = None
-                if wit is None:
-                    wit = _witness_from_facets(a, nmask, nf)
+                hit = _try_mirror(normals, gram, witnesses[ci], row, w, nmask)
+                if hit is None or max(map(abs, hit[0])) > 1 << 24:
+                    hit = _witness_from_facets(a, nmask, nf)
                 ni = len(masks)
                 masks.append(nmask)
-                witnesses.append(wit)
+                witnesses.append(hit[0])
+                rows[ni] = hit[1]
                 facets.append(tuple(sorted(nf)))
                 index[nmask] = ni
                 queue.append(ni)
@@ -493,18 +511,21 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
     return ChamberComplex(a, masks, witnesses, facets, edge_list)
 
 
-def _try_mirror(normals, p, i, target_mask):
-    ai = normals[i]
-    n2 = dot(ai, ai)
-    aip = dot(ai, p)
+def _try_mirror(normals, gram, p, row, i, target_mask):
+    """The reflection q = (n2 p - 2 (a_i . p) a_i) / g of p across hyperplane
+    i, with its pairing row (n2 row - 2 row[i] G[i]) / g, exact because q / g
+    is integer; None unless q lies in the target chamber."""
+    ai, gi = normals[i], gram[i]
+    n2, aip = gi[i], row[i]
     q = [n2 * x - 2 * aip * y for x, y in zip(p, ai)]
-    g = 0
-    for x in q:
-        g = gcd(g, x)
+    qrow = [n2 * x - 2 * aip * y for x, y in zip(row, gi)]
+    g = gcd(*q)
     if g > 1:
         q = [x // g for x in q]
-    q = tuple(q)
-    return q if _sign_mask(normals, q) == target_mask else None
+        qrow = [x // g for x in qrow]
+    if _row_mask(qrow) != target_mask:
+        return None
+    return tuple(q), tuple(qrow)
 
 
 def _try_ray_walk(normals, mask, p, i, target_mask):
@@ -527,7 +548,7 @@ def _try_ray_walk(normals, mask, p, i, target_mask):
         return None
     t_mid = t_i + 1 if t_next is None else (t_i + t_next) / 2
     q = scale_to_int([Fraction(x) + t_mid * dx for x, dx in zip(p, direction)])
-    return q if _sign_mask(normals, q) == target_mask else None
+    return q if _row_mask(_pairings(normals, q)) == target_mask else None
 
 
 def _pair_farkas_redundant(normals, mask, i) -> bool:
@@ -570,22 +591,25 @@ def _chamber_bfs_general(a: Arrangement) -> ChamberComplex:
     normals = a.normals
     d = a.dim
     p0 = generic_point(normals, d)
-    mask0 = _sign_mask(normals, p0)
+    mask0 = _row_mask(_pairings(normals, p0))
     masks = [mask0]
     witnesses = [p0]
     index = {mask0: 0}
     incident: list[list[int]] = [[]]
     edges: dict[tuple[int, int], int] = {}
     queue = deque([0])
+    gram = _gram(normals)
     while queue:
         ci = queue.popleft()
         mask = masks[ci]
         p = witnesses[ci]
+        row = _pairings(normals, p)
         for i in range(a.m):
             nmask = mask ^ (1 << i)
             ni = index.get(nmask)
             if ni is None:
-                wit = _try_mirror(normals, p, i, nmask)
+                hit = _try_mirror(normals, gram, p, row, i, nmask)
+                wit = hit[0] if hit else None
                 if wit is None:
                     wit = _try_ray_walk(normals, mask, p, i, nmask)
                 if wit is None:

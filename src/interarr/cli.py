@@ -183,12 +183,12 @@ def cmd_fvector(args, parser) -> int:
 # tables
 
 
-def _table_cell(task) -> tuple:
+def _table_cell(task) -> list[int]:
     kind, n, s = task
     if kind == "gamma":
         h = h_via_indegree(make_family("dns", n, s))
-        return (kind, n, s, list(h_to_gamma(h).entries))
-    return (kind, n, s, chow_dns(n, s).to_json_coeffs())
+        return list(h_to_gamma(h).entries)
+    return chow_dns(n, s).to_json_coeffs()
 
 
 def _map_tasks(fn, tasks, jobs: int) -> list:
@@ -206,9 +206,13 @@ def cmd_tables(args, parser) -> int:
     ctab = fixtures.chow_table()
     tasks = [("gamma", n, s) for n in sorted(gtab) for s in sorted(gtab[n])]
     tasks += [("chow", n, s) for n in sorted(ctab) for s in sorted(ctab[n])]
-    results = _map_tasks(_table_cell, tasks, args.jobs)
+    # a pool hands tasks out in order: start the costliest rows (largest n)
+    # first, so that no worker is left with them at the end
+    by_cost = sorted(tasks, key=lambda task: -task[1])
+    results = dict(zip(by_cost, _map_tasks(_table_cell, by_cost, args.jobs)))
     failures = 0
-    for kind, n, s, got in results:
+    for kind, n, s in tasks:
+        got = results[kind, n, s]
         if kind == "gamma":
             want = list(gtab[n][s])
             shown = f"({', '.join(str(x) for x in got)})"

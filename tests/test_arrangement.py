@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -89,20 +90,39 @@ def test_chambers_requires_essential():
         chambers(braid)
 
 
+def _assert_same_complex(fast, gen):
+    """Same chambers, the same walls per chamber, and the same edges as
+    (mask, mask, wall), whatever the order the walks found them in."""
+    assert set(fast.masks) == set(gen.masks)
+    for mk in fast.masks:
+        assert fast.facets[fast.index[mk]] == gen.facets[gen.index[mk]]
+
+    def edges(cc):
+        return {(*sorted((cc.masks[i], cc.masks[j])), h) for i, j, h in cc.edges}
+    assert edges(fast) == edges(gen)
+
+
+# every family with n <= 4: dns(n, n) is B_n and dns(n, 0) is D_n; dns(1, 0)
+# has no hyperplane
+_SMALL_FAMILIES = [("a", n, None) for n in range(1, 5)] + [
+    ("dns", n, s) for n in range(1, 5) for s in range(n + 1) if (n, s) != (1, 0)]
+
+
 def test_fast_and_general_bfs_agree():
-    for fam, n, s in [("b", 2, None), ("b", 3, None), ("d", 3, None),
-                      ("dns", 3, 1), ("dns", 4, 2), ("a", 3, None)]:
+    for fam, n, s in _SMALL_FAMILIES:
         a = make_family(fam, n, s)
-        fast = arr._chamber_bfs_simplicial(a)
-        gen = arr._chamber_bfs_general(a)
-        assert set(fast.masks) == set(gen.masks)
-        for mk in fast.masks:
-            assert fast.facets[fast.index[mk]] == gen.facets[gen.index[mk]]
-        fedges = {(tuple(sorted((fast.masks[i], fast.masks[j]))), h)
-                  for i, j, h in fast.edges}
-        gedges = {(tuple(sorted((gen.masks[i], gen.masks[j]))), h)
-                  for i, j, h in gen.edges}
-        assert fedges == gedges
+        _assert_same_complex(arr._chamber_bfs_simplicial(a), arr._chamber_bfs_general(a))
+
+
+@pytest.mark.parametrize("fam, n, s, digest", [
+    ("b", 3, None, "58813eef274da302b0b845a95837403e25acd6ac32f4ffe75942dbf975a906e7"),
+    ("d", 4, None, "eff7b33a885dedca6bf1fb47ed47271a37e4507abca7bd87d12a92e85a0c69d0"),
+    ("dns", 4, 2, "6a7d2e59df9bf07ef475c95a4813c1044b979fe9ed28ea05e937d4a7eff4f43b"),
+])
+def test_fast_walk_witnesses_are_pinned(fam, n, s, digest):
+    # the walk's witness lists stay byte-identical when its arithmetic changes
+    witnesses = arr._chamber_bfs_simplicial(make_family(fam, n, s)).witnesses
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == digest
 
 
 def test_general_bfs_on_non_simplicial_input():
@@ -174,6 +194,18 @@ def test_f_vector_property_random_dim3(a):
 def test_chow_chains_match_recursion_random_dim3(a):
     lat = intersection_lattice(a)
     assert chow_via_chains(lat, min_atom_label(lat)) == chow_recursive(lat)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_essential_dim3())
+def test_fast_walk_matches_general_bfs_random_dim3(a):
+    # the fast walk either notices that the input is not simplicial or
+    # finds exactly the complex of the general walk
+    try:
+        fast = arr._chamber_bfs_simplicial(a)
+    except arr._SimplicialityError:
+        return
+    _assert_same_complex(fast, arr._chamber_bfs_general(a))
 
 
 def test_simplicial_flag_runs_its_own_walk(monkeypatch):
@@ -392,11 +424,8 @@ def test_fast_and_general_bfs_agree_on_restrictions():
     for base in (make_family("b", 4), make_family("d", 4)):
         for h in range(base.m):
             sub = restrict(base, h)
-            fast = arr._chamber_bfs_simplicial(sub)
-            gen = arr._chamber_bfs_general(sub)
-            assert set(fast.masks) == set(gen.masks), h
-            for mk in fast.masks:
-                assert fast.facets[fast.index[mk]] == gen.facets[gen.index[mk]], h
+            _assert_same_complex(arr._chamber_bfs_simplicial(sub),
+                                 arr._chamber_bfs_general(sub))
 
 
 def test_random_arrangements_match_bruteforce(tmp_path):

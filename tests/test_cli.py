@@ -142,6 +142,24 @@ def test_corrupted_wall_certificate_exits_1(capsys, monkeypatch):
     assert err == "error: wall certificate violates a chamber constraint\n"
 
 
+@pytest.mark.parametrize("family", [["b", "--n", "2"], ["d", "--n", "3"], ["b", "--n", "3"]])
+def test_negated_first_witness_exits_1(capsys, monkeypatch, family):
+    # chamber 0 is the lower end of all its edges, and no wall point
+    # changes when the lower witness is negated: only the chamber check sees it
+    walk = topegraph.chamber_complex
+
+    def corrupted(a):
+        cc = walk(a)
+        witnesses = list(cc.witnesses)
+        witnesses[0] = tuple(-x for x in witnesses[0])
+        return ChamberComplex(a, cc.masks, witnesses, cc.facets, cc.edges)
+
+    monkeypatch.setattr(topegraph, "chamber_complex", corrupted)
+    code, out, err = run(capsys, "gamma", "--family", *family)
+    assert code == 1 and out == ""
+    assert err == "error: chamber witness lies outside its chamber\n"
+
+
 def test_gamma_base_not_a_chamber_exits_2(capsys):
     code, _, err = run(capsys, "gamma", "--family", "b", "--n", "2", "--base=++")
     assert code == 2 and "is not a chamber" in err
@@ -274,6 +292,38 @@ def test_pool_never_larger_than_task_list(small_tables, monkeypatch, capsys):
     code, _, _ = run(capsys, "verify", "--suite", "lattice", "--n-max", "2", "--jobs", "8")
     assert code == 0
     assert sizes == [2, 7]  # a single task runs without a pool
+
+
+def test_tables_submit_costliest_rows_first(monkeypatch, capsys):
+    gamma = {3: {s: fixtures.gamma_table()[3][s] for s in range(2)}}
+    chow = {n: fixtures.chow_table()[n] for n in (2, 3)}
+    monkeypatch.setattr(cli.fixtures, "gamma_table", lambda: gamma)
+    monkeypatch.setattr(cli.fixtures, "chow_table", lambda: chow)
+    submitted = []
+
+    class Recorder:  # runs the tasks in this process, records their order
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            submitted.extend(items)
+            return map(fn, items)
+
+    code, serial, _ = run(capsys, "tables")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    code2, pooled, _ = run(capsys, "tables", "--jobs", "2")
+    assert code == code2 == 0 and pooled == serial
+    assert [t[1] for t in submitted] == [3, 3, 3, 3, 3, 3, 2, 2, 2]
+    assert submitted[:2] == [("gamma", 3, 0), ("gamma", 3, 1)]
+    rows = [line.split(":")[0] for line in pooled.splitlines()[:-1]]
+    assert rows == ["gamma n=3 s=0", "gamma n=3 s=1"] + [
+        f"chow n={n} s={s}" for n in (2, 3) for s in range(n + 1)]
 
 
 def test_tables_small_monkeypatched(small_tables, capsys):

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from interarr.arrangement import (chamber_complex, make_arrangement,
-                                  make_family)
+from interarr.arrangement import (ChamberComplex, chamber_complex,
+                                  make_arrangement, make_family)
+from interarr.feasibility import CertificateError
+from interarr.linalg import dot
 from interarr.poly import IntPolynomial, f_to_h, is_palindromic
 from interarr.arrangement import f_polynomial, f_vector, chamber_count
 from interarr.topegraph import (BaseNotAChamberError, NotSimplicialError,
-                                build_tope_graph, dump_tope_graph,
+                                _verify_walls, build_tope_graph, dump_tope_graph,
                                 h_via_indegree, h_via_separation, in_degrees)
 
 
@@ -128,3 +130,90 @@ def test_dump_b2_exact():
     assert dump_tope_graph(build_tope_graph(make_family("b", 2))) == (
         "++++\n-+++\n+++-\n-+-+\n+-+-\n---+\n+---\n----\n"
         "0 1 0\n0 2 3\n1 3 2\n2 4 1\n3 5 1\n4 6 2\n5 7 3\n6 7 0\n")
+
+
+def _verify_walls_by_dot(cc):
+    """Reference wall certificate: the wall point z of every edge is built
+    and each hyperplane is tested with a fresh dot product."""
+    normals = cc.arrangement.normals
+    for ci, cj, h in cc.edges:
+        if cc.masks[ci] ^ cc.masks[cj] != 1 << h:
+            raise CertificateError("edge endpoints differ off the recorded wall")
+        p, q = cc.witnesses[ci], cc.witnesses[cj]
+        ah = normals[h]
+        c1, c2 = dot(ah, p), dot(ah, q)
+        z = tuple(c1 * y - c2 * x for x, y in zip(p, q))
+        if c1 < 0:
+            z = tuple(-x for x in z)
+        mask = cc.masks[ci]
+        for j, aj in enumerate(normals):
+            d = dot(aj, z)
+            if j == h:
+                if d != 0:
+                    raise CertificateError("wall certificate misses its hyperplane")
+            elif d == 0 or (d < 0) != bool(mask >> j & 1):
+                raise CertificateError("wall certificate violates a chamber constraint")
+
+
+def _verdict(check, cc):
+    try:
+        check(cc)
+    except CertificateError as exc:
+        return str(exc)
+    return "pass"
+
+
+def _expected_verdict(cc):
+    """The reference's verdict; where it passes, the witness of every chamber
+    must still lie in that chamber."""
+    verdict = _verdict(_verify_walls_by_dot, cc)
+    if verdict == "pass":
+        for mask, w in zip(cc.masks, cc.witnesses):
+            for j, aj in enumerate(cc.arrangement.normals):
+                d = dot(aj, w)
+                if d == 0 or (d < 0) != bool(mask >> j & 1):
+                    return "chamber witness lies outside its chamber"
+    return verdict
+
+
+def _corruptions(cc):
+    """(name, complex) pairs: the true complex and copies broken one way each."""
+    def copy(witnesses=None, edges=None):
+        return ChamberComplex(cc.arrangement, cc.masks, witnesses or cc.witnesses,
+                              cc.facets, edges or cc.edges)
+
+    def with_witness(k, f):
+        witnesses = list(cc.witnesses)
+        witnesses[k] = tuple(f(witnesses[k]))
+        return copy(witnesses=witnesses)
+
+    def with_edge(e, new):
+        edges = list(cc.edges)
+        edges[e] = new
+        return copy(edges=edges)
+
+    last = len(cc.masks) - 1
+    i, j, h = cc.edges[len(cc.edges) // 2]
+    # a chamber two walls away from i: j's neighbour across another wall
+    k = next(b if a == j else a for a, b, w in cc.edges if j in (a, b) and w != h)
+    yield "true", cc
+    for c in (1, last):
+        yield f"negated {c}", with_witness(c, lambda w: (-x for x in w))
+        yield f"scaled {c}", with_witness(c, lambda w: (3 * x for x in w))
+        yield f"shifted {c}", with_witness(c, lambda w: (w[0] + 7 * max(map(abs, w)),) + w[1:])
+        yield f"nudged {c}", with_witness(c, lambda w: (w[0] + 1,) + w[1:])
+    yield "wrong wall", with_edge(len(cc.edges) // 2, (i, j, (h + 1) % cc.arrangement.m))
+    yield "two bits", with_edge(len(cc.edges) // 2, (min(i, k), max(i, k), h))
+
+
+@pytest.mark.parametrize("fam, n, s", [("b", 2, None), ("b", 3, None), ("d", 4, None),
+                                       ("dns", 4, 2)])
+def test_pairing_certificate_matches_dot_products(fam, n, s):
+    cc = chamber_complex(make_family(fam, n, s))
+    verdicts = {name: (_verdict(_verify_walls, bad), _expected_verdict(bad))
+                for name, bad in _corruptions(cc)}
+    assert {name: got for name, (got, _) in verdicts.items()} == {
+        name: want for name, (_, want) in verdicts.items()}
+    assert verdicts["true"][0] == verdicts["scaled 1"][0] == "pass"
+    assert all(verdicts[name][0] != "pass" for name in
+               ("negated 1", "shifted 1", "wrong wall", "two bits"))
