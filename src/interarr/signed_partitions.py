@@ -43,9 +43,15 @@ def is_normalized(block) -> bool:
     return representative(block) in block
 
 
+class NotCanonicalError(ValueError):
+    """Raised when a valid signed partition breaks the canonical layout."""
+
+
 class SignedPartition:
-    """Canonical encoding: zero block first, non-zero blocks sorted by
-    (representative, mirrored-last)."""
+    """Canonical encoding, relied on by `covers`: every block is a sorted
+    tuple; blocks[0] is the zero block; for k = 0, 1, ... the block at 2k+1
+    is the normalized block of the k-th mirror pair and the block at 2k+2
+    its mirror, with the pairs' representatives strictly increasing."""
 
     __slots__ = ("n", "blocks", "_hash")
 
@@ -53,11 +59,6 @@ class SignedPartition:
         self.n = n
         self.blocks = blocks
         self._hash = hash((n, blocks))
-
-    @staticmethod
-    def _canon_key(block: tuple[int, ...]):
-        rep = min(abs(x) for x in block)
-        return (rep, 0 if rep in block else 1)
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> SignedPartition:
@@ -74,28 +75,44 @@ class SignedPartition:
                 rest.append(tb)
         if zero is None:
             raise ValueError("no zero block")
-        rest.sort(key=cls._canon_key)
+        rest.sort(key=lambda b: (representative(b), not is_normalized(b)))
         part = cls(n, (zero,) + tuple(rest))
         part.validate()
         return part
 
     def validate(self) -> None:
+        """ValueError unless the blocks are a mirror-symmetric partition of
+        {-n..n}; NotCanonicalError unless they are in the canonical layout."""
+        blocks = self.blocks
         seen = set()
-        for b in self.blocks:
+        for b in blocks:
             for x in b:
                 if not -self.n <= x <= self.n or x in seen:
                     raise ValueError(f"bad partition element {x}")
                 seen.add(x)
         if len(seen) != 2 * self.n + 1:
             raise ValueError("not a partition of {-n..n}")
-        block_set = set(self.blocks)
-        for b in self.blocks:
-            if tuple(sorted(-x for x in b)) not in block_set:
+        block_set = {frozenset(b) for b in blocks}
+        for b in blocks:
+            if frozenset(-x for x in b) not in block_set:
                 raise ValueError(f"mirror of {b} missing")
             if 0 not in b and any(-x in b for x in b):
                 raise ValueError(f"self-paired elements outside zero block: {b}")
-        if len(self.blocks) % 2 != 1:
-            raise ValueError("block count must be odd")
+        if any(list(b) != sorted(b) for b in blocks):
+            raise NotCanonicalError("blocks must be sorted tuples")
+        if 0 not in blocks[0]:
+            raise NotCanonicalError("the zero block must come first")
+        prev = 0
+        for k in range(1, len(blocks), 2):
+            b, mirror = blocks[k], blocks[k + 1]
+            rep = representative(b)
+            if rep not in b:
+                raise NotCanonicalError(f"block {k} is not normalized: {b}")
+            if mirror != tuple(sorted(-x for x in b)):
+                raise NotCanonicalError(f"block {k + 1} is not the mirror of block {k}")
+            if rep <= prev:
+                raise NotCanonicalError("representatives must increase")
+            prev = rep
 
     @classmethod
     def bottom(cls, n: int) -> SignedPartition:
@@ -119,7 +136,7 @@ class SignedPartition:
 
     def normalized_classes(self) -> list[tuple[int, ...]]:
         """One normalized block per mirror pair, sorted by representative."""
-        return [b for b in self.blocks[1:] if is_normalized(b)]
+        return list(self.blocks[1::2])
 
     def refines(self, other: SignedPartition) -> bool:
         lookup = {}
@@ -160,12 +177,26 @@ def render(p: SignedPartition) -> str:
     return "|".join(parts)
 
 
-def _merge_sorted(*blocks) -> tuple[int, ...]:
-    out = []
-    for b in blocks:
-        out.extend(b)
-    out.sort()
-    return tuple(out)
+def _cover_blocks(blocks: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The canonical block tuples of all covers, in `covers` order.
+
+    The layout fixes where every block goes: a fold of pair k drops the
+    blocks at 2k+1 and 2k+2 and sorts only the new zero block; a merge of
+    pairs i < j puts the two merged blocks at i's positions (the smaller
+    representative stays normalized) and drops j's pair."""
+    zero = blocks[0]
+    m = len(blocks)
+    out = [(tuple(sorted(zero + blocks[k] + blocks[k + 1])),) + blocks[1:k] + blocks[k + 2:]
+           for k in range(1, m, 2)]
+    for i in range(1, m, 2):
+        b, nb = blocks[i], blocks[i + 1]
+        head = blocks[:i]
+        for j in range(i + 2, m, 2):
+            c, nc = blocks[j], blocks[j + 1]
+            rest = blocks[i + 2:j] + blocks[j + 2:]
+            out.append(head + (tuple(sorted(b + c)), tuple(sorted(nb + nc))) + rest)
+            out.append(head + (tuple(sorted(b + nc)), tuple(sorted(nb + c))) + rest)
+    return out
 
 
 def covers(p: SignedPartition) -> list[SignedPartition]:
@@ -174,28 +205,7 @@ def covers(p: SignedPartition) -> list[SignedPartition]:
     Either one mirror pair is folded into the zero block, or two mirror
     classes merge (in two inequivalent ways, keeping the mirror symmetry).
     """
-    zero = p.blocks[0]
-    classes = p.normalized_classes()
-    neg = {b: tuple(sorted(-x for x in b)) for b in classes}
-    others = list(p.blocks[1:])
-    out = []
-
-    def build(removed: set, new_blocks) -> SignedPartition:
-        kept = [b for b in others if b not in removed]
-        zero_b = new_blocks[0]
-        rest = kept + list(new_blocks[1:])
-        rest.sort(key=SignedPartition._canon_key)
-        return SignedPartition(p.n, (zero_b,) + tuple(rest))
-
-    for b in classes:
-        out.append(build({b, neg[b]}, (_merge_sorted(zero, b, neg[b]),)))
-    for i, b in enumerate(classes):
-        for c in classes[i + 1:]:
-            out.append(build({b, c, neg[b], neg[c]},
-                             (zero, _merge_sorted(b, c), _merge_sorted(neg[b], neg[c]))))
-            out.append(build({b, c, neg[b], neg[c]},
-                             (zero, _merge_sorted(b, neg[c]), _merge_sorted(neg[b], c))))
-    return out
+    return [SignedPartition(p.n, q) for q in _cover_blocks(p.blocks)]
 
 
 def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int, int]:
@@ -270,31 +280,35 @@ def variant_dn_set(n: int, coords) -> LatticeVariant:
 def enumerate_lattice(v: LatticeVariant) -> GradedLattice:
     """All partitions of the variant, graded by rank, with cover adjacency.
 
-    Rank-synchronous generation from the bottom; excluded elements are never
-    materialized beyond the cover candidates that get filtered out.
+    Rank-synchronous generation from the bottom.  Cover candidates are
+    block tuples; each distinct one becomes a single SignedPartition, which
+    `v.admits` keeps or drops.  Each rank is numbered in sorted order and
+    parents are visited in id order, so every cover list comes out sorted.
     """
     bottom = SignedPartition.bottom(v.n)
     elements: list[SignedPartition] = [bottom]
-    ids: dict[SignedPartition, int] = {bottom: 0}
     cover_lists: list[list[int]] = [[]]
-    layer = [bottom]
+    layer = [(0, bottom.blocks)]
+    top = 0
     while layer:
-        pending: list[tuple[int, SignedPartition]] = []
-        nxt: set[SignedPartition] = set()
-        for p in layer:
-            pid = ids[p]
-            for q in covers(p):
-                if v.admits(q):
-                    pending.append((pid, q))
-                    nxt.add(q)
-        layer = sorted(nxt)
-        for q in layer:
-            ids[q] = len(elements)
-            elements.append(q)
-            cover_lists.append([])
-        for pid, q in pending:
-            cover_lists[pid].append(ids[q])
-    for lst in cover_lists:
-        lst.sort()
-    top = max(ids.values(), key=lambda i: elements[i].rank)
-    return GradedLattice(elements, [p.rank for p in elements], cover_lists, ids[bottom], top)
+        parents: dict[tuple, list[int]] = {}
+        for pid, blocks in layer:
+            for q in _cover_blocks(blocks):
+                ups = parents.get(q)
+                if ups is None:
+                    parents[q] = [pid]
+                else:
+                    ups.append(pid)
+        layer = []
+        for q in sorted(parents):
+            p = SignedPartition(v.n, q)
+            if v.admits(p):
+                qid = len(elements)
+                elements.append(p)
+                cover_lists.append([])
+                for pid in parents[q]:
+                    cover_lists[pid].append(qid)
+                layer.append((qid, q))
+        if layer:
+            top = layer[0][0]
+    return GradedLattice(elements, [p.rank for p in elements], cover_lists, 0, top)

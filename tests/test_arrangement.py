@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import interarr.arrangement as arr
@@ -410,6 +410,37 @@ def test_file_format_round_trip(tmp_path):
         parse_arrangement_text("1 2\n")
     with pytest.raises(InvalidParamsError):
         parse_arrangement_text("dim 2\n1 2 3\n")
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(2**40, 2**64),
+                   st.integers(-2**64, -2**40))
+_NOISE = st.sampled_from(["", "   ", "# comment", "  # 1 2 3", "#dim 9"])
+# up to dim + 4 = 8 normals and the dim line, with noise after the last one
+_MAX_LINES = 10
+
+
+@st.composite
+def _essential_integer(draw):
+    dim = draw(st.integers(1, 4))
+    vecs = draw(st.lists(st.tuples(*[_ENTRY] * dim).filter(any),
+                         min_size=dim, max_size=dim + 4))
+    a = make_arrangement(dim, dict.fromkeys(primitive_vector(v) for v in vecs))
+    assume(a.is_essential())
+    return a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_essential_integer(),
+       st.lists(st.lists(_NOISE, max_size=2), min_size=_MAX_LINES, max_size=_MAX_LINES))
+@example(make_arrangement(2, [(2**41 + 1, -3), (-5, 2**45), (1, 1)]), [["# c"], [""]] * 5)
+def test_file_format_round_trip_random(a, noise):
+    text = arrangement_to_text(a)
+    assert parse_arrangement_text(text) == a
+    # comment lines and blank lines anywhere are ignored
+    lines = []
+    for extra, line in zip(noise, text.splitlines() + [""]):
+        lines += extra + [line]
+    assert parse_arrangement_text("\n".join(lines)) == a
 
 
 def test_sign_strings_are_stable():

@@ -4,9 +4,10 @@ import pytest
 
 from interarr.arrangement import intersection_lattice, make_family
 from interarr.lattice import check_graded, lattice_isomorphic
+from interarr.lattice import GradedLattice
 from interarr.signed_partitions import (EdgeClass, NotACoverError,
-                                        SignedPartition, ZeroBlockError,
-                                        classify_edge, covers,
+                                        NotCanonicalError, SignedPartition,
+                                        ZeroBlockError, classify_edge, covers,
                                         enumerate_lattice, is_normalized,
                                         render, representative, variant_b,
                                         variant_d, variant_dn_set, variant_dns)
@@ -165,3 +166,111 @@ def test_from_blocks_validation():
         SignedPartition.from_blocks(2, [(0,), (1, 2), (-1,), (-2,)])
     with pytest.raises(ValueError):
         SignedPartition.from_blocks(2, [(0, 1), (-1,), (2,), (-2,)])
+
+
+def test_validate_rejects_non_canonical_layout():
+    def raw(*blocks):
+        return SignedPartition(3, tuple(blocks))
+
+    # the canonical form of 0|12|-1-2|3|-3 passes
+    raw((0,), (1, 2), (-2, -1), (3,), (-3,)).validate()
+    with pytest.raises(NotCanonicalError, match="not the mirror"):
+        raw((0,), (1, 2), (3,), (-2, -1), (-3,)).validate()
+    with pytest.raises(NotCanonicalError, match="representatives must increase"):
+        raw((0,), (3,), (-3,), (1, 2), (-2, -1)).validate()
+    with pytest.raises(NotCanonicalError, match="not normalized"):
+        raw((0,), (-2, -1), (1, 2), (3,), (-3,)).validate()
+    with pytest.raises(NotCanonicalError, match="zero block must come first"):
+        raw((1, 2), (-2, -1), (0,), (3,), (-3,)).validate()
+    with pytest.raises(NotCanonicalError, match="sorted"):
+        raw((0,), (2, 1), (-2, -1), (3,), (-3,)).validate()
+    # a broken partition is still a plain ValueError, not a layout error
+    with pytest.raises(ValueError) as err:
+        raw((0,), (1, 2), (-1,), (-2,), (3,), (-3,)).validate()
+    assert not isinstance(err.value, NotCanonicalError)
+
+
+# The sort-based generator that `covers` and `enumerate_lattice` replaced:
+# every cover is re-sorted by (representative, mirrored-last) and the
+# lattice deduplicates SignedPartition objects.  Kept as an oracle.
+
+def _canon_key(block):
+    rep = min(abs(x) for x in block)
+    return (rep, 0 if rep in block else 1)
+
+
+def _merge_sorted(*blocks):
+    return tuple(sorted(x for b in blocks for x in b))
+
+
+def _covers_by_sorting(p):
+    zero = p.blocks[0]
+    classes = [b for b in p.blocks[1:] if is_normalized(b)]
+    neg = {b: tuple(sorted(-x for x in b)) for b in classes}
+    others = list(p.blocks[1:])
+
+    def build(removed, new_blocks):
+        rest = [b for b in others if b not in removed] + list(new_blocks[1:])
+        rest.sort(key=_canon_key)
+        return SignedPartition(p.n, (new_blocks[0],) + tuple(rest))
+
+    out = [build({b, neg[b]}, (_merge_sorted(zero, b, neg[b]),)) for b in classes]
+    for i, b in enumerate(classes):
+        for c in classes[i + 1:]:
+            removed = {b, c, neg[b], neg[c]}
+            out.append(build(removed, (zero, _merge_sorted(b, c), _merge_sorted(neg[b], neg[c]))))
+            out.append(build(removed, (zero, _merge_sorted(b, neg[c]), _merge_sorted(neg[b], c))))
+    return out
+
+
+def _enumerate_by_sorting(v):
+    bottom = SignedPartition.bottom(v.n)
+    elements = [bottom]
+    ids = {bottom: 0}
+    cover_lists = [[]]
+    layer = [bottom]
+    while layer:
+        pending = []
+        nxt = set()
+        for p in layer:
+            for q in _covers_by_sorting(p):
+                if v.admits(q):
+                    pending.append((ids[p], q))
+                    nxt.add(q)
+        layer = sorted(nxt)
+        for q in layer:
+            ids[q] = len(elements)
+            elements.append(q)
+            cover_lists.append([])
+        for pid, q in pending:
+            cover_lists[pid].append(ids[q])
+    for lst in cover_lists:
+        lst.sort()
+    top = max(ids.values(), key=lambda i: elements[i].rank)
+    return GradedLattice(elements, [p.rank for p in elements], cover_lists, ids[bottom], top)
+
+
+def _same_lattice(a, b):
+    assert a.elements == b.elements
+    assert a.rank == b.rank
+    assert a.covers == b.covers
+    assert (a.bottom, a.top) == (b.bottom, b.top)
+
+
+def test_covers_match_sorting_oracle_on_b1_to_b6():
+    for n in range(1, 7):
+        lat = _enumerate_by_sorting(variant_b(n))
+        for p in lat.elements:
+            got = covers(p)
+            assert got == _covers_by_sorting(p), render(p)
+            for q in got:
+                q.validate()
+
+
+def test_lattices_match_sorting_oracle():
+    variants = [variant_b(n) for n in range(1, 7)]
+    variants += [variant_d(n) for n in range(1, 6)]
+    variants += [variant_dns(n, s) for n in range(1, 6) for s in range(n + 1)]
+    variants.append(variant_dn_set(5, (2, 4)))
+    for v in variants:
+        _same_lattice(enumerate_lattice(v), _enumerate_by_sorting(v))
