@@ -208,30 +208,55 @@ def covers(p: SignedPartition) -> list[SignedPartition]:
     return [SignedPartition(p.n, q) for q in _cover_blocks(p.blocks)]
 
 
+def _not_covered(x: SignedPartition, y: SignedPartition) -> NotACoverError:
+    return NotACoverError(f"{render(x)} is not covered by {render(y)}")
+
+
 def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int, int]:
     """Read the cover x < y once: its edge class and the representatives
     i <= j of the two merged x-classes, (r, r) when the pair of r folds into
     the zero block.  A merge is coherent when j lies in the new normalized
-    block, the y-block of i.  Raises NotACoverError unless y is one rank up
-    and every block of x lies inside one block of y."""
-    if y.rank != x.rank + 1:
-        raise NotACoverError(f"{render(x)} is not covered by {render(y)}")
-    yblocks = y.blocks
-    where = {e: bi for bi, b in enumerate(yblocks) for e in b}
-    reps = []
-    for xi, b in enumerate(x.blocks):
-        bi = where[b[0]]
-        for e in b:
-            if where[e] != bi:
-                raise NotACoverError(f"{render(x)} is not covered by {render(y)}")
-        if xi and len(yblocks[bi]) != len(b):
-            reps.append(min(map(abs, b)))
-    i, j = min(reps), max(reps)
-    if len(yblocks[0]) != len(x.blocks[0]):
-        return EdgeClass.SIGNED, i, j
-    if where[i] == where[j]:
-        return EdgeClass.COHERENT, i, j
-    return EdgeClass.NON_COHERENT, i, j
+    block, the y-block of i.
+
+    Both partitions must be in the canonical layout, as `from_blocks` and
+    `covers` make them: the first mirror pair k where the blocks differ is
+    folded when the zero block changed, and otherwise merged with the next
+    differing pair l.  y must then equal the one block tuple that
+    `_cover_blocks` builds for that fold or merge, else NotACoverError.
+    NotCanonicalError when a block read from x lacks its representative
+    (a pair stored mirror first); other layout faults are not detected."""
+    xb, yb = x.blocks, y.blocks
+    m = len(xb)
+    if x.n != y.n or len(yb) != m - 2:
+        raise _not_covered(x, y)
+    k = 1
+    while k < m - 2 and xb[k] == yb[k]:
+        k += 2
+    b, nb = xb[k], xb[k + 1]
+    i = min(map(abs, b))
+    if i not in b:
+        raise NotCanonicalError(f"block {k} is not normalized: {b}")
+    if xb[0] != yb[0]:
+        if yb == (tuple(sorted(xb[0] + b + nb)),) + xb[1:k] + xb[k + 2:]:
+            return EdgeClass.SIGNED, i, i
+        raise _not_covered(x, y)
+    l = k + 2
+    while l < m - 2 and xb[l] == yb[l]:
+        l += 2
+    if l >= m:
+        raise _not_covered(x, y)
+    c, nc = xb[l], xb[l + 1]
+    j = min(map(abs, c))
+    if j not in c:
+        raise NotCanonicalError(f"block {l} is not normalized: {c}")
+    rest = xb[k + 2:l] + xb[l + 2:]
+    if j in yb[k]:
+        cls, merged = EdgeClass.COHERENT, (tuple(sorted(b + c)), tuple(sorted(nb + nc)))
+    else:
+        cls, merged = EdgeClass.NON_COHERENT, (tuple(sorted(b + nc)), tuple(sorted(nb + c)))
+    if yb == xb[:k] + merged + rest:
+        return cls, i, j
+    raise _not_covered(x, y)
 
 
 def classify_edge(x: SignedPartition, y: SignedPartition) -> EdgeClass:

@@ -12,9 +12,10 @@ from interarr.labeling import (count_chains_with_word, dump_chain_line,
                                verify_r_labeling)
 from interarr.lattice import NotComparableError
 from interarr.signed_partitions import (EdgeClass, NotACoverError,
-                                        SignedPartition, classify_edge,
-                                        decode_cover, enumerate_lattice,
-                                        representative, variant_b, variant_dns)
+                                        NotCanonicalError, SignedPartition,
+                                        classify_edge, covers, decode_cover,
+                                        enumerate_lattice, representative,
+                                        variant_b, variant_dns)
 from interarr.arrangement import intersection_lattice, make_family
 
 
@@ -86,14 +87,71 @@ NOT_COVERS = [
     # one rank up, but the block 12 is split between 10-1 and 23
     (SignedPartition.from_blocks(3, [(0,), (1, 2), (-1, -2), (3,), (-3,)]),
      SignedPartition.from_blocks(3, [(-1, 0, 1), (2, 3), (-2, -3)])),
+    # one rank up, but partitions of different ground sets
+    (SignedPartition.bottom(2), covers(SignedPartition.bottom(3))[2]),
 ]
 
 
 @pytest.mark.parametrize("reader", [el_label, r_label, classify_edge, decode_cover])
-@pytest.mark.parametrize("x, y", NOT_COVERS, ids=["two-ranks", "not-refining"])
+@pytest.mark.parametrize("x, y", NOT_COVERS, ids=["two-ranks", "not-refining", "cross-n"])
 def test_cover_readers_reject_non_covers(reader, x, y):
     with pytest.raises(NotACoverError):
         reader(x, y)
+
+
+def test_cover_readers_match_oracle_on_every_rank_adjacent_pair():
+    # every pair one rank apart, covers or not: the readers agree with the
+    # oracle on covers and raise NotACoverError exactly where it does
+    variants = [variant_b(n) for n in range(1, 5)] + [variant_dns(4, s) for s in range(5)]
+    pairs = hits = 0
+    for v in variants:
+        lat = enumerate_lattice(v)
+        layers = {}
+        for p, r in zip(lat.elements, lat.rank):
+            layers.setdefault(r, []).append(p)
+        for r in range(max(layers)):
+            for x in layers[r]:
+                for y in layers[r + 1]:
+                    pairs += 1
+                    try:
+                        cls, i, j = _oracle_cover(x, y)
+                    except NotACoverError:
+                        for reader in (decode_cover, classify_edge, r_label, el_label):
+                            with pytest.raises(NotACoverError):
+                                reader(x, y)
+                        continue
+                    hits += 1
+                    assert decode_cover(x, y) == (cls, i, j)
+                    assert classify_edge(x, y) is cls
+                    assert r_label(x, y) == max(i, j)
+                    assert el_label(x, y) == _oracle_el_label(x, y)
+    assert (pairs, hits) == (14562, 2179)
+
+
+# one mirror pair of x stored mirror first, which the raw SignedPartition
+# constructor allows: it skips the layout check
+_MIRROR_FIRST = [
+    # at the second pair read, l; the merge is non-coherent, a layout
+    # reader that trusts x would read it as coherent
+    (SignedPartition(2, ((0,), (1,), (-1,), (-2,), (2,))),
+     SignedPartition.from_blocks(2, [(0,), (1, -2), (-1, 2)])),
+    # at the first pair read, k
+    (SignedPartition(2, ((0,), (-1,), (1,), (2,), (-2,))),
+     SignedPartition.from_blocks(2, [(0,), (1, 2), (-1, -2)])),
+    # at the folded pair
+    (SignedPartition(2, ((0,), (-1,), (1,), (2,), (-2,))),
+     SignedPartition.from_blocks(2, [(-1, 0, 1), (2,), (-2,)])),
+]
+
+
+@pytest.mark.parametrize("reader", [el_label, r_label, classify_edge, decode_cover])
+@pytest.mark.parametrize("x, y", _MIRROR_FIRST, ids=["merge-l", "merge-k", "fold"])
+def test_cover_readers_reject_mirror_first_pairs(reader, x, y):
+    with pytest.raises(NotCanonicalError, match="not normalized"):
+        reader(x, y)
+    # the same cover from the canonical x is read as the oracle reads it
+    canon = SignedPartition.from_blocks(2, x.blocks)
+    assert decode_cover(canon, y) == _oracle_cover(x, y)
 
 
 def test_label_set_examples(pi_b):
