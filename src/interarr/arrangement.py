@@ -12,14 +12,16 @@ boundary: `chambers()`, `ChamberComplex.sign_strings()`, the
 
 Chamber enumeration is breadth-first wall-crossing.  For arrangements
 flagged simplicial the walls of a newly discovered chamber are derived
-exactly from the walls of its neighbour by pivoting inside rank-2
-localizations (no linear programming on the hot path); every chamber is
-still certified by an integer witness point, and any inconsistency falls
-back to the general path, which decides each candidate wall with the exact
-rational feasibility oracle.  Both walks test a witness through its
-pairing row (a_j . w for every hyperplane j): the row of a witness
-mirrored across a wall follows from its parent's row and the Gram matrix
-of the normals, with no dot product.
+exactly from the walls of its neighbour: crossing wall w replaces each
+other wall k by the next hyperplane through the codimension-2 flat
+H_w & H_k, found by integer Cramer on the Gram matrix of the normals and
+looked up once per (w, k, side) in a walk (no linear programming on the
+hot path); every chamber is still certified by an integer witness point,
+and any inconsistency falls back to the general path, which decides each
+candidate wall with the exact rational feasibility oracle.  Both walks
+test a witness through its pairing row (a_j . w for every hyperplane j):
+the row of a witness mirrored across a wall follows from its parent's row
+and the Gram matrix of the normals, with no dot product.
 """
 
 from __future__ import annotations
@@ -356,73 +358,36 @@ def _seed_facets(a: Arrangement, mask: int, p) -> list[int]:
     return walls
 
 
-class _FlatLocalizer:
-    """Rank-2 localizations: for two hyperplanes, every hyperplane through
-    their codimension-2 intersection together with exact 2d trace normals."""
+def _pivot(normals, gram, w, k, same_side: bool) -> int:
+    """The wall that replaces wall k of a chamber crossed at its wall w.
 
-    __slots__ = ("a", "cache")
-
-    def __init__(self, a: Arrangement):
-        self.a = a
-        self.cache: dict[tuple[int, int], tuple[tuple[int, ...], tuple]] = {}
-
-    def get(self, i: int, j: int):
-        key = (i, j) if i < j else (j, i)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        a = self.a
-        g1, g2 = a.normals[key[0]], a.normals[key[1]]
-        basis = EchelonBasis()
-        basis.add(g1)
-        basis.add(g2)
-        lines = tuple(h for h in range(a.m) if basis.contains(a.normals[h]))
-        nus = []
-        # invertible coordinate pair of (g1, g2)
-        pq = None
-        for pi in range(a.dim):
-            for qi in range(pi + 1, a.dim):
-                if g1[pi] * g2[qi] - g1[qi] * g2[pi] != 0:
-                    pq = (pi, qi)
-                    break
-            if pq:
-                break
-        det = g1[pq[0]] * g2[pq[1]] - g1[pq[1]] * g2[pq[0]]
-        for h in lines:
-            ah = a.normals[h]
-            num_a = ah[pq[0]] * g2[pq[1]] - ah[pq[1]] * g2[pq[0]]
-            num_b = g1[pq[0]] * ah[pq[1]] - g1[pq[1]] * ah[pq[0]]
-            fa, fb = Fraction(num_a, det), Fraction(num_b, det)
-            ca, cb = scale_to_int((fa, fb))
-            # the scaled pair must reproduce ah with a positive factor
-            vec = tuple(ca * x + cb * y for x, y in zip(g1, g2))
-            lam_num = dot(vec, ah)
-            if lam_num <= 0 or any(vec[t] * ah[u] != vec[u] * ah[t]
-                                   for t in range(a.dim) for u in range(a.dim)):
-                raise CertificateError("rank-2 localization failed; linalg bug")
-            nus.append((ca, cb))
-        entry = (lines, tuple(nus))
-        self.cache[key] = entry
-        return entry
-
-
-def _sector_bounds(lines, nus, mask):
-    """The two bounding lines of the 2d sector selected by the sign pattern."""
-    taus = [-1 if mask >> h & 1 else 1 for h in lines]
-    bounds = []
-    for idx, (na, nb) in enumerate(nus):
-        for ua, ub in ((-nb, na), (nb, -na)):
-            ok = True
-            for jdx, (ma, mb) in enumerate(nus):
-                if jdx == idx:
-                    continue
-                if taus[jdx] * (ma * ua + mb * ub) <= 0:
-                    ok = False
-                    break
-            if ok:
-                bounds.append(lines[idx])
-                break
-    return bounds
+    With D = G_ww G_kk - G_wk^2, hyperplane h contains H_w & H_k exactly
+    when D a_h = alpha a_w + beta a_k (Cramer on the Gram matrix).  In the
+    chamber's coordinates s, t (its signed pairings with a_w, a_k, both
+    positive inside) that hyperplane is the line alpha' s + beta' t = 0, and
+    it misses the chamber's sector unless alpha' and beta' differ in sign;
+    `same_side` says whether the chamber's signs on w and k agree.  The
+    neighbour's sector runs from w to the first such line, the one with the
+    least |beta| / |alpha|, and to k itself when there is none.
+    """
+    gw, gk = gram[w], gram[k]
+    aw, ak = normals[w], normals[k]
+    gww, gkk, gwk = gw[w], gk[k], gw[k]
+    det = gww * gkk - gwk * gwk
+    best, best_a, best_b = k, 1, None
+    for h, ah in enumerate(normals):
+        if h == w or h == k:
+            continue
+        alpha = gw[h] * gkk - gk[h] * gwk
+        beta = gk[h] * gww - gw[h] * gwk
+        if any(det * x != alpha * y + beta * z for x, y, z in zip(ah, aw, ak)):
+            continue
+        if ((alpha > 0) == (beta > 0)) != same_side:
+            raise _SimplicialityError("a hyperplane cuts the sector between two walls")
+        alpha, beta = abs(alpha), abs(beta)
+        if best_b is None or beta * best_a < best_b * alpha:
+            best, best_a, best_b = h, alpha, beta
+    return best
 
 
 def _witness_from_facets(a: Arrangement, mask: int, facets):
@@ -457,8 +422,8 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
     facets0 = _seed_facets(a, mask0, p0)
     if len(facets0) != d:
         raise _SimplicialityError(f"seed chamber has {len(facets0)} walls, expected {d}")
-    loc = _FlatLocalizer(a)
     gram = _gram(normals)
+    pivots: dict[tuple[int, int, bool], int] = {}
 
     masks = [mask0]
     witnesses = [p0]
@@ -480,11 +445,11 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
                 for k in walls:
                     if k == w:
                         continue
-                    lines, nus = loc.get(w, k)
-                    bounds = _sector_bounds(lines, nus, nmask)
-                    if len(bounds) != 2 or w not in bounds:
-                        raise _SimplicialityError("sector pivot did not close up")
-                    nf.append(bounds[0] if bounds[1] == w else bounds[1])
+                    key = (w, k, (mask >> w & 1) == (mask >> k & 1))
+                    h = pivots.get(key)
+                    if h is None:
+                        h = pivots[key] = _pivot(normals, gram, *key)
+                    nf.append(h)
                 if len(set(nf)) != d:
                     raise _SimplicialityError("pivoted walls collide")
                 # mirroring the parent witness is usually an interior point of
@@ -578,11 +543,14 @@ def _pair_farkas_redundant(normals, mask, i) -> bool:
             if pq is None:
                 continue
             pi, qi, det = pq
-            cj = Fraction(target[pi] * rk[qi] - target[qi] * rk[pi], det)
-            ck = Fraction(rj[pi] * target[qi] - rj[qi] * target[pi], det)
+            # Cramer numerators: the coefficients are cj / det and ck / det
+            cj = target[pi] * rk[qi] - target[qi] * rk[pi]
+            ck = rj[pi] * target[qi] - rj[qi] * target[pi]
+            if det < 0:
+                det, cj, ck = -det, -cj, -ck
             if cj < 0 or ck < 0:
                 continue
-            if all(cj * rj[t] + ck * rk[t] == target[t] for t in range(n)):
+            if all(cj * rj[t] + ck * rk[t] == det * target[t] for t in range(n)):
                 return True
     return False
 

@@ -270,7 +270,6 @@ class LatticeVariant:
     """Which {k, 0, -k} zero blocks are admitted: all of them for the full
     type-B lattice, none for type D, {1..s} for the intermediate family."""
 
-    kind: str
     n: int
     allowed: frozenset[int]
 
@@ -282,24 +281,24 @@ class LatticeVariant:
 
 
 def variant_b(n: int) -> LatticeVariant:
-    return LatticeVariant("b", n, frozenset(range(1, n + 1)))
+    return LatticeVariant(n, frozenset(range(1, n + 1)))
 
 
 def variant_d(n: int) -> LatticeVariant:
-    return LatticeVariant("d", n, frozenset())
+    return LatticeVariant(n, frozenset())
 
 
 def variant_dns(n: int, s: int) -> LatticeVariant:
     if not 0 <= s <= n:
         raise ValueError(f"s={s} out of range")
-    return LatticeVariant("dns", n, frozenset(range(1, s + 1)))
+    return LatticeVariant(n, frozenset(range(1, s + 1)))
 
 
 def variant_dn_set(n: int, coords) -> LatticeVariant:
     allowed = frozenset(coords)
     if not all(1 <= k <= n for k in allowed):
         raise ValueError("coordinate set out of range")
-    return LatticeVariant("dnS", n, allowed)
+    return LatticeVariant(n, allowed)
 
 
 def enumerate_lattice(v: LatticeVariant) -> GradedLattice:

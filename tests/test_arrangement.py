@@ -118,11 +118,27 @@ def test_fast_and_general_bfs_agree():
     ("b", 3, None, "58813eef274da302b0b845a95837403e25acd6ac32f4ffe75942dbf975a906e7"),
     ("d", 4, None, "eff7b33a885dedca6bf1fb47ed47271a37e4507abca7bd87d12a92e85a0c69d0"),
     ("dns", 4, 2, "6a7d2e59df9bf07ef475c95a4813c1044b979fe9ed28ea05e937d4a7eff4f43b"),
+    ("b", 5, None, "eeabf46f475d8720c477c5ba2acb5b2a93450786bff184144b085e59b8ab5dc5"),
+    ("dns", 5, 3, "b44eae39f02a9d03a61694c564e9bdca8c3caf9aba3819afacfd062c872cece0"),
 ])
 def test_fast_walk_witnesses_are_pinned(fam, n, s, digest):
     # the walk's witness lists stay byte-identical when its arithmetic changes
     witnesses = arr._chamber_bfs_simplicial(make_family(fam, n, s)).witnesses
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fam, n, s, digest", [
+    ("b", 3, None, "86368864e287f527fd950d36dd61662cbab64986fa10dbde24df73100f8354dd"),
+    ("d", 4, None, "36c74018dbc6f541e6ea8e25ffdf7b93fea4453d68e5490b54c5c93504dd6ac7"),
+    ("dns", 4, 2, "f9ad7f08bf3ca84ec432a94074f71f99f3353159c145b7f8c9d574ca77dc4cfa"),
+    ("b", 5, None, "c3f8b5ffe8420e308d1d346dab4bf5cbc9c4df3126e908ec230fdea73fa9cfb5"),
+    ("dns", 5, 3, "e2c5e412bc55f14c1568f4cd4d35a8e01b5e3919376830038cec2f6a9ca4af33"),
+])
+def test_fast_walk_facets_and_edges_are_pinned(fam, n, s, digest):
+    # beyond n = 4 the general walk is too slow for a tier-1 oracle, so the
+    # fast walk's walls and edges are pinned byte for byte instead
+    cc = arr._chamber_bfs_simplicial(make_family(fam, n, s))
+    assert hashlib.sha256(repr((cc.facets, cc.edges)).encode()).hexdigest() == digest
 
 
 def test_general_bfs_on_non_simplicial_input():

@@ -93,6 +93,7 @@ NON_SIMPLICIAL_NORMALS = [
     ["1 0 1", "-1 0 1", "0 1 1", "0 -1 1"],            # cone over a square
     ["1 0 0", "0 1 0", "1 1 0", "0 0 1", "1 2 3"],     # three planes share a line
     ["0 1 0", "1 0 0", "1 1 0", "1 1 1", "1 2 2"],     # fast walk closes up wrongly
+    ["1 0 -2", "1 0 -1", "1 1 1", "2 0 1", "2 1 -1"],  # a hyperplane between two walls
 ]
 
 
