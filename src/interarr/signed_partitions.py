@@ -17,7 +17,17 @@ from .lattice import GradedLattice
 
 
 class NotACoverError(ValueError):
-    """Raised when an edge operation is applied to a non-cover pair."""
+    """Raised when an edge operation is applied to a non-cover pair.  Given
+    the pair as x and y, it renders them only when its message is read."""
+
+    def __init__(self, *args, x=None, y=None):
+        super().__init__(*args)
+        self.x, self.y = x, y
+
+    def __str__(self) -> str:
+        if self.x is None:
+            return super().__str__()
+        return f"{render(self.x)} is not covered by {render(self.y)}"
 
 
 class ZeroBlockError(ValueError):
@@ -208,10 +218,6 @@ def covers(p: SignedPartition) -> list[SignedPartition]:
     return [SignedPartition(p.n, q) for q in _cover_blocks(p.blocks)]
 
 
-def _not_covered(x: SignedPartition, y: SignedPartition) -> NotACoverError:
-    return NotACoverError(f"{render(x)} is not covered by {render(y)}")
-
-
 def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int, int]:
     """Read the cover x < y once: its edge class and the representatives
     i <= j of the two merged x-classes, (r, r) when the pair of r folds into
@@ -228,7 +234,7 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
     xb, yb = x.blocks, y.blocks
     m = len(xb)
     if x.n != y.n or len(yb) != m - 2:
-        raise _not_covered(x, y)
+        raise NotACoverError(x=x, y=y)
     k = 1
     while k < m - 2 and xb[k] == yb[k]:
         k += 2
@@ -239,12 +245,12 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
     if xb[0] != yb[0]:
         if yb == (tuple(sorted(xb[0] + b + nb)),) + xb[1:k] + xb[k + 2:]:
             return EdgeClass.SIGNED, i, i
-        raise _not_covered(x, y)
+        raise NotACoverError(x=x, y=y)
     l = k + 2
     while l < m - 2 and xb[l] == yb[l]:
         l += 2
     if l >= m:
-        raise _not_covered(x, y)
+        raise NotACoverError(x=x, y=y)
     c, nc = xb[l], xb[l + 1]
     j = min(map(abs, c))
     if j not in c:
@@ -256,7 +262,7 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
         cls, merged = EdgeClass.NON_COHERENT, (tuple(sorted(b + nc)), tuple(sorted(nb + c)))
     if yb == xb[:k] + merged + rest:
         return cls, i, j
-    raise _not_covered(x, y)
+    raise NotACoverError(x=x, y=y)
 
 
 def classify_edge(x: SignedPartition, y: SignedPartition) -> EdgeClass:

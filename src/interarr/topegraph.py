@@ -10,14 +10,12 @@ complex; a complex is checked to be simplicial, in time linear in the
 chambers, but only `build_tope_graph` certifies its walls.  Sign strings
 appear only in the optional base argument and in the text dump.
 
-The wall certificate reads everything from pairings P[c][j] = a_j . w_c of
-each chamber's witness w_c with each normal, computed here once per chamber
-by dot products (never taken from the walk, which derives its own pairings
-by reflection, so each route still checks the other).  Every edge's wall
-point then tests each hyperplane with two multiplications.  The wall
-points alone do not pin a witness down (negating the first chamber's
-witness moves none of them), so every chamber's witness is also checked
-against the chamber's own signs.
+The wall certificate builds no point on any wall.  It checks that the
+endpoints of each edge differ exactly at the recorded wall, and that each
+chamber's witness lies strictly inside the chamber, by dot products
+computed here once per chamber (the walk derives its pairings by
+reflection instead, so each route still checks the other).  Convexity
+does the rest; see `_verify_walls`.
 """
 
 from __future__ import annotations
@@ -38,59 +36,24 @@ class NotSimplicialError(ValueError):
 
 
 def _verify_walls(cc: ChamberComplex) -> None:
-    """Certify each edge's shared wall: an exact point on the hyperplane with
-    every other constraint strict (the zeroed sign vector is realizable);
-    then certify each chamber's witness against the chamber's own signs.
+    """Certify every recorded wall by two checks: the endpoints of each edge
+    differ only at its wall h, and each chamber's witness pairs with every
+    normal nonzero and with the chamber's sign.
 
-    The wall point of the edge (p, q) across h is z = c1 q - c2 p with
-    c1 = a_h . p and c2 = a_h . q (negated when c1 < 0), so a_j . z is read
-    from the pairing rows P[c][j] = a_j . w_c, computed here once per chamber
-    and kept only from the first to the last edge that reads them.
+    Convexity does the rest.  The witnesses p and q of an edge's endpoints
+    pair with each a_j, j != h, with the same sign, and so does every point
+    between them.  So where the segment from p to q crosses H_h, it lies
+    strictly inside every other half-space of both chambers: h is a wall
+    of both.
     """
-    normals = cc.arrangement.normals
-    masks, witnesses, edges = cc.masks, cc.witnesses, cc.edges
-    # chambers whose witness fails their own signs; no wall point shows these
-    # (z does not change under p -> -p, for one)
-    outside = []
-
-    def pairing(c):
-        row = tuple(dot(aj, witnesses[c]) for aj in normals)
-        mask = masks[c]
-        for j, d in enumerate(row):
-            if d == 0 or (d < 0) != bool(mask >> j & 1):
-                outside.append(c)
-                break
-        return row
-
-    last = [-1] * len(masks)
-    for k, (ci, cj, _) in enumerate(edges):
-        last[ci] = last[cj] = k
-    rows = {}
-    for k, (ci, cj, h) in enumerate(edges):
-        mask = masks[ci]
-        if mask ^ masks[cj] != 1 << h:
+    normals, masks = cc.arrangement.normals, cc.masks
+    for ci, cj, h in cc.edges:
+        if masks[ci] ^ masks[cj] != 1 << h:
             raise CertificateError("edge endpoints differ off the recorded wall")
-        rp = rows.get(ci) or rows.setdefault(ci, pairing(ci))
-        rq = rows.get(cj) or rows.setdefault(cj, pairing(cj))
-        c1, c2 = rp[h], rq[h]
-        if c1 < 0:
-            c1, c2 = -c1, -c2
-        for j, (x, y) in enumerate(zip(rp, rq)):
-            d = c1 * y - c2 * x
-            if j == h:
-                if d != 0:
-                    raise CertificateError("wall certificate misses its hyperplane")
-            elif d == 0 or (d < 0) != bool(mask >> j & 1):
-                raise CertificateError("wall certificate violates a chamber constraint")
-        if last[ci] == k:
-            del rows[ci]
-        if last[cj] == k:
-            del rows[cj]
-    for c, k in enumerate(last):
-        if k < 0:  # a chamber on no edge
-            pairing(c)
-    if outside:
-        raise CertificateError("chamber witness lies outside its chamber")
+    for mask, w in zip(masks, cc.witnesses):
+        row = [dot(aj, w) for aj in normals]
+        if 0 in row or sum(1 << j for j, d in enumerate(row) if d < 0) != mask:
+            raise CertificateError("chamber witness lies outside its chamber")
 
 
 def _require_simplicial(cc: ChamberComplex) -> ChamberComplex:

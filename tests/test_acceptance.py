@@ -117,7 +117,9 @@ def test_criterion_8_h_method_agreement():
         h2 = h_via_separation(graph)
         fv = f_vector(a)
         h3 = f_to_h(f_polynomial(fv))
-        if not (h1 == h2 == h3 and is_palindromic(h1) and h1(1) == fv[-1]):
+        # h1(1) counts the chambers; the edges must be every (dim-1)-cone
+        if not (h1 == h2 == h3 and is_palindromic(h1) and h1(1) == fv[-1]
+                and len(graph.edges) == fv[a.dim - 1]):
             ok = False
         signs = graph.sign_strings()
         bases = signs if (fam, n) == ("d", 3) else signs[:5]

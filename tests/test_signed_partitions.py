@@ -88,8 +88,9 @@ def test_classify_edge_examples():
     assert classify_edge(x, signed) == EdgeClass.SIGNED
     assert classify_edge(x, coherent) == EdgeClass.COHERENT
     assert classify_edge(x, non_coherent) == EdgeClass.NON_COHERENT
-    with pytest.raises(NotACoverError):
+    with pytest.raises(NotACoverError) as exc:
         classify_edge(x, SignedPartition.top(2))
+    assert str(exc.value) == "0|1|-1|2|-2 is not covered by 120-1-2"
 
 
 def test_render_style():

@@ -91,6 +91,9 @@ def test_method_agreement_family():
         assert h1 == h2 == h3, (fam, n, s)
         assert is_palindromic(h1)
         assert h1(1) == chamber_count(a)
+        # the certificate proves every recorded wall; the count of
+        # (dim-1)-cones proves none is missing
+        assert len(g.edges) == f_vector(a)[a.dim - 1], (fam, n, s)
 
 
 def test_base_independence_all_bases_d3():
@@ -176,6 +179,9 @@ def _expected_verdict(cc):
     return verdict
 
 
+PERTURBATIONS = 12
+
+
 def _corruptions(cc):
     """(name, complex) pairs: the true complex and copies broken one way each."""
     def copy(witnesses=None, edges=None):
@@ -204,16 +210,37 @@ def _corruptions(cc):
         yield f"nudged {c}", with_witness(c, lambda w: (w[0] + 1,) + w[1:])
     yield "wrong wall", with_edge(len(cc.edges) // 2, (i, j, (h + 1) % cc.arrangement.m))
     yield "two bits", with_edge(len(cc.edges) // 2, (min(i, k), max(i, k), h))
+    # seeded perturbations: a random witness, scaled by 4, has every
+    # coordinate moved by up to a spread that halves from its largest
+    # coordinate down; the wide ones mostly leave the chamber, the narrow stay
+    rng = random.Random(len(cc.masks))
+    for r in range(PERTURBATIONS):
+        c = rng.randrange(len(cc.masks))
+        spread = max(map(abs, cc.witnesses[c])) * 4 >> r % 6
+        yield f"perturbed {r}", with_witness(
+            c, lambda w: (4 * x + rng.randint(-spread, spread) for x in w))
+
+
+WITNESS_FAULTS = ("negated", "scaled", "shifted", "nudged", "perturbed")
 
 
 @pytest.mark.parametrize("fam, n, s", [("b", 2, None), ("b", 3, None), ("d", 4, None),
-                                       ("dns", 4, 2)])
+                                       ("dns", 4, 2), ("dns", 5, 3)])
 def test_pairing_certificate_matches_dot_products(fam, n, s):
     cc = chamber_complex(make_family(fam, n, s))
     verdicts = {name: (_verdict(_verify_walls, bad), _expected_verdict(bad))
                 for name, bad in _corruptions(cc)}
-    assert {name: got for name, (got, _) in verdicts.items()} == {
-        name: want for name, (_, want) in verdicts.items()}
+    # the reference and the certificate pass and fail the same complexes
+    assert {name: got == "pass" for name, (got, _) in verdicts.items()} == {
+        name: want == "pass" for name, (_, want) in verdicts.items()}
+    # a moved witness is caught at its own chamber, a bad edge at its mask
+    for name, (got, _) in verdicts.items():
+        if name.startswith(WITNESS_FAULTS):
+            assert got in ("pass", "chamber witness lies outside its chamber"), name
+    assert verdicts["wrong wall"][0] == verdicts["two bits"][0] == (
+        "edge endpoints differ off the recorded wall")
     assert verdicts["true"][0] == verdicts["scaled 1"][0] == "pass"
     assert all(verdicts[name][0] != "pass" for name in
                ("negated 1", "shifted 1", "wrong wall", "two bits"))
+    assert {verdicts[f"perturbed {r}"][0] == "pass" for r in range(PERTURBATIONS)} == {
+        True, False}
