@@ -10,30 +10,30 @@ side of hyperplane h).  Sign strings over '+'/'-' exist only at the
 boundary: `chambers()`, `ChamberComplex.sign_strings()`, the
 `dump_tope_graph` text and the CLI's `--base`.
 
-Chamber enumeration is breadth-first wall-crossing.  For arrangements
-flagged simplicial the walls of a newly discovered chamber are derived
-exactly from the walls of its neighbour: crossing wall w replaces each
-other wall k by the next hyperplane through the codimension-2 flat
-H_w & H_k, found by integer Cramer on the Gram matrix of the normals and
-looked up once per (w, k, side) in a walk (no linear programming on the
-hot path); every chamber is still certified by an integer witness point,
-and any inconsistency falls back to the general path, which decides each
-candidate wall with the exact rational feasibility oracle.  Both walks
-test a witness through its pairing row (a_j . w for every hyperplane j):
-the row of a witness mirrored across a wall follows from its parent's row
-and the Gram matrix of the normals, with no dot product.
+Chamber enumeration is breadth-first wall-crossing.  One crossing test,
+`_cross`, decides each candidate wall exactly and returns a point of the
+chamber across it; the general walk asks it of every hyperplane, the walk
+for arrangements flagged simplicial only for the first chamber.  From
+there the walls of a new chamber are derived from its neighbour's:
+crossing wall w replaces each other wall k by the next hyperplane through
+the codimension-2 flat H_w & H_k, found by integer Cramer on the Gram
+matrix of the normals once per (w, k, side) in a walk; every chamber is
+still certified by an integer witness point, and any inconsistency falls
+back to the general walk.  Both walks test a witness through its pairing
+row (a_j . w for every hyperplane j): the row of a witness mirrored across
+a wall follows from its parent's row and the Gram matrix, with no dot
+product.  The walls each chamber records (`ChamberComplex.facets`) are
+the only record of the adjacency; `ChamberComplex.edges` is read from them.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .feasibility import (CertificateError, feasible_on_hyperplane, feasible_strict,
-                          generic_point)
+from .feasibility import CertificateError, feasible_strict, generic_point
 from .lattice import GradedLattice, moebius
 from .linalg import (EchelonBasis, dot, int_rank, integer_kernel_basis,
                      primitive_vector, scale_to_int, solve_square_int)
@@ -134,20 +134,25 @@ def make_family(family: str, n: int, s: int | None = None) -> Arrangement:
 
 def parse_arrangement_text(text: str, simplicial: bool = False) -> Arrangement:
     """Parse the file format: "dim n" line, then one normal per line."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("dim"):
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
+    if not lines or lines[0][1].split()[0] != "dim":
         raise InvalidParamsError("first non-comment line must be 'dim n'")
+    no, head = lines[0]
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise InvalidParamsError("malformed dim line") from None
+        (n,) = map(int, head.split()[1:])  # exactly one integer after "dim"
+    except ValueError:
+        raise InvalidParamsError(f"line {no}: expected 'dim n', got {head!r}") from None
     vecs = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != n:
             raise InvalidParamsError(f"expected {n} integers, got {ln!r}")
-        vecs.append(tuple(int(p) for p in parts))
+        try:
+            vecs.append(tuple(map(int, parts)))
+        except ValueError:
+            raise InvalidParamsError(
+                f"line {no}: entries must be integers, got {ln!r}") from None
     return make_arrangement(n, vecs, simplicial=simplicial)
 
 
@@ -279,15 +284,26 @@ def signs_to_mask(signs: str) -> int:
 class ChamberComplex:
     """Chambers, their walls, and the wall-crossing adjacency of an arrangement."""
 
-    __slots__ = ("arrangement", "masks", "witnesses", "facets", "edges", "index")
+    __slots__ = ("arrangement", "masks", "witnesses", "facets", "index", "_edges")
 
-    def __init__(self, a: Arrangement, masks, witnesses, facets, edges):
+    def __init__(self, a: Arrangement, masks, witnesses, facets):
         self.arrangement = a
         self.masks = masks                  # bitmask per chamber
         self.witnesses = witnesses          # integer interior point per chamber
         self.facets = facets                # sorted wall hyperplanes per chamber
-        self.edges = edges                  # (chamber, chamber, hyperplane), id-sorted
         self.index = {mk: i for i, mk in enumerate(masks)}
+        self._edges = None
+
+    @property
+    def edges(self):
+        """(chamber, chamber, wall) per adjacent pair, id-sorted: read from
+        `facets`, the only record of the walls, once per complex."""
+        if self._edges is None:
+            index = self.index
+            self._edges = sorted(
+                (ci, cj, w) for ci, (mask, walls) in enumerate(zip(self.masks, self.facets))
+                for w in walls if (cj := index[mask ^ 1 << w]) > ci)
+        return self._edges
 
     @property
     def vertices(self):
@@ -323,39 +339,6 @@ def _gram(normals) -> tuple[tuple[int, ...], ...]:
 def _signed_rows(normals, mask):
     return [tuple(-x for x in v) if mask >> h & 1 else v
             for h, v in enumerate(normals)]
-
-
-def _seed_facets(a: Arrangement, mask: int, p) -> list[int]:
-    """Walls of the seed chamber.
-
-    Cheap exact certificates are tried first (a perpendicular-foot point on
-    the hyperplane for walls, a two-term nonnegative combination for
-    non-walls); the rational LP oracle settles anything left over.
-    """
-    walls = []
-    normals = a.normals
-    for i in range(a.m):
-        ai = normals[i]
-        aip = dot(ai, p)
-        n2 = dot(ai, ai)
-        foot = tuple(n2 * x - aip * y for x, y in zip(p, ai))
-        ok = True
-        for j in range(a.m):
-            if j == i:
-                continue
-            d = dot(normals[j], foot)
-            if d == 0 or (d < 0) != bool(mask >> j & 1):
-                ok = False
-                break
-        if ok:
-            walls.append(i)
-            continue
-        if _pair_farkas_redundant(normals, mask, i):
-            continue
-        rows = [r for h, r in enumerate(_signed_rows(normals, mask)) if h != i]
-        if feasible_on_hyperplane(rows, ai, a.dim) is not None:
-            walls.append(i)
-    return walls
 
 
 def _pivot(normals, gram, w, k, same_side: bool) -> int:
@@ -419,22 +402,19 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
     p0 = generic_point(normals, d)
     row0 = _pairings(normals, p0)
     mask0 = _row_mask(row0)
-    facets0 = _seed_facets(a, mask0, p0)
+    gram = _gram(normals)
+    facets0 = tuple(i for i in range(a.m)
+                    if _cross(normals, gram, mask0, p0, row0, i) is not None)
     if len(facets0) != d:
         raise _SimplicialityError(f"seed chamber has {len(facets0)} walls, expected {d}")
-    gram = _gram(normals)
     pivots: dict[tuple[int, int, bool], int] = {}
 
     masks = [mask0]
     witnesses = [p0]
-    facets = [tuple(sorted(facets0))]
+    facets = [facets0]
     index = {mask0: 0}
     rows = {0: row0}  # pairing rows of the chambers still to expand
-    edges: dict[tuple[int, int], int] = {}
-    queue = deque([0])
-    while queue:
-        ci = queue.popleft()
-        mask = masks[ci]
+    for ci, mask in enumerate(masks):  # breadth-first: masks grows as chambers are found
         walls = facets[ci]
         row = rows.pop(ci)
         for w in walls:
@@ -463,17 +443,10 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
                 rows[ni] = hit[1]
                 facets.append(tuple(sorted(nf)))
                 index[nmask] = ni
-                queue.append(ni)
             elif w not in facets[ni]:
                 # a wall of one chamber is a wall of the chamber across it
                 raise _SimplicialityError("crossed wall is not a wall of the neighbour")
-            ekey = (ci, ni) if ci < ni else (ni, ci)
-            prev = edges.get(ekey)
-            if prev is not None and prev != w:
-                raise _SimplicialityError("two walls between one chamber pair")
-            edges[ekey] = w
-    edge_list = sorted((i, j, h) for (i, j), h in edges.items())
-    return ChamberComplex(a, masks, witnesses, facets, edge_list)
+    return ChamberComplex(a, masks, witnesses, facets)
 
 
 def _try_mirror(normals, gram, p, row, i, target_mask):
@@ -555,51 +528,51 @@ def _pair_farkas_redundant(normals, mask, i) -> bool:
     return False
 
 
+def _cross(normals, gram, mask, p, row, i):
+    """An interior point of the chamber across hyperplane i from the chamber
+    `mask` (interior point p, pairing row `row`); None if i is not a wall.
+
+    Exact certificates from cheap to dear: the mirror image of p, a point
+    just past H_i on the ray from p perpendicular to it (it crosses H_i
+    first whenever the foot of that ray is inside every other half-space),
+    a two-term Farkas combination proving i is no wall, and last the
+    rational LP oracle.
+    """
+    nmask = mask ^ 1 << i
+    hit = _try_mirror(normals, gram, p, row, i, nmask)
+    if hit is not None:
+        return hit[0]
+    wit = _try_ray_walk(normals, mask, p, i, nmask)
+    if wit is None and not _pair_farkas_redundant(normals, mask, i):
+        wit = feasible_strict(_signed_rows(normals, nmask), len(p))
+    return wit
+
+
 def _chamber_bfs_general(a: Arrangement) -> ChamberComplex:
     normals = a.normals
-    d = a.dim
-    p0 = generic_point(normals, d)
+    p0 = generic_point(normals, a.dim)
     mask0 = _row_mask(_pairings(normals, p0))
     masks = [mask0]
     witnesses = [p0]
+    facets = []
     index = {mask0: 0}
-    incident: list[list[int]] = [[]]
-    edges: dict[tuple[int, int], int] = {}
-    queue = deque([0])
     gram = _gram(normals)
-    while queue:
-        ci = queue.popleft()
-        mask = masks[ci]
+    for ci, mask in enumerate(masks):  # breadth-first: masks grows as chambers are found
         p = witnesses[ci]
         row = _pairings(normals, p)
+        walls = []
         for i in range(a.m):
             nmask = mask ^ (1 << i)
-            ni = index.get(nmask)
-            if ni is None:
-                hit = _try_mirror(normals, gram, p, row, i, nmask)
-                wit = hit[0] if hit else None
+            if nmask not in index:
+                wit = _cross(normals, gram, mask, p, row, i)
                 if wit is None:
-                    wit = _try_ray_walk(normals, mask, p, i, nmask)
-                if wit is None:
-                    if _pair_farkas_redundant(normals, mask, i):
-                        continue
-                    wit = feasible_strict(_signed_rows(normals, nmask), d)
-                    if wit is None:
-                        continue
-                ni = len(masks)
+                    continue
+                index[nmask] = len(masks)
                 masks.append(nmask)
                 witnesses.append(wit)
-                incident.append([])
-                index[nmask] = ni
-                queue.append(ni)
-            ekey = (ci, ni) if ci < ni else (ni, ci)
-            if ekey not in edges:
-                edges[ekey] = i
-                incident[ci].append(i)
-                incident[ni].append(i)
-    edge_list = sorted((i, j, h) for (i, j), h in edges.items())
-    facets = [tuple(sorted(f)) for f in incident]
-    return ChamberComplex(a, masks, witnesses, facets, edge_list)
+            walls.append(i)
+        facets.append(tuple(walls))
+    return ChamberComplex(a, masks, witnesses, facets)
 
 
 def _verify_central_symmetry(cc: ChamberComplex) -> None:
@@ -613,7 +586,7 @@ def _verify_central_symmetry(cc: ChamberComplex) -> None:
 def chamber_complex(a: Arrangement) -> ChamberComplex:
     """Chambers with walls and adjacency; cached per arrangement."""
     if a.dim == 0:
-        return ChamberComplex(a, [0], [()], [()], [])
+        return ChamberComplex(a, [0], [()], [()])
     if a.rank() != a.dim:
         raise NotEssentialError(
             f"rank {a.rank()} < dim {a.dim}: quotient to an essential arrangement first")

@@ -10,7 +10,6 @@ integer vectors.  No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .linalg import dot, scale_to_int
 
@@ -96,45 +95,6 @@ def feasible_strict(rows, n: int) -> tuple[int, ...] | None:
     if any(dot(r, w) <= 0 for r in rows):
         raise CertificateError("simplex returned a non-witness; oracle bug")
     return w
-
-
-def feasible_on_hyperplane(rows, eq, n: int) -> tuple[int, ...] | None:
-    """Witness of {x : eq . x = 0, r . x > 0 for all r}, or None.
-
-    The equality eliminates one variable, reducing to a strict system in
-    dimension n - 1 whose witness is lifted back exactly.
-    """
-    k = next((i for i, v in enumerate(eq) if v != 0), None)
-    if k is None:
-        raise ValueError("zero vector cannot define a hyperplane")
-    ek = eq[k]
-    reduced = []
-    for r in rows:
-        rr = [r[j] * ek - r[k] * eq[j] for j in range(n) if j != k]
-        if ek < 0:
-            rr = [-v for v in rr]
-        if all(v == 0 for v in rr):
-            # constraint is +-(eq . x) on the hyperplane: sign decides outright
-            return None
-        reduced.append(rr)
-    w = feasible_strict(reduced, n - 1)
-    if w is None:
-        return None
-    lifted = []
-    wi = iter(w)
-    for j in range(n):
-        lifted.append(0 if j == k else next(wi) * ek)
-    lifted[k] = -sum(eq[j] * lifted[j] for j in range(n) if j != k) // ek
-    if ek < 0:
-        lifted = [-v for v in lifted]
-    g = 0
-    for v in lifted:
-        g = gcd(g, v)
-    if g > 1:
-        lifted = [v // g for v in lifted]
-    if dot(eq, lifted) != 0 or any(dot(r, lifted) <= 0 for r in rows):
-        raise CertificateError("hyperplane witness lift failed; oracle bug")
-    return tuple(lifted)
 
 
 def generic_point(normals, dim: int) -> tuple[int, ...]:

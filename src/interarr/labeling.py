@@ -20,9 +20,6 @@ from .lattice import GradedLattice, NotComparableError
 from .signed_partitions import (EdgeClass, NotACoverError, SignedPartition,
                                 decode_cover, representative)
 
-# labels are either scalars (max-of-min labeling) or lex-ordered pairs
-Label = "int | tuple[int, int]"
-
 
 def r_label(x: SignedPartition, y: SignedPartition) -> int:
     """Scalar label of a cover: the larger of the two absolute minima of the

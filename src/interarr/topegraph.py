@@ -2,20 +2,22 @@
 
 The chamber graph is the certified `ChamberComplex`: one vertex per chamber
 (a bitmask over the hyperplanes) and an edge whenever two chambers share a
-wall.  Directing every edge away from a base chamber makes the base the
-unique source; both the in-degree generating polynomial and the
-separating-wall statistic yield the h-polynomial of the arrangement's
-sphere triangulation.  The h routines take an arrangement or a chamber
-complex; a complex is checked to be simplicial, in time linear in the
-chambers, but only `build_tope_graph` certifies its walls.  Sign strings
-appear only in the optional base argument and in the text dump.
+wall.  The walls each chamber records are the only record of the graph;
+its edge list is read from them.  Directing every edge away from a base
+chamber makes the base the unique source; both the in-degree generating
+polynomial and the separating-wall statistic yield the h-polynomial of
+the arrangement's sphere triangulation.  The h routines take an
+arrangement or a chamber complex; a complex is checked to be simplicial,
+in time linear in the chambers, but only `build_tope_graph` certifies its
+walls.  Sign strings appear only in the optional base argument and in the
+text dump.
 
-The wall certificate builds no point on any wall.  It checks that the
-endpoints of each edge differ exactly at the recorded wall, and that each
-chamber's witness lies strictly inside the chamber, by dot products
-computed here once per chamber (the walk derives its pairings by
-reflection instead, so each route still checks the other).  Convexity
-does the rest; see `_verify_walls`.
+The wall certificate builds no point on any wall.  It checks that every
+recorded wall of a chamber has a chamber across it that records the same
+wall, and that each chamber's witness lies strictly inside the chamber,
+by dot products computed here once per chamber (the walk derives its
+pairings by reflection instead, so each route still checks the other).
+Convexity does the rest; see `_verify_walls`.
 """
 
 from __future__ import annotations
@@ -36,20 +38,25 @@ class NotSimplicialError(ValueError):
 
 
 def _verify_walls(cc: ChamberComplex) -> None:
-    """Certify every recorded wall by two checks: the endpoints of each edge
-    differ only at its wall h, and each chamber's witness pairs with every
-    normal nonzero and with the chamber's sign.
+    """Certify every recorded wall by two checks: the chamber across each
+    wall h of a chamber (its mask with bit h flipped) exists and records h
+    too, and each chamber's witness pairs with every normal nonzero and
+    with the chamber's sign.
 
-    Convexity does the rest.  The witnesses p and q of an edge's endpoints
-    pair with each a_j, j != h, with the same sign, and so does every point
-    between them.  So where the segment from p to q crosses H_h, it lies
-    strictly inside every other half-space of both chambers: h is a wall
-    of both.
+    Convexity does the rest.  The witnesses p and q of two chambers whose
+    masks differ only at h pair with each a_j, j != h, with the same sign,
+    and so does every point between them.  So where the segment from p to
+    q crosses H_h, it lies strictly inside every other half-space of both
+    chambers: h is a wall of both.
     """
-    normals, masks = cc.arrangement.normals, cc.masks
-    for ci, cj, h in cc.edges:
-        if masks[ci] ^ masks[cj] != 1 << h:
-            raise CertificateError("edge endpoints differ off the recorded wall")
+    normals, masks, facets, index = cc.arrangement.normals, cc.masks, cc.facets, cc.index
+    for mask, walls in zip(masks, facets):
+        for h in walls:
+            across = index.get(mask ^ 1 << h)
+            if across is None:
+                raise CertificateError("recorded wall has no chamber across it")
+            if h not in facets[across]:
+                raise CertificateError("wall recorded by one of its two chambers only")
     for mask, w in zip(masks, cc.witnesses):
         row = [dot(aj, w) for aj in normals]
         if 0 in row or sum(1 << j for j, d in enumerate(row) if d < 0) != mask:

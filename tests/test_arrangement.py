@@ -141,6 +141,25 @@ def test_fast_walk_facets_and_edges_are_pinned(fam, n, s, digest):
     assert hashlib.sha256(repr((cc.facets, cc.edges)).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("case, digest", [
+    ("b3", "c2e426e6df7b8649b0cfa69e41851a9425b88a51c3004ad44bf5572c12b7a8f3"),
+    ("d4", "5d05adaa08e81e35922b2540672bc8d09452c861930e614df9c3d71454437578"),
+    ("dns42", "7083033d44a209384609471fc1cfba5784061e333209ff8731a2b94a57a5f154"),
+    ("square cone", "8f534d6be4047e67f9880d99c20f9c70e7b25afc40dd3e8616d253c8c984c2ef"),
+    ("random 0", "a233aa1bab1797976227b220434cb41bc0f0303e881fe2194a886092708cc247"),
+    ("random 1", "a32a4ff866d549180295386846f75d1db3c7bc5edb9f7e98538ab92733aed150"),
+])
+def test_general_walk_is_pinned(case, digest):
+    # the general walk's chambers, witnesses, walls and edges, byte for byte
+    a = {"b3": make_family("b", 3), "d4": make_family("d", 4),
+         "dns42": make_family("dns", 4, 2),
+         "square cone": make_arrangement(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]),
+         "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}[case]
+    cc = arr._chamber_bfs_general(a)
+    got = repr((cc.masks, cc.witnesses, cc.facets, cc.edges))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+
 def test_general_bfs_on_non_simplicial_input():
     # three concurrent planes through a line plus two more in R^3; chamber
     # count must match the Moebius-weighted count from the subset expansion

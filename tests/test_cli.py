@@ -119,6 +119,19 @@ def _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method, flags):
     assert "not simplicial" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dimension 2\n1 0\n0 1\n", "first non-comment line must be 'dim n'"),
+    ("dim 2 3\n1 0\n0 1\n", "line 1: expected 'dim n', got 'dim 2 3'"),
+    ("# a plane\ndim 2\n1 0\n\n0 x\n", "line 5: entries must be integers, got '0 x'"),
+])
+def test_malformed_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "arr.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "gamma", "--family", "file", "--path", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["gamma", "chow", "fvector"])
 def test_negative_dim_file_exits_2(tmp_path, capsys, command):
     path = tmp_path / "arr.txt"
@@ -143,12 +156,35 @@ def test_negated_first_witness_exits_1(capsys, monkeypatch, family, k):
         cc = walk(a)  # cached: corrupt a copy, not the cached complex
         witnesses = list(cc.witnesses)
         witnesses[k] = tuple(-x for x in witnesses[k])
-        return ChamberComplex(a, cc.masks, witnesses, cc.facets, cc.edges)
+        return ChamberComplex(a, cc.masks, witnesses, cc.facets)
 
     monkeypatch.setattr(topegraph, "chamber_complex", corrupted)
     code, out, err = run(capsys, "gamma", "--family", *family)
     assert code == 1 and out == ""
     assert err == "error: chamber witness lies outside its chamber\n"
+
+
+@pytest.mark.parametrize("sides, code, message", [
+    (1, 1, "error: wall recorded by one of its two chambers only\n"),
+    (2, 2, "error: arrangement is not simplicial: chamber "),
+])
+def test_dropped_wall_is_caught(capsys, monkeypatch, sides, code, message):
+    # a wall missing from one chamber's record breaks the certificate; missing
+    # from both, it leaves two chambers with too few walls
+    walk = topegraph.chamber_complex
+
+    def corrupted(a):
+        cc = walk(a)
+        facets = list(cc.facets)
+        h = facets[0][-1]
+        for c in (0, cc.index[cc.masks[0] ^ 1 << h])[:sides]:
+            facets[c] = tuple(w for w in facets[c] if w != h)
+        return ChamberComplex(a, cc.masks, cc.witnesses, facets)
+
+    monkeypatch.setattr(topegraph, "chamber_complex", corrupted)
+    for method in ("topegraph", "separation"):
+        got, out, err = run(capsys, "gamma", "--family", "b", "--n", "3", "--method", method)
+        assert got == code and out == "" and err.startswith(message), method
 
 
 def test_gamma_base_not_a_chamber_exits_2(capsys):

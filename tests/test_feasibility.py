@@ -1,7 +1,6 @@
 import random
 
-from interarr.feasibility import (feasible_on_hyperplane, feasible_strict,
-                                  generic_point)
+from interarr.feasibility import feasible_strict, generic_point
 from interarr.linalg import (EchelonBasis, bareiss_det, dot, int_rank,
                              integer_kernel_basis, primitive_vector,
                              solve_square_int)
@@ -34,12 +33,6 @@ def test_feasible_strict_random_cross_check():
         # witness existence must match the grid whenever the grid finds one
         if brute:
             assert got is not None
-
-
-def test_feasible_on_hyperplane():
-    w = feasible_on_hyperplane([(-1, 1), (1, 1), (0, 1)], (1, 0), 2)
-    assert w is not None and w[0] == 0 and w[1] > 0
-    assert feasible_on_hyperplane([(1, -1), (1, 1)], (1, 0), 2) is None
 
 
 def test_generic_point_avoids_hyperplanes():

@@ -14,7 +14,9 @@ from interarr.topegraph import (BaseNotAChamberError, NotSimplicialError,
 
 
 def edge_degrees(g):
-    """Chamber degrees counted from the edge list, independent of facets."""
+    """Chamber degrees counted from the edge list, which holds each wall
+    once: they equal the wall counts only if every wall is recorded by both
+    of its chambers."""
     deg = [0] * len(g.masks)
     for i, j, _ in g.edges:
         deg[i] += 1
@@ -115,9 +117,14 @@ def test_base_independence_sampled_b4():
 
 def test_sep_of_base_and_antipode():
     g = build_tope_graph(make_family("d", 3))
-    base = g.sign_strings()[0]
-    indeg = in_degrees(g, base)
+    signs = g.sign_strings()
+    indeg = in_degrees(g, signs[0])
     assert indeg[0] == 0  # contributes the constant 1
+    # every wall of the antipode separates it from the base
+    anti = signs.index("".join("-" if c == "+" else "+" for c in signs[0]))
+    rel = g.masks[anti] ^ g.masks[0]
+    sep = sum(1 for h in g.facets[anti] if rel >> h & 1)
+    assert indeg[anti] == sep == g.arrangement.dim
 
 
 def test_dump_format():
@@ -136,26 +143,30 @@ def test_dump_b2_exact():
 
 
 def _verify_walls_by_dot(cc):
-    """Reference wall certificate: the wall point z of every edge is built
-    and each hyperplane is tested with a fresh dot product."""
+    """Reference wall certificate: for every recorded wall, the wall point z
+    between the witnesses of its two chambers is built and each hyperplane
+    is tested with a fresh dot product."""
     normals = cc.arrangement.normals
-    for ci, cj, h in cc.edges:
-        if cc.masks[ci] ^ cc.masks[cj] != 1 << h:
-            raise CertificateError("edge endpoints differ off the recorded wall")
-        p, q = cc.witnesses[ci], cc.witnesses[cj]
-        ah = normals[h]
-        c1, c2 = dot(ah, p), dot(ah, q)
-        z = tuple(c1 * y - c2 * x for x, y in zip(p, q))
-        if c1 < 0:
-            z = tuple(-x for x in z)
-        mask = cc.masks[ci]
-        for j, aj in enumerate(normals):
-            d = dot(aj, z)
-            if j == h:
-                if d != 0:
-                    raise CertificateError("wall certificate misses its hyperplane")
-            elif d == 0 or (d < 0) != bool(mask >> j & 1):
-                raise CertificateError("wall certificate violates a chamber constraint")
+    for ci, (mask, walls) in enumerate(zip(cc.masks, cc.facets)):
+        for h in walls:
+            cj = cc.index.get(mask ^ 1 << h)
+            if cj is None:
+                raise CertificateError("recorded wall has no chamber across it")
+            if h not in cc.facets[cj]:
+                raise CertificateError("wall recorded by one of its two chambers only")
+            p, q = cc.witnesses[ci], cc.witnesses[cj]
+            ah = normals[h]
+            c1, c2 = dot(ah, p), dot(ah, q)
+            z = tuple(c1 * y - c2 * x for x, y in zip(p, q))
+            if c1 < 0:
+                z = tuple(-x for x in z)
+            for j, aj in enumerate(normals):
+                d = dot(aj, z)
+                if j == h:
+                    if d != 0:
+                        raise CertificateError("wall certificate misses its hyperplane")
+                elif d == 0 or (d < 0) != bool(mask >> j & 1):
+                    raise CertificateError("wall certificate violates a chamber constraint")
 
 
 def _verdict(check, cc):
@@ -184,32 +195,40 @@ PERTURBATIONS = 12
 
 def _corruptions(cc):
     """(name, complex) pairs: the true complex and copies broken one way each."""
-    def copy(witnesses=None, edges=None):
+    def copy(witnesses=None, facets=None):
         return ChamberComplex(cc.arrangement, cc.masks, witnesses or cc.witnesses,
-                              cc.facets, edges or cc.edges)
+                              facets or cc.facets)
 
     def with_witness(k, f):
         witnesses = list(cc.witnesses)
         witnesses[k] = tuple(f(witnesses[k]))
         return copy(witnesses=witnesses)
 
-    def with_edge(e, new):
-        edges = list(cc.edges)
-        edges[e] = new
-        return copy(edges=edges)
+    def with_walls(walls_of):
+        facets = list(cc.facets)
+        for c, walls in walls_of.items():
+            facets[c] = tuple(sorted(walls))
+        return copy(facets=facets)
 
     last = len(cc.masks) - 1
-    i, j, h = cc.edges[len(cc.edges) // 2]
-    # a chamber two walls away from i: j's neighbour across another wall
-    k = next(b if a == j else a for a, b, w in cc.edges if j in (a, b) and w != h)
+    i = len(cc.masks) // 2
+    h = cc.facets[i][0]
+    j = cc.index[cc.masks[i] ^ 1 << h]
+    # a hyperplane that is no wall of i, and a wall of j that is none of i
+    # (the chamber across it is two walls away from i)
+    g = next(g for g in range(cc.arrangement.m) if g not in cc.facets[i])
+    w = next(w for w in cc.facets[j] if w not in cc.facets[i])
     yield "true", cc
     for c in (1, last):
         yield f"negated {c}", with_witness(c, lambda w: (-x for x in w))
         yield f"scaled {c}", with_witness(c, lambda w: (3 * x for x in w))
         yield f"shifted {c}", with_witness(c, lambda w: (w[0] + 7 * max(map(abs, w)),) + w[1:])
         yield f"nudged {c}", with_witness(c, lambda w: (w[0] + 1,) + w[1:])
-    yield "wrong wall", with_edge(len(cc.edges) // 2, (i, j, (h + 1) % cc.arrangement.m))
-    yield "two bits", with_edge(len(cc.edges) // 2, (min(i, k), max(i, k), h))
+    walls_i = set(cc.facets[i])
+    yield "wrong wall", with_walls({i: walls_i | {g}})
+    yield "two bits", with_walls({i: walls_i | {w}})
+    yield "one side", with_walls({i: walls_i - {h}})
+    yield "both sides", with_walls({i: walls_i - {h}, j: set(cc.facets[j]) - {h}})
     # seeded perturbations: a random witness, scaled by 4, has every
     # coordinate moved by up to a spread that halves from its largest
     # coordinate down; the wide ones mostly leave the chamber, the narrow stay
@@ -228,19 +247,24 @@ WITNESS_FAULTS = ("negated", "scaled", "shifted", "nudged", "perturbed")
                                        ("dns", 4, 2), ("dns", 5, 3)])
 def test_pairing_certificate_matches_dot_products(fam, n, s):
     cc = chamber_complex(make_family(fam, n, s))
+    corrupted = dict(_corruptions(cc))
     verdicts = {name: (_verdict(_verify_walls, bad), _expected_verdict(bad))
-                for name, bad in _corruptions(cc)}
+                for name, bad in corrupted.items()}
     # the reference and the certificate pass and fail the same complexes
     assert {name: got == "pass" for name, (got, _) in verdicts.items()} == {
         name: want == "pass" for name, (_, want) in verdicts.items()}
-    # a moved witness is caught at its own chamber, a bad edge at its mask
+    # a moved witness is caught at its own chamber, a bad wall at its mask
     for name, (got, _) in verdicts.items():
         if name.startswith(WITNESS_FAULTS):
             assert got in ("pass", "chamber witness lies outside its chamber"), name
     assert verdicts["wrong wall"][0] == verdicts["two bits"][0] == (
-        "edge endpoints differ off the recorded wall")
-    assert verdicts["true"][0] == verdicts["scaled 1"][0] == "pass"
+        "recorded wall has no chamber across it")
+    assert verdicts["one side"][0] == "wall recorded by one of its two chambers only"
+    assert verdicts["true"][0] == verdicts["scaled 1"][0] == verdicts["both sides"][0] == "pass"
     assert all(verdicts[name][0] != "pass" for name in
-               ("negated 1", "shifted 1", "wrong wall", "two bits"))
+               ("negated 1", "shifted 1", "wrong wall", "two bits", "one side"))
+    # a wall dropped from both of its chambers leaves them too few walls
+    with pytest.raises(NotSimplicialError):
+        h_via_indegree(corrupted["both sides"])
     assert {verdicts[f"perturbed {r}"][0] == "pass" for r in range(PERTURBATIONS)} == {
         True, False}
