@@ -13,16 +13,21 @@ boundary: `chambers()`, `ChamberComplex.sign_strings()`, the
 Chamber enumeration is breadth-first wall-crossing.  One crossing test,
 `_cross`, decides each candidate wall exactly and returns a point of the
 chamber across it; the general walk asks it of every hyperplane, the walk
-for arrangements flagged simplicial only for the first chamber.  From
-there the walls of a new chamber are derived from its neighbour's:
-crossing wall w replaces each other wall k by the next hyperplane through
-the codimension-2 flat H_w & H_k, found by integer Cramer on the Gram
-matrix of the normals once per (w, k, side) in a walk; every chamber is
-still certified by an integer witness point, and any inconsistency falls
-back to the general walk.  Both walks test a witness through its pairing
-row (a_j . w for every hyperplane j): the row of a witness mirrored across
-a wall follows from its parent's row and the Gram matrix, with no dot
-product.  The walls each chamber records (`ChamberComplex.facets`) are
+for arrangements flagged simplicial only for the first chamber.  Its
+ladder runs from cheap to dear: the mirror image of the chamber's point,
+a ray walk across the hyperplane, a Farkas certificate that it is no wall
+(a nonnegative combination of two, then of d, other signed normals, the
+d-subsets scanned up to a fixed cap), and last the rational LP oracle,
+which is then asked only about walls the cheap routes miss.  After the
+first chamber, the simplicial walk derives a chamber's walls from its
+neighbour's: crossing wall w replaces each other wall k by the next
+hyperplane through the codimension-2 flat H_w & H_k, found by integer
+Cramer on the Gram matrix of the normals once per (w, k, side) in a
+walk; every chamber is still certified by an integer witness point, and
+any inconsistency falls back to the general walk.  Both walks test a
+witness through its pairing row (a_j . w for every hyperplane j): the
+row of a witness mirrored across a wall follows from its parent's row
+and the Gram matrix, with no dot product.  The walls each chamber records (`ChamberComplex.facets`) are
 the only record of the adjacency; `ChamberComplex.edges` is read from them.
 """
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, islice
 from math import gcd
 
 from .feasibility import CertificateError, feasible_strict, generic_point
@@ -284,7 +290,8 @@ def signs_to_mask(signs: str) -> int:
 class ChamberComplex:
     """Chambers, their walls, and the wall-crossing adjacency of an arrangement."""
 
-    __slots__ = ("arrangement", "masks", "witnesses", "facets", "index", "_edges")
+    __slots__ = ("arrangement", "masks", "witnesses", "facets", "index", "_edges",
+                 "certified")
 
     def __init__(self, a: Arrangement, masks, witnesses, facets):
         self.arrangement = a
@@ -293,6 +300,7 @@ class ChamberComplex:
         self.facets = facets                # sorted wall hyperplanes per chamber
         self.index = {mk: i for i, mk in enumerate(masks)}
         self._edges = None
+        self.certified = False              # set once topegraph has checked the walls
 
     @property
     def edges(self):
@@ -489,21 +497,30 @@ def _try_ray_walk(normals, mask, p, i, target_mask):
     return q if _row_mask(_pairings(normals, q)) == target_mask else None
 
 
-def _pair_farkas_redundant(normals, mask, i) -> bool:
-    """True if the flipped constraint is a visible nonnegative combination of
-    two others, certifying that hyperplane i is not a wall of the chamber."""
+# The d-subset scan of `_cone_redundant` gives up after this many subsets
+# and leaves the hyperplane to the LP oracle: past about a thousand, a scan
+# that finds nothing (the hyperplane is a wall) costs more than the LP call.
+_CONE_SUBSET_CAP = 1000
+
+
+def _cone_redundant(normals, mask, i) -> bool:
+    """True if the flipped constraint of hyperplane i is a nonnegative
+    combination of the other signed rows, certifying (Farkas) that i is not
+    a wall of the chamber `mask`.
+
+    Two-term combinations come first, one 2x2 minor per pair.  Then, since
+    d linearly independent rows suffice (conic Caratheodory), each d-subset
+    of the other rows is solved by integer Cramer; numerators all of the
+    sign of the determinant make the combination.  For an essential
+    arrangement the scan is complete, so False means i is a wall, unless
+    the scan stopped at `_CONE_SUBSET_CAP` subsets.
+    """
     rows = _signed_rows(normals, mask)
     target = rows[i]
     n = len(target)
-    m = len(rows)
-    for j in range(m):
-        if j == i:
-            continue
-        rj = rows[j]
-        for k in range(j + 1, m):
-            if k == i:
-                continue
-            rk = rows[k]
+    others = rows[:i] + rows[i + 1:]
+    for j, rj in enumerate(others):
+        for rk in others[j + 1:]:
             pq = None
             for pi in range(n):
                 for qi in range(pi + 1, n):
@@ -525,6 +542,12 @@ def _pair_farkas_redundant(normals, mask, i) -> bool:
                 continue
             if all(cj * rj[t] + ck * rk[t] == det * target[t] for t in range(n)):
                 return True
+    if n < 3:  # the pairs were every d-subset
+        return False
+    for cols in islice(combinations(others, n), _CONE_SUBSET_CAP):
+        sol = solve_square_int(list(zip(*cols)), target)
+        if sol is not None and all(x * sol[1] >= 0 for x in sol[0]):
+            return True
     return False
 
 
@@ -535,15 +558,17 @@ def _cross(normals, gram, mask, p, row, i):
     Exact certificates from cheap to dear: the mirror image of p, a point
     just past H_i on the ray from p perpendicular to it (it crosses H_i
     first whenever the foot of that ray is inside every other half-space),
-    a two-term Farkas combination proving i is no wall, and last the
-    rational LP oracle.
+    a Farkas combination of two, then of d, other signed normals proving i
+    is no wall (`_cone_redundant`), and last the rational LP oracle.  Below
+    the d-subset cap the Farkas search is complete, so the LP is asked
+    only about walls that neither the mirror nor the ray walk witnesses.
     """
     nmask = mask ^ 1 << i
     hit = _try_mirror(normals, gram, p, row, i, nmask)
     if hit is not None:
         return hit[0]
     wit = _try_ray_walk(normals, mask, p, i, nmask)
-    if wit is None and not _pair_farkas_redundant(normals, mask, i):
+    if wit is None and not _cone_redundant(normals, mask, i):
         wit = feasible_strict(_signed_rows(normals, nmask), len(p))
     return wit
 

@@ -8,9 +8,10 @@ chamber makes the base the unique source; both the in-degree generating
 polynomial and the separating-wall statistic yield the h-polynomial of
 the arrangement's sphere triangulation.  The h routines take an
 arrangement or a chamber complex; a complex is checked to be simplicial,
-in time linear in the chambers, but only `build_tope_graph` certifies its
-walls.  Sign strings appear only in the optional base argument and in the
-text dump.
+in time linear in the chambers, and has its walls certified unless
+`build_tope_graph` (or an earlier h routine) already certified that
+complex.  Sign strings appear only in the optional base argument and in
+the text dump.
 
 The wall certificate builds no point on any wall.  It checks that every
 recorded wall of a chamber has a chamber across it that records the same
@@ -74,12 +75,19 @@ def _require_simplicial(cc: ChamberComplex) -> ChamberComplex:
     return cc
 
 
+def _certified(cc: ChamberComplex) -> ChamberComplex:
+    """`cc` itself, with its walls certified (once per complex) and every
+    chamber known to have exactly dim walls."""
+    if not cc.certified:
+        _verify_walls(cc)
+        cc.certified = True
+    return _require_simplicial(cc)
+
+
 def build_tope_graph(a: Arrangement) -> ChamberComplex:
     """The chamber complex with every wall certified; edges carry the index
     of the shared wall.  Every chamber must be a simplicial cone."""
-    cc = chamber_complex(a)
-    _verify_walls(cc)
-    return _require_simplicial(cc)
+    return _certified(chamber_complex(a))
 
 
 def _resolve_base(cc: ChamberComplex, base: str | None) -> int:
@@ -107,7 +115,7 @@ def in_degrees(g: ChamberComplex, base: str | None = None) -> list[int]:
 
 def _as_graph(a) -> ChamberComplex:
     if isinstance(a, ChamberComplex):
-        return _require_simplicial(a)
+        return _certified(a)
     return build_tope_graph(a)
 
 

@@ -183,6 +183,69 @@ RANDOM_POOL = (
 )
 
 
+def _lp_verdicts(monkeypatch, a):
+    """Whether each LP call of the general walk on `a` found a witness."""
+    verdicts = []
+    oracle = arr.feasible_strict
+
+    def counting(rows, n):
+        wit = oracle(rows, n)
+        verdicts.append(wit is not None)
+        return wit
+
+    monkeypatch.setattr(arr, "feasible_strict", counting)
+    arr._chamber_bfs_general(a)
+    return verdicts
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_general_walk_asks_the_lp_only_about_walls(monkeypatch, k):
+    # every non-wall has a Farkas certificate, so each LP call finds a wall
+    verdicts = _lp_verdicts(monkeypatch, RANDOM_POOL[k])
+    assert verdicts and all(verdicts)
+
+
+def test_multi_term_non_wall_is_left_to_the_lp_past_the_cap(monkeypatch):
+    # (1, 1, 1) = e1 + e2 + e3 on the positive chamber: no two rows give it
+    a = make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    assert arr._cone_redundant(a.normals, 0, 3)
+    monkeypatch.setattr(arr, "_CONE_SUBSET_CAP", 0)
+    assert not arr._cone_redundant(a.normals, 0, 3)
+    verdicts = _lp_verdicts(monkeypatch, a)
+    assert False in verdicts
+
+
+@st.composite
+def _essential_small(draw):
+    dim = draw(st.integers(2, 4))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any),
+                         min_size=dim, max_size=dim + 2))
+    a = make_arrangement(dim, sorted({primitive_vector(v) for v in vecs}))
+    assume(a.is_essential())
+    return a
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_essential_small())
+@example(make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
+def test_cone_certificate_matches_lp_oracle(a):
+    from interarr.feasibility import feasible_strict
+
+    complete = math.comb(a.m - 1, a.dim) <= arr._CONE_SUBSET_CAP
+    for mask in arr._chamber_bfs_general(a).masks:
+        for i in range(a.m):
+            redundant = arr._cone_redundant(a.normals, mask, i)
+            wall = feasible_strict(arr._signed_rows(a.normals, mask ^ 1 << i), a.dim)
+            if redundant:
+                assert wall is None, (mask, i)  # sound
+            elif complete:
+                assert wall is not None, (mask, i)  # complete below the cap
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(arr, "_CONE_SUBSET_CAP", 0)
+                # pairs only: never more than the full search finds
+                assert redundant or not arr._cone_redundant(a.normals, mask, i)
+
+
 def _f_vector_by_walks(a):
     """Oracle: count the chambers of every restriction A^X by a chamber walk
     inside X, in integer coordinates."""

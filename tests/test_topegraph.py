@@ -75,6 +75,33 @@ def test_h_routes_reject_uncertified_non_simplicial_complex(route):
         route(chamber_complex(square_cone))
 
 
+@pytest.mark.parametrize("route", [h_via_indegree, h_via_separation])
+def test_h_routes_certify_a_complex_they_are_given(route):
+    # b3's walk with one wall of chamber 5 swapped for a hyperplane that is
+    # no wall of it: still dim walls per chamber, but not a chamber graph
+    cc = chamber_complex(make_family("b", 3))
+    walls = cc.facets[5]
+    g = next(g for g in range(cc.arrangement.m) if g not in walls)
+    facets = list(cc.facets)
+    facets[5] = tuple(sorted(walls[1:] + (g,)))
+    bad = ChamberComplex(cc.arrangement, cc.masks, cc.witnesses, facets)
+    with pytest.raises(CertificateError):
+        route(bad)
+
+
+def test_walls_are_certified_once_per_complex(monkeypatch):
+    import interarr.topegraph as tg
+
+    checked = []
+    verify = tg._verify_walls
+    monkeypatch.setattr(tg, "_verify_walls", lambda cc: checked.append(cc) or verify(cc))
+    chamber_complex.cache_clear()  # each walk gives a complex not yet certified
+    g = build_tope_graph(make_family("b", 2))
+    h_via_indegree(g)
+    h_via_separation(g)
+    assert checked == [g]
+
+
 def test_h_examples():
     assert h_via_indegree(make_family("d", 3)) == IntPolynomial((1, 11, 11, 1))
     assert h_via_indegree(make_family("b", 3)) == IntPolynomial((1, 23, 23, 1))
