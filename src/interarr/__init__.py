@@ -2,8 +2,8 @@
 
 Chambers, tope graphs, f/h/gamma-vectors, signed-partition lattices, and
 Chow polynomials of the arrangements interpolating between type D and
-type B, all in exact integer/rational arithmetic, cross-checked by
-independent computation routes.
+type B, all in exact integer arithmetic, cross-checked by independent
+computation routes.
 """
 
 from .arrangement import (Arrangement, Flat, InvalidParamsError,

@@ -17,7 +17,7 @@ for arrangements flagged simplicial only for the first chamber.  Its
 ladder runs from cheap to dear: the mirror image of the chamber's point,
 a ray walk across the hyperplane, a Farkas certificate that it is no wall
 (a nonnegative combination of two, then of d, other signed normals, the
-d-subsets scanned up to a fixed cap), and last the rational LP oracle,
+d-subsets scanned up to a fixed cap), and last the integer LP oracle,
 which is then asked only about walls the cheap routes miss.  After the
 first chamber, the simplicial walk derives a chamber's walls from its
 neighbour's: crossing wall w replaces each other wall k by the next
@@ -34,15 +34,14 @@ the only record of the adjacency; `ChamberComplex.edges` is read from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 from math import gcd
 
 from .feasibility import CertificateError, feasible_strict, generic_point
 from .lattice import GradedLattice, moebius
-from .linalg import (EchelonBasis, dot, int_rank, integer_kernel_basis,
-                     primitive_vector, scale_to_int, solve_square_int)
+from .linalg import (EchelonBasis, dot, gcd_reduced, int_rank,
+                     integer_kernel_basis, primitive_vector, solve_square_int)
 
 
 class NotEssentialError(ValueError):
@@ -149,17 +148,22 @@ def parse_arrangement_text(text: str, simplicial: bool = False) -> Arrangement:
         (n,) = map(int, head.split()[1:])  # exactly one integer after "dim"
     except ValueError:
         raise InvalidParamsError(f"line {no}: expected 'dim n', got {head!r}") from None
-    vecs = []
+    first_line = {}  # primitive normal -> the line that gave it first
     for no, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != n:
-            raise InvalidParamsError(f"expected {n} integers, got {ln!r}")
+            raise InvalidParamsError(f"line {no}: expected {n} integers, got {ln!r}")
         try:
-            vecs.append(tuple(map(int, parts)))
+            v = tuple(map(int, parts))
         except ValueError:
             raise InvalidParamsError(
                 f"line {no}: entries must be integers, got {ln!r}") from None
-    return make_arrangement(n, vecs, simplicial=simplicial)
+        if not any(v):
+            raise InvalidParamsError(f"line {no}: a normal must be nonzero, got {ln!r}")
+        first = first_line.setdefault(primitive_vector(v), no)
+        if first != no:
+            raise InvalidParamsError(f"line {no}: repeats the hyperplane of line {first}")
+    return Arrangement(n, tuple(first_line), simplicial)
 
 
 def arrangement_to_text(a: Arrangement) -> str:
@@ -392,12 +396,7 @@ def _witness_from_facets(a: Arrangement, mask: int, facets):
     if sol is None:
         raise _SimplicialityError("wall normals are dependent")
     nums, den = sol
-    if den < 0:
-        nums = [-x for x in nums]
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    wit = tuple(x // g for x in nums) if g > 1 else tuple(nums)
+    wit = gcd_reduced([-x for x in nums] if den < 0 else nums)
     row = _pairings(a.normals, wit)
     if _row_mask(row) != mask:
         raise _SimplicialityError("facet witness landed in the wrong chamber")
@@ -475,6 +474,9 @@ def _try_mirror(normals, gram, p, row, i, target_mask):
 
 
 def _try_ray_walk(normals, mask, p, i, target_mask):
+    """A point just past H_i on the ray from p along a_i, out of the chamber;
+    None unless it lies in the target chamber.  A crossing time is a pair
+    (num, den > 0); pairs are compared by cross-multiplying."""
     ai = normals[i]
     si = -1 if mask >> i & 1 else 1
     direction = tuple(-si * x for x in ai)
@@ -485,21 +487,26 @@ def _try_ray_walk(normals, mask, p, i, target_mask):
         slope = sj * dot(aj, direction)
         if slope >= 0:
             continue
-        t_j = Fraction(sj * dot(aj, p), -slope)
+        t_j = (sj * dot(aj, p), -slope)
         if j == i:
             t_i = t_j
-        elif t_next is None or t_j < t_next:
+        elif t_next is None or t_j[0] * t_next[1] < t_next[0] * t_j[1]:
             t_next = t_j
-    if t_i is None or (t_next is not None and t_next <= t_i):
+    if t_i is None or (t_next is not None and t_next[0] * t_i[1] <= t_i[0] * t_next[1]):
         return None
-    t_mid = t_i + 1 if t_next is None else (t_i + t_next) / 2
-    q = scale_to_int([Fraction(x) + t_mid * dx for x, dx in zip(p, direction)])
+    # q = scale p + step direction, at step / scale = t_i + 1 or the midpoint
+    if t_next is None:
+        step, scale = t_i[0] + t_i[1], t_i[1]
+    else:
+        step, scale = t_i[0] * t_next[1] + t_next[0] * t_i[1], 2 * t_i[1] * t_next[1]
+    q = gcd_reduced([scale * x + step * dx for x, dx in zip(p, direction)])
     return q if _row_mask(_pairings(normals, q)) == target_mask else None
 
 
 # The d-subset scan of `_cone_redundant` gives up after this many subsets
-# and leaves the hyperplane to the LP oracle: past about a thousand, a scan
-# that finds nothing (the hyperplane is a wall) costs more than the LP call.
+# and leaves the hyperplane to the LP oracle.  Below the cap the scan is
+# complete, so the LP sees only walls; the cap bounds the scan's C(m-1, d)
+# growth, and no workload reaches it.
 _CONE_SUBSET_CAP = 1000
 
 
@@ -559,7 +566,7 @@ def _cross(normals, gram, mask, p, row, i):
     just past H_i on the ray from p perpendicular to it (it crosses H_i
     first whenever the foot of that ray is inside every other half-space),
     a Farkas combination of two, then of d, other signed normals proving i
-    is no wall (`_cone_redundant`), and last the rational LP oracle.  Below
+    is no wall (`_cone_redundant`), and last the integer LP oracle.  Below
     the d-subset cap the Farkas search is complete, so the LP is asked
     only about walls that neither the mirror nor the ray walk witnesses.
     """

@@ -1,17 +1,15 @@
-"""Exact rational feasibility oracle for strict homogeneous inequality systems.
+"""Exact integer feasibility oracle for strict homogeneous inequality systems.
 
 The core question, everywhere in chamber and wall computations, is whether
 {x : r . x > 0 for all rows r} is nonempty.  By homogeneity this is the
-solvability of {r . x >= 1}, decided by a phase-1 simplex over Fractions
-(Bland's rule, so termination is guaranteed).  Witnesses are returned as
-integer vectors.  No floating point is used anywhere.
+solvability of {r . x >= 1}, decided by a phase-1 simplex (Bland's rule, so
+termination is guaranteed) on a fraction-free integer tableau.  Witnesses
+are integer vectors.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import dot, scale_to_int
+from .linalg import dot, gcd_reduced
 
 
 class CertificateError(RuntimeError):
@@ -19,32 +17,35 @@ class CertificateError(RuntimeError):
 
 
 def _phase1_simplex(a_rows, n: int):
-    """Feasibility of A x >= 1 with x free; returns a Fraction solution or None.
+    """Feasibility of A x >= 1 with x free; returns integer numerators of a
+    solution (over a positive common denominator) or None.
 
     Standard form: A u - A v - w + s = 1 with u, v, w, s >= 0 and artificial
-    block s started as the basis; minimize sum(s).
+    block s started as the basis; minimize sum(s).  The tableau is kept
+    fraction-free (Edmonds; Bareiss): the actual tableau is T / den with
+    den > 0 the last pivot, and a pivot on (r, c) keeps row r and maps every
+    other row to (T[r][c] T[i] - T[i][c] T[r]) / den, an exact division.
     """
     m = len(a_rows)
-    if m == 0:
-        return [Fraction(0)] * n
     ncols = 2 * n + m + m
     rows = []
     for i, r in enumerate(a_rows):
-        row = [Fraction(0)] * (ncols + 1)
+        row = [0] * (ncols + 1)
         for j, v in enumerate(r):
-            row[j] = Fraction(v)
-            row[n + j] = Fraction(-v)
-        row[2 * n + i] = Fraction(-1)          # surplus
-        row[2 * n + m + i] = Fraction(1)       # artificial
-        row[ncols] = Fraction(1)               # rhs
+            row[j] = v
+            row[n + j] = -v
+        row[2 * n + i] = -1                    # surplus
+        row[2 * n + m + i] = 1                 # artificial
+        row[ncols] = 1                         # rhs
         rows.append(row)
     # objective: minimize sum of artificials; store negated reduced costs
-    obj = [Fraction(0)] * (ncols + 1)
+    obj = [0] * (ncols + 1)
     for i in range(m):
         for j in range(ncols + 1):
             obj[j] -= rows[i][j]
-        obj[2 * n + m + i] += Fraction(1)
+        obj[2 * n + m + i] += 1
     basis = [2 * n + m + i for i in range(m)]
+    den = 1
 
     while True:
         enter = -1
@@ -54,30 +55,32 @@ def _phase1_simplex(a_rows, n: int):
                 break
         if enter == -1:
             break
-        leave = -1
-        best = None
+        leave = -1  # least rhs / entry over positive entries, cross-multiplied
         for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][ncols] / rows[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            e = rows[i][enter]
+            if e > 0:
+                if leave == -1:
+                    leave = i
+                    continue
+                diff = rows[i][ncols] * rows[leave][enter] - rows[leave][ncols] * e
+                if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave == -1:
             break  # unbounded improving direction cannot happen in phase 1
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
+        prow = rows[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and rows[i][enter] != 0:
+            if i != leave:
                 f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, rows[leave])]
+                rows[i] = [(piv * x - f * y) // den for x, y in zip(rows[i], prow)]
+        f = obj[enter]
+        obj = [(piv * x - f * y) // den for x, y in zip(obj, prow)]
+        den = piv
         basis[leave] = enter
 
     if obj[ncols] != 0:  # residual artificial mass: infeasible
         return None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, b in enumerate(basis):
         if b < n:
             x[b] += rows[i][ncols]
@@ -87,11 +90,11 @@ def _phase1_simplex(a_rows, n: int):
 
 
 def feasible_strict(rows, n: int) -> tuple[int, ...] | None:
-    """Integer witness of {x : r . x > 0 for all r}, or None if empty."""
+    """Integer witness, gcd-reduced, of {x : r . x > 0 for all r}, or None if empty."""
     sol = _phase1_simplex(list(rows), n)
     if sol is None:
         return None
-    w = scale_to_int(sol)
+    w = gcd_reduced(sol)
     if any(dot(r, w) <= 0 for r in rows):
         raise CertificateError("simplex returned a non-witness; oracle bug")
     return w

@@ -1,12 +1,11 @@
 """Small exact integer linear algebra helpers (ranks, kernels, solves).
 
-Everything operates on tuples/lists of Python ints or Fractions; sizes are
-tiny (dimension <= 8, a few dozen rows), so clarity beats asymptotics.
+Everything operates on tuples/lists of Python ints; sizes are tiny
+(dimension <= 8, a few dozen rows), so clarity beats asymptotics.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -15,20 +14,19 @@ def dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
+def gcd_reduced(v) -> tuple[int, ...]:
+    """v divided by the gcd of its entries, signs kept; a zero v is kept."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
 def primitive_vector(v) -> tuple[int, ...]:
     """Divide by the gcd and make the first nonzero entry positive."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g == 0:
+    w = gcd_reduced(v)
+    first = next((x for x in w if x), 0)
+    if first == 0:
         raise ValueError("zero vector has no primitive form")
-    w = [x // g for x in v]
-    for x in w:
-        if x != 0:
-            if x < 0:
-                w = [-y for y in w]
-            break
-    return tuple(w)
+    return tuple(-x for x in w) if first < 0 else w
 
 
 def int_rank(rows) -> int:
@@ -91,10 +89,7 @@ class EchelonBasis:
         red = self._reduce(v)
         for p, x in enumerate(red):
             if x != 0:
-                g = 0
-                for y in red:
-                    g = gcd(g, y)
-                self.rows.append([y // g for y in red])
+                self.rows.append(list(gcd_reduced(red)))
                 self.pivots.append(p)
                 return True
         return False
@@ -187,18 +182,3 @@ def solve_square_int(rows, rhs) -> tuple[list[int], int] | None:
         nums.append(bareiss_det(modified))
     return nums, det
 
-
-def scale_to_int(values) -> tuple[int, ...]:
-    """Clear denominators of a Fraction vector and gcd-reduce."""
-    from math import lcm
-
-    denom = 1
-    for v in values:
-        denom = lcm(denom, Fraction(v).denominator)
-    ints = [int(Fraction(v) * denom) for v in values]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -14,11 +15,14 @@ from interarr.arrangement import (Flat, InvalidParamsError,
                                   f_polynomial, f_vector, intersection_lattice,
                                   make_family, matroid_rank,
                                   parse_arrangement_text, restrict, restrict_to_flat)
+from interarr.arrangement import _pairings, _row_mask
+from interarr.feasibility import feasible_strict
 from interarr.chow import chow_recursive, chow_via_chains
 from interarr.labeling import min_atom_label
-from interarr.linalg import primitive_vector
+from interarr.linalg import dot, primitive_vector
 from interarr.lattice import check_graded, contract_interval, lattice_isomorphic
 from interarr.poly import f_to_h
+from test_feasibility import feasible_strict_fraction, scale_to_int
 
 
 def test_make_family_b2_normals_and_order():
@@ -213,6 +217,64 @@ def test_multi_term_non_wall_is_left_to_the_lp_past_the_cap(monkeypatch):
     assert not arr._cone_redundant(a.normals, 0, 3)
     verdicts = _lp_verdicts(monkeypatch, a)
     assert False in verdicts
+
+
+# Test oracle: the Fraction ray walk the crossing test ran before it moved to
+# integer crossing times, kept verbatim.
+
+
+def _try_ray_walk_fraction(normals, mask, p, i, target_mask):
+    ai = normals[i]
+    si = -1 if mask >> i & 1 else 1
+    direction = tuple(-si * x for x in ai)
+    t_i = None
+    t_next = None
+    for j, aj in enumerate(normals):
+        sj = -1 if mask >> j & 1 else 1
+        slope = sj * dot(aj, direction)
+        if slope >= 0:
+            continue
+        t_j = Fraction(sj * dot(aj, p), -slope)
+        if j == i:
+            t_i = t_j
+        elif t_next is None or t_j < t_next:
+            t_next = t_j
+    if t_i is None or (t_next is not None and t_next <= t_i):
+        return None
+    t_mid = t_i + 1 if t_next is None else (t_i + t_next) / 2
+    q = scale_to_int([Fraction(x) + t_mid * dx for x, dx in zip(p, direction)])
+    return q if _row_mask(_pairings(normals, q)) == target_mask else None
+
+
+@pytest.mark.parametrize("case", ["random 0", "random 1", "b3", "square cone"])
+def test_integer_ray_walk_matches_fraction_oracle(case):
+    a = {"random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1],
+         "b3": make_family("b", 3),
+         "square cone": make_arrangement(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])}[case]
+    cc = arr._chamber_bfs_general(a)
+    hits = 0
+    for mask, p in zip(cc.masks, cc.witnesses):
+        for i in range(a.m):
+            got = arr._try_ray_walk(a.normals, mask, p, i, mask ^ 1 << i)
+            assert got == _try_ray_walk_fraction(a.normals, mask, p, i, mask ^ 1 << i)
+            hits += got is not None
+    assert hits
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_integer_simplex_matches_fraction_oracle_on_walls(monkeypatch, k):
+    # the same witness for every wall the general walk asks the LP about, and
+    # the same None for every non-wall of its first chamber
+    a = RANDOM_POOL[k]
+    asked = []
+    monkeypatch.setattr(arr, "feasible_strict",
+                        lambda rows, n: asked.append(rows) or feasible_strict(rows, n))
+    cc = arr._chamber_bfs_general(a)
+    non_walls = [arr._signed_rows(a.normals, cc.masks[0] ^ 1 << i)
+                 for i in range(a.m) if i not in cc.facets[0]]
+    assert asked and non_walls
+    for rows in asked + non_walls:
+        assert feasible_strict(rows, a.dim) == feasible_strict_fraction(rows, a.dim)
 
 
 @st.composite

@@ -123,6 +123,9 @@ def _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method, flags):
     ("dimension 2\n1 0\n0 1\n", "first non-comment line must be 'dim n'"),
     ("dim 2 3\n1 0\n0 1\n", "line 1: expected 'dim n', got 'dim 2 3'"),
     ("# a plane\ndim 2\n1 0\n\n0 x\n", "line 5: entries must be integers, got '0 x'"),
+    ("dim 2\n1 0\n0 1 1\n", "line 3: expected 2 integers, got '0 1 1'"),
+    ("dim 2\n1 0\n# zero\n0 0\n", "line 4: a normal must be nonzero, got '0 0'"),
+    ("dim 2\n1 0\n0 1\n\n-2 0\n", "line 5: repeats the hyperplane of line 2"),
 ])
 def test_malformed_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "arr.txt"

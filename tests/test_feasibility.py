@@ -1,9 +1,109 @@
+import ast
 import random
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
 
 from interarr.feasibility import feasible_strict, generic_point
-from interarr.linalg import (EchelonBasis, bareiss_det, dot, int_rank,
+from interarr.linalg import (EchelonBasis, bareiss_det, dot, gcd_reduced, int_rank,
                              integer_kernel_basis, primitive_vector,
                              solve_square_int)
+
+# Test oracle: the Fraction phase-1 simplex and `scale_to_int` that the
+# library ran before its fraction-free tableau, kept verbatim.  The integer
+# simplex must make the same pivots, so verdicts and witnesses agree exactly.
+
+
+def _phase1_simplex_fraction(a_rows, n: int):
+    """Feasibility of A x >= 1 with x free; returns a Fraction solution or None.
+
+    Standard form: A u - A v - w + s = 1 with u, v, w, s >= 0 and artificial
+    block s started as the basis; minimize sum(s).
+    """
+    m = len(a_rows)
+    if m == 0:
+        return [Fraction(0)] * n
+    ncols = 2 * n + m + m
+    rows = []
+    for i, r in enumerate(a_rows):
+        row = [Fraction(0)] * (ncols + 1)
+        for j, v in enumerate(r):
+            row[j] = Fraction(v)
+            row[n + j] = Fraction(-v)
+        row[2 * n + i] = Fraction(-1)          # surplus
+        row[2 * n + m + i] = Fraction(1)       # artificial
+        row[ncols] = Fraction(1)               # rhs
+        rows.append(row)
+    # objective: minimize sum of artificials; store negated reduced costs
+    obj = [Fraction(0)] * (ncols + 1)
+    for i in range(m):
+        for j in range(ncols + 1):
+            obj[j] -= rows[i][j]
+        obj[2 * n + m + i] += Fraction(1)
+    basis = [2 * n + m + i for i in range(m)]
+
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter == -1:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][ncols] / rows[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave == -1:
+            break  # unbounded improving direction cannot happen in phase 1
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, rows[leave])]
+        basis[leave] = enter
+
+    if obj[ncols] != 0:  # residual artificial mass: infeasible
+        return None
+    x = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            x[b] += rows[i][ncols]
+        elif b < 2 * n:
+            x[b - n] -= rows[i][ncols]
+    return x
+
+
+def scale_to_int(values) -> tuple[int, ...]:
+    """Clear denominators of a Fraction vector and gcd-reduce."""
+    from math import lcm
+
+    denom = 1
+    for v in values:
+        denom = lcm(denom, Fraction(v).denominator)
+    ints = [int(Fraction(v) * denom) for v in values]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return tuple(ints)
+
+
+def feasible_strict_fraction(rows, n: int):
+    """The Fraction oracle's witness, scaled as `feasible_strict` scaled it."""
+    sol = _phase1_simplex_fraction(list(rows), n)
+    return None if sol is None else scale_to_int(sol)
 
 
 def test_feasible_strict_witness():
@@ -35,6 +135,40 @@ def test_feasible_strict_random_cross_check():
             assert got is not None
 
 
+def test_integer_simplex_matches_fraction_oracle():
+    # the same verdict and the same witness tuple, zero rows and entries included
+    assert feasible_strict([], 3) == feasible_strict_fraction([], 3) == (0, 0, 0)
+    rng = random.Random(14)
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-5, 5) for _ in range(dim))
+                for _ in range(rng.randint(0, 12))]
+        assert feasible_strict(rows, dim) == feasible_strict_fraction(rows, dim), rows
+
+
+def test_integer_simplex_matches_fraction_oracle_on_large_coefficients():
+    rng = random.Random(40)
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-5, 5) * rng.randint(1, 1 << 42) for _ in range(dim))
+                for _ in range(rng.randint(1, 8))]
+        assert feasible_strict(rows, dim) == feasible_strict_fraction(rows, dim), rows
+
+
+def test_library_imports_no_fractions():
+    # one number type: every module of the library computes in Python ints
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "interarr").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert all(mod.split(".")[0] != "fractions" for mod in modules), path.name
+
 def test_generic_point_avoids_hyperplanes():
     normals = [(1, -1, 0), (1, 1, 0), (1, 0, -1), (2, -1, 0)]
     p = generic_point(normals, 3)
@@ -44,6 +178,9 @@ def test_generic_point_avoids_hyperplanes():
 def test_primitive_vector():
     assert primitive_vector((2, -4, 6)) == (1, -2, 3)
     assert primitive_vector((-2, 4)) == (1, -2)
+    assert gcd_reduced((-2, 4)) == (-1, 2) and gcd_reduced((0, 0)) == (0, 0)
+    with pytest.raises(ValueError):
+        primitive_vector((0, 0))
 
 
 def test_int_rank_and_kernel():
