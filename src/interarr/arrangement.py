@@ -16,26 +16,28 @@ chamber across it; the general walk asks it of every hyperplane, the walk
 for arrangements flagged simplicial only for the first chamber.  Its
 ladder runs from cheap to dear: the mirror image of the chamber's point,
 a ray walk across the hyperplane, a Farkas certificate that it is no wall
-(a nonnegative combination of two, then of d, other signed normals, the
-d-subsets scanned up to a fixed cap), and last the integer LP oracle,
-which is then asked only about walls the cheap routes miss.  After the
-first chamber, the simplicial walk derives a chamber's walls from its
-neighbour's: crossing wall w replaces each other wall k by the next
-hyperplane through the codimension-2 flat H_w & H_k, found by integer
-Cramer on the Gram matrix of the normals once per (w, k, side) in a
-walk; every chamber is still certified by an integer witness point, and
-any inconsistency falls back to the general walk.  Both walks test a
-witness through its pairing row (a_j . w for every hyperplane j): the
-row of a witness mirrored across a wall follows from its parent's row
-and the Gram matrix, with no dot product.  The walls each chamber records (`ChamberComplex.facets`) are
-the only record of the adjacency; `ChamberComplex.edges` is read from them.
+(a nonnegative combination of two other signed normals), and last the
+integer LP oracle, which decides whatever the three cheap rungs leave.
+After the first chamber, the simplicial walk derives a chamber's walls
+from its neighbour's: crossing wall w replaces each other wall k by the
+next hyperplane through the codimension-2 flat H_w & H_k, found once per
+(w, k, side) in a walk; every chamber is still certified by an integer
+witness point, and any inconsistency falls back to the general walk.
+The pair certificate and that pivot ask the same question, whether
+a_h = alpha a_j + beta a_k, answered by integer Cramer on the Gram
+matrix of the normals.  Both walks test a witness through its pairing
+row (a_j . w for every hyperplane j): the row of a witness mirrored
+across a wall follows from its parent's row and the Gram matrix, with no
+dot product.  The walls each chamber records (`ChamberComplex.facets`)
+are the only record of the adjacency; `ChamberComplex.edges` is read
+from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd
 
 from .feasibility import CertificateError, feasible_strict, generic_point
@@ -353,30 +355,42 @@ def _signed_rows(normals, mask):
             for h, v in enumerate(normals)]
 
 
-def _pivot(normals, gram, w, k, same_side: bool) -> int:
+def _span_pair(gram, j, k, h):
+    """(alpha, beta) with D a_h = alpha a_j + beta a_k, where D = G_jj G_kk -
+    G_jk^2 > 0 (no two normals are parallel); None if a_h is not in the span
+    of a_j and a_k.  Cramer on the Gram matrix gives the only candidates;
+    the residual r = D a_h - alpha a_j - beta a_k is then orthogonal to a_j
+    and a_k, so r . r = D (D G_hh - alpha G_jh - beta G_kh) decides."""
+    gj, gk, gh = gram[j], gram[k], gram[h]
+    gjj, gkk, gjk = gj[j], gk[k], gj[k]
+    det = gjj * gkk - gjk * gjk
+    alpha = gj[h] * gkk - gk[h] * gjk
+    beta = gk[h] * gjj - gj[h] * gjk
+    if det * gh[h] != alpha * gj[h] + beta * gk[h]:
+        return None
+    return alpha, beta
+
+
+def _pivot(gram, w, k, same_side: bool) -> int:
     """The wall that replaces wall k of a chamber crossed at its wall w.
 
-    With D = G_ww G_kk - G_wk^2, hyperplane h contains H_w & H_k exactly
-    when D a_h = alpha a_w + beta a_k (Cramer on the Gram matrix).  In the
-    chamber's coordinates s, t (its signed pairings with a_w, a_k, both
-    positive inside) that hyperplane is the line alpha' s + beta' t = 0, and
-    it misses the chamber's sector unless alpha' and beta' differ in sign;
-    `same_side` says whether the chamber's signs on w and k agree.  The
-    neighbour's sector runs from w to the first such line, the one with the
-    least |beta| / |alpha|, and to k itself when there is none.
+    Hyperplane h contains H_w & H_k exactly when `_span_pair` writes D a_h =
+    alpha a_w + beta a_k.  In the chamber's coordinates s, t (its signed
+    pairings with a_w, a_k, both positive inside) that hyperplane is the
+    line alpha' s + beta' t = 0, and it misses the chamber's sector unless
+    alpha' and beta' differ in sign; `same_side` says whether the chamber's
+    signs on w and k agree.  The neighbour's sector runs from w to the first
+    such line, the one with the least |beta| / |alpha|, and to k itself when
+    there is none.
     """
-    gw, gk = gram[w], gram[k]
-    aw, ak = normals[w], normals[k]
-    gww, gkk, gwk = gw[w], gk[k], gw[k]
-    det = gww * gkk - gwk * gwk
     best, best_a, best_b = k, 1, None
-    for h, ah in enumerate(normals):
+    for h in range(len(gram)):
         if h == w or h == k:
             continue
-        alpha = gw[h] * gkk - gk[h] * gwk
-        beta = gk[h] * gww - gw[h] * gwk
-        if any(det * x != alpha * y + beta * z for x, y, z in zip(ah, aw, ak)):
+        span = _span_pair(gram, w, k, h)
+        if span is None:
             continue
+        alpha, beta = span
         if ((alpha > 0) == (beta > 0)) != same_side:
             raise _SimplicialityError("a hyperplane cuts the sector between two walls")
         alpha, beta = abs(alpha), abs(beta)
@@ -435,7 +449,7 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
                     key = (w, k, (mask >> w & 1) == (mask >> k & 1))
                     h = pivots.get(key)
                     if h is None:
-                        h = pivots[key] = _pivot(normals, gram, *key)
+                        h = pivots[key] = _pivot(gram, *key)
                     nf.append(h)
                 if len(set(nf)) != d:
                     raise _SimplicialityError("pivoted walls collide")
@@ -503,57 +517,19 @@ def _try_ray_walk(normals, mask, p, i, target_mask):
     return q if _row_mask(_pairings(normals, q)) == target_mask else None
 
 
-# The d-subset scan of `_cone_redundant` gives up after this many subsets
-# and leaves the hyperplane to the LP oracle.  Below the cap the scan is
-# complete, so the LP sees only walls; the cap bounds the scan's C(m-1, d)
-# growth, and no workload reaches it.
-_CONE_SUBSET_CAP = 1000
-
-
-def _cone_redundant(normals, mask, i) -> bool:
+def _pair_redundant(gram, mask, i) -> bool:
     """True if the flipped constraint of hyperplane i is a nonnegative
-    combination of the other signed rows, certifying (Farkas) that i is not
-    a wall of the chamber `mask`.
-
-    Two-term combinations come first, one 2x2 minor per pair.  Then, since
-    d linearly independent rows suffice (conic Caratheodory), each d-subset
-    of the other rows is solved by integer Cramer; numerators all of the
-    sign of the determinant make the combination.  For an essential
-    arrangement the scan is complete, so False means i is a wall, unless
-    the scan stopped at `_CONE_SUBSET_CAP` subsets.
-    """
-    rows = _signed_rows(normals, mask)
-    target = rows[i]
-    n = len(target)
-    others = rows[:i] + rows[i + 1:]
-    for j, rj in enumerate(others):
-        for rk in others[j + 1:]:
-            pq = None
-            for pi in range(n):
-                for qi in range(pi + 1, n):
-                    det = rj[pi] * rk[qi] - rj[qi] * rk[pi]
-                    if det != 0:
-                        pq = (pi, qi, det)
-                        break
-                if pq:
-                    break
-            if pq is None:
-                continue
-            pi, qi, det = pq
-            # Cramer numerators: the coefficients are cj / det and ck / det
-            cj = target[pi] * rk[qi] - target[qi] * rk[pi]
-            ck = rj[pi] * target[qi] - rj[qi] * target[pi]
-            if det < 0:
-                det, cj, ck = -det, -cj, -ck
-            if cj < 0 or ck < 0:
-                continue
-            if all(cj * rj[t] + ck * rk[t] == det * target[t] for t in range(n)):
-                return True
-    if n < 3:  # the pairs were every d-subset
-        return False
-    for cols in islice(combinations(others, n), _CONE_SUBSET_CAP):
-        sol = solve_square_int(list(zip(*cols)), target)
-        if sol is not None and all(x * sol[1] >= 0 for x in sol[0]):
+    combination of two other signed rows, certifying (Farkas) that i is not
+    a wall of the chamber `mask`.  With D a_i = alpha a_j + beta a_k and
+    signs s (-1 on the chamber's negative sides), s_i a_i is that
+    combination when s_i s_j alpha >= 0 and s_i s_k beta >= 0."""
+    sign = [-1 if mask >> h & 1 else 1 for h in range(len(gram))]
+    for j, k in combinations(range(len(gram)), 2):
+        if i == j or i == k:
+            continue
+        span = _span_pair(gram, j, k, i)
+        if (span is not None and sign[i] * sign[j] * span[0] >= 0
+                and sign[i] * sign[k] * span[1] >= 0):
             return True
     return False
 
@@ -565,17 +541,16 @@ def _cross(normals, gram, mask, p, row, i):
     Exact certificates from cheap to dear: the mirror image of p, a point
     just past H_i on the ray from p perpendicular to it (it crosses H_i
     first whenever the foot of that ray is inside every other half-space),
-    a Farkas combination of two, then of d, other signed normals proving i
-    is no wall (`_cone_redundant`), and last the integer LP oracle.  Below
-    the d-subset cap the Farkas search is complete, so the LP is asked
-    only about walls that neither the mirror nor the ray walk witnesses.
+    a Farkas combination of two other signed normals proving i is no wall
+    (`_pair_redundant`), and last the integer LP oracle, which decides the
+    walls both points miss and the non-walls that need three or more terms.
     """
     nmask = mask ^ 1 << i
     hit = _try_mirror(normals, gram, p, row, i, nmask)
     if hit is not None:
         return hit[0]
     wit = _try_ray_walk(normals, mask, p, i, nmask)
-    if wit is None and not _cone_redundant(normals, mask, i):
+    if wit is None and not _pair_redundant(gram, mask, i):
         wit = feasible_strict(_signed_rows(normals, nmask), len(p))
     return wit
 

@@ -130,6 +130,11 @@ def cmd_chow(args, parser) -> int:
     method = args.method
     if method == "auto":
         method = "closed" if fam in ("a", "b") else "chains"
+    if args.dump_chains:
+        if method != "chains":
+            parser.error("--dump-chains requires --method chains")
+        if args.dump_chains == "-" and args.format == "json":
+            parser.error("--dump-chains - and --format json both write to stdout")
     if method == "closed":
         if fam == "a":
             poly = chow_type_a(n)
@@ -151,8 +156,6 @@ def cmd_chow(args, parser) -> int:
             labeler = el_label if partition_side else min_atom_label(lat)
             poly = chow_via_chains(lat, labeler)
     if args.dump_chains:
-        if method != "chains":
-            parser.error("--dump-chains requires --method chains")
         out = sys.stdout if args.dump_chains == "-" else open(
             args.dump_chains, "w", encoding="utf-8")
         try:

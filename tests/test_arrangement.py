@@ -187,36 +187,65 @@ RANDOM_POOL = (
 )
 
 
-def _lp_verdicts(monkeypatch, a):
-    """Whether each LP call of the general walk on `a` found a witness."""
-    verdicts = []
-    oracle = arr.feasible_strict
+def test_multi_term_non_wall_is_left_to_the_lp():
+    # (1, 1, 1) = e1 + e2 + e3 on the positive chamber: no two rows give it,
+    # so the pair certificate misses this non-wall and the LP decides it
+    a = make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    assert not arr._pair_redundant(arr._gram(a.normals), 0, 3)
+    assert feasible_strict(arr._signed_rows(a.normals, 1 << 3), 3) is None
 
-    def counting(rows, n):
-        wit = oracle(rows, n)
-        verdicts.append(wit is not None)
-        return wit
 
-    monkeypatch.setattr(arr, "feasible_strict", counting)
-    arr._chamber_bfs_general(a)
-    return verdicts
+# Test oracle: the pair search of the crossing test before it moved to the
+# Gram matrix, one 2x2 minor per pair of signed rows, kept verbatim.
+
+
+def _pair_redundant_minor(normals, mask, i) -> bool:
+    rows = arr._signed_rows(normals, mask)
+    target = rows[i]
+    n = len(target)
+    others = rows[:i] + rows[i + 1:]
+    for j, rj in enumerate(others):
+        for rk in others[j + 1:]:
+            pq = None
+            for pi in range(n):
+                for qi in range(pi + 1, n):
+                    det = rj[pi] * rk[qi] - rj[qi] * rk[pi]
+                    if det != 0:
+                        pq = (pi, qi, det)
+                        break
+                if pq:
+                    break
+            if pq is None:
+                continue
+            pi, qi, det = pq
+            # Cramer numerators: the coefficients are cj / det and ck / det
+            cj = target[pi] * rk[qi] - target[qi] * rk[pi]
+            ck = rj[pi] * target[qi] - rj[qi] * target[pi]
+            if det < 0:
+                det, cj, ck = -det, -cj, -ck
+            if cj < 0 or ck < 0:
+                continue
+            if all(cj * rj[t] + ck * rk[t] == det * target[t] for t in range(n)):
+                return True
+    return False
+
+
+def _assert_pair_certificates_match_minor_oracle(a):
+    """The same verdict as the 2x2-minor search on every chamber and
+    hyperplane of the general walk; returns how many were certified."""
+    gram = arr._gram(a.normals)
+    certified = 0
+    for mask in arr._chamber_bfs_general(a).masks:
+        for i in range(a.m):
+            got = arr._pair_redundant(gram, mask, i)
+            assert got == _pair_redundant_minor(a.normals, mask, i), (mask, i)
+            certified += got
+    return certified
 
 
 @pytest.mark.parametrize("k", [0, 1])
-def test_general_walk_asks_the_lp_only_about_walls(monkeypatch, k):
-    # every non-wall has a Farkas certificate, so each LP call finds a wall
-    verdicts = _lp_verdicts(monkeypatch, RANDOM_POOL[k])
-    assert verdicts and all(verdicts)
-
-
-def test_multi_term_non_wall_is_left_to_the_lp_past_the_cap(monkeypatch):
-    # (1, 1, 1) = e1 + e2 + e3 on the positive chamber: no two rows give it
-    a = make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-    assert arr._cone_redundant(a.normals, 0, 3)
-    monkeypatch.setattr(arr, "_CONE_SUBSET_CAP", 0)
-    assert not arr._cone_redundant(a.normals, 0, 3)
-    verdicts = _lp_verdicts(monkeypatch, a)
-    assert False in verdicts
+def test_pair_certificate_matches_minor_oracle(k):
+    assert _assert_pair_certificates_match_minor_oracle(RANDOM_POOL[k])
 
 
 # Test oracle: the Fraction ray walk the crossing test ran before it moved to
@@ -291,21 +320,14 @@ def _essential_small(draw):
 @given(_essential_small())
 @example(make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
 def test_cone_certificate_matches_lp_oracle(a):
-    from interarr.feasibility import feasible_strict
-
-    complete = math.comb(a.m - 1, a.dim) <= arr._CONE_SUBSET_CAP
+    gram = arr._gram(a.normals)
     for mask in arr._chamber_bfs_general(a).masks:
         for i in range(a.m):
-            redundant = arr._cone_redundant(a.normals, mask, i)
-            wall = feasible_strict(arr._signed_rows(a.normals, mask ^ 1 << i), a.dim)
-            if redundant:
-                assert wall is None, (mask, i)  # sound
-            elif complete:
-                assert wall is not None, (mask, i)  # complete below the cap
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(arr, "_CONE_SUBSET_CAP", 0)
-                # pairs only: never more than the full search finds
-                assert redundant or not arr._cone_redundant(a.normals, mask, i)
+            if arr._pair_redundant(gram, mask, i):
+                # sound: a certified non-wall has no point across it
+                assert feasible_strict(arr._signed_rows(a.normals, mask ^ 1 << i),
+                                       a.dim) is None, (mask, i)
+    _assert_pair_certificates_match_minor_oracle(a)
 
 
 def _f_vector_by_walks(a):

@@ -234,6 +234,20 @@ def test_dump_chains(tmp_path, capsys):
     assert dump.read_text() == "(0,2),(1,1) ; des=0\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "recursive", "--dump-chains", "-"], "requires --method chains"),
+    (["--dump-chains", "-", "--format", "json"], "both write to stdout"),
+], ids=["not-chains", "stdout-json"])
+def test_dump_chains_flag_errors_exit_2_before_computing(monkeypatch, capsys,
+                                                         flags, message):
+    # rejected before any lattice is built, so stdout stays empty
+    monkeypatch.setattr(cli, "dns_lattice", lambda n, s: pytest.fail("computed"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chow", "--family", "dns", "--n", "3", "--s", "1", *flags])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and message in out.err
+
+
 def test_verify_suite_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "chains", "--n-max", "3")
     assert code == 0 and "VERIFY: PASS" in out
