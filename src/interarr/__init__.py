@@ -7,32 +7,26 @@ computation routes.
 """
 
 from .arrangement import (Arrangement, Flat, InvalidParamsError,
-                          NotEssentialError, chamber_count,
-                          chambers, f_polynomial, f_vector,
-                          intersection_lattice, load_arrangement, make_arrangement,
-                          make_family,
-                          matroid_rank, restrict)
+                          NotEssentialError, chamber_count, f_polynomial,
+                          f_vector, intersection_lattice, load_arrangement,
+                          make_arrangement, make_family, restrict)
 from .chow import (ArithmeticityReport, NonDivisibleError, TooLargeError,
                    char_poly_bruteforce, characteristic_poly,
                    chow_dns, chow_recursive, chow_type_a, chow_type_b,
-                   chow_via_chains, dns_lattice,
-                   reduced_characteristic_poly, verify_chow_arithmetic,
+                   chow_via_chains, dns_lattice, verify_chow_arithmetic,
                    verify_gamma_arithmetic)
 from .feasibility import CertificateError
 from .labeling import (LabeledChain, count_chains_with_word, el_label,
                        enumerate_filtered_chains, label_set, min_atom_label,
-                       r_label, verify_el, verify_r_labeling)
-from .lattice import (GradedLattice, NotComparableError, contract_interval,
-                      lattice_isomorphic, moebius)
-from .permstats import (OddSumError, descents, gamma_b_closed, h_b_closed,
-                        h_d_closed, horizontal_flip, increment_closed,
+                       r_label, verify_el)
+from .lattice import GradedLattice, NotComparableError, lattice_isomorphic, moebius
+from .permstats import (OddSumError, h_b_closed, h_d_closed, increment_closed,
                         inversion_sequence, maxima, peaks)
 from .poly import (GammaVector, IntPolynomial, NonPalindromicError, f_to_h,
-                   gamma_to_h, h_to_f, h_to_gamma, is_palindromic)
+                   gamma_to_h, h_to_gamma, is_palindromic)
 from .signed_partitions import (EdgeClass, LatticeVariant, NotACoverError,
-                                SignedPartition, ZeroBlockError, classify_edge,
-                                covers, enumerate_lattice, representative,
-                                variant_b, variant_d, variant_dn_set,
+                                SignedPartition, ZeroBlockError,
+                                enumerate_lattice, representative, variant_b,
                                 variant_dns)
 from .topegraph import (BaseNotAChamberError, NotSimplicialError,
                         build_tope_graph, h_via_indegree, h_via_separation,

@@ -7,7 +7,7 @@ chamber enumeration, and the f-vector of the induced simplicial complex
 
 A chamber is a bitmask over the hyperplane list (bit h set <=> negative
 side of hyperplane h).  Sign strings over '+'/'-' exist only at the
-boundary: `chambers()`, `ChamberComplex.sign_strings()`, the
+boundary: `ChamberComplex.sign_strings()`, the
 `dump_tope_graph` text and the CLI's `--base`.
 
 Chamber enumeration is breadth-first wall-crossing.  One crossing test,
@@ -42,8 +42,8 @@ from math import gcd
 
 from .feasibility import CertificateError, feasible_strict, generic_point
 from .lattice import GradedLattice, moebius
-from .linalg import (EchelonBasis, dot, gcd_reduced, int_rank,
-                     integer_kernel_basis, primitive_vector, solve_square_int)
+from .linalg import (EchelonBasis, dot, gcd_reduced, integer_kernel_basis,
+                     primitive_vector, solve_square_int)
 
 
 class NotEssentialError(ValueError):
@@ -82,7 +82,10 @@ class Arrangement:
         return len(self.normals)
 
     def rank(self) -> int:
-        return int_rank(self.normals)
+        basis = EchelonBasis()
+        for v in self.normals:
+            basis.add(v)
+        return basis.rank
 
     def is_essential(self) -> bool:
         return self.rank() == self.dim
@@ -143,13 +146,16 @@ def parse_arrangement_text(text: str, simplicial: bool = False) -> Arrangement:
     """Parse the file format: "dim n" line, then one normal per line."""
     lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
-    if not lines or lines[0][1].split()[0] != "dim":
-        raise InvalidParamsError("first non-comment line must be 'dim n'")
+    if not lines:
+        raise InvalidParamsError("expected 'dim n', got no non-comment line")
     no, head = lines[0]
+    word, *rest = head.split()
     try:
-        (n,) = map(int, head.split()[1:])  # exactly one integer after "dim"
+        (n,) = map(int, rest)  # exactly one integer after "dim"
     except ValueError:
-        raise InvalidParamsError(f"line {no}: expected 'dim n', got {head!r}") from None
+        word = None
+    if word != "dim":
+        raise InvalidParamsError(f"line {no}: expected 'dim n', got {head!r}")
     first_line = {}  # primitive normal -> the line that gave it first
     for no, ln in lines[1:]:
         parts = ln.split()
@@ -168,24 +174,13 @@ def parse_arrangement_text(text: str, simplicial: bool = False) -> Arrangement:
     return Arrangement(n, tuple(first_line), simplicial)
 
 
-def arrangement_to_text(a: Arrangement) -> str:
-    lines = [f"dim {a.dim}"]
-    lines += [" ".join(str(x) for x in v) for v in a.normals]
-    return "\n".join(lines) + "\n"
-
-
 def load_arrangement(path, simplicial: bool = False) -> Arrangement:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_arrangement_text(fh.read(), simplicial=simplicial)
 
 
 # ---------------------------------------------------------------------------
-# matroid rank, flats, intersection lattice
-
-
-def matroid_rank(a: Arrangement, subset) -> int:
-    """Codimension of the intersection of the chosen hyperplanes."""
-    return int_rank([a.normals[h] for h in subset])
+# flats, intersection lattice
 
 
 def closure_of(a: Arrangement, subset) -> frozenset[int]:
@@ -606,11 +601,6 @@ def chamber_complex(a: Arrangement) -> ChamberComplex:
         cc = _chamber_bfs_general(a)
     _verify_central_symmetry(cc)
     return cc
-
-
-def chambers(a: Arrangement) -> frozenset[str]:
-    """All chambers as full-support sign strings."""
-    return frozenset(chamber_complex(a).sign_strings())
 
 
 def chamber_count(a: Arrangement) -> int:

@@ -61,10 +61,6 @@ def divide_by_t_minus_1(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(q)
 
 
-def reduced_characteristic_poly(lat: GradedLattice, lo: int, hi: int) -> IntPolynomial:
-    return divide_by_t_minus_1(characteristic_poly(lat, lo, hi))
-
-
 def char_poly_bruteforce(a: Arrangement) -> IntPolynomial:
     """Subset-sum characteristic polynomial: sum over all hyperplane subsets
     of (-1)^|S| t^(k - rank(S)).  The independent oracle for the Moebius
@@ -166,12 +162,11 @@ def chow_type_b(n: int) -> IntPolynomial:
 # recursion through reduced characteristic polynomials
 
 
-def chow_recursive(lat: GradedLattice, use_cache: bool = True) -> IntPolynomial:
+def chow_recursive(lat: GradedLattice) -> IntPolynomial:
     """H(lattice) = sum over flats F > bottom of chibar([bottom, F]) * H([F, top]).
 
     Upper intervals of a geometric lattice are determined by their lower
     end, so memoizing on F collapses the flag sum to the one-step recursion.
-    `use_cache=False` expands the full flag sum instead (a soundness check).
     """
     top = lat.top
     top_rank = lat.rank[top]
@@ -180,7 +175,7 @@ def chow_recursive(lat: GradedLattice, use_cache: bool = True) -> IntPolynomial:
     def upper(f: int) -> IntPolynomial:
         if lat.rank[f] == top_rank:
             return IntPolynomial.one()
-        if use_cache and f in cache:
+        if f in cache:
             return cache[f]
         mu = moebius(lat, f)
         up = lat.up_set(f)
@@ -197,8 +192,7 @@ def chow_recursive(lat: GradedLattice, use_cache: bool = True) -> IntPolynomial:
                     coeffs[r2 - lat.rank[b]] += mu[b]
             chibar = divide_by_t_minus_1(IntPolynomial(coeffs))
             total = total + chibar * upper(f2)
-        if use_cache:
-            cache[f] = total
+        cache[f] = total
         return total
 
     return upper(lat.bottom)

@@ -41,6 +41,24 @@ def _emit(payload: dict, fmt: str, text_lines) -> None:
             print(line)
 
 
+def _dump_writer(flag: str, path, args, parser):
+    """The writer of a dump flag's PATH ('-' for stdout), or None without the
+    flag.  '-' with --format json is a flag error, so call this before
+    computing anything."""
+    if not path:
+        return None
+    if path == "-":
+        if args.format == "json":
+            parser.error(f"{flag} - and --format json both write to stdout")
+        return sys.stdout.writelines
+
+    def write(chunks) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+
+    return write
+
+
 def _resolve_family(args, parser) -> tuple[str, int | None, int | None]:
     fam = args.family
     n, s = args.n, args.s
@@ -100,12 +118,12 @@ def cmd_gamma(args, parser) -> int:
                          "topegraph or separation")
         h = _gamma_h_closed(fam, n, s, parser)
     else:
+        write_dump = _dump_writer("--dump-tope-graph", args.dump_tope_graph, args, parser)
         graph = build_tope_graph(arr)
         route = h_via_indegree if method == "topegraph" else h_via_separation
         h = route(graph, args.base)
-        if args.dump_tope_graph:
-            with open(args.dump_tope_graph, "w", encoding="utf-8") as fh:
-                fh.write(dump_tope_graph(graph))
+        if write_dump:
+            write_dump([dump_tope_graph(graph)])
     gamma = h_to_gamma(h)
     payload = {"family": fam, "n": n, "s": s, "method": method,
                "gamma": list(gamma.entries)}
@@ -130,11 +148,9 @@ def cmd_chow(args, parser) -> int:
     method = args.method
     if method == "auto":
         method = "closed" if fam in ("a", "b") else "chains"
-    if args.dump_chains:
-        if method != "chains":
-            parser.error("--dump-chains requires --method chains")
-        if args.dump_chains == "-" and args.format == "json":
-            parser.error("--dump-chains - and --format json both write to stdout")
+    if args.dump_chains and method != "chains":
+        parser.error("--dump-chains requires --method chains")
+    write_dump = _dump_writer("--dump-chains", args.dump_chains, args, parser)
     if method == "closed":
         if fam == "a":
             poly = chow_type_a(n)
@@ -155,15 +171,9 @@ def cmd_chow(args, parser) -> int:
         else:
             labeler = el_label if partition_side else min_atom_label(lat)
             poly = chow_via_chains(lat, labeler)
-    if args.dump_chains:
-        out = sys.stdout if args.dump_chains == "-" else open(
-            args.dump_chains, "w", encoding="utf-8")
-        try:
-            for chain in enumerate_filtered_chains(lat, labeler):
-                out.write(dump_chain_line(chain) + "\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+    if write_dump:
+        write_dump(dump_chain_line(chain) + "\n"
+                   for chain in enumerate_filtered_chains(lat, labeler))
     payload = {"family": fam, "n": n, "s": s, "method": method,
                "coeffs": poly.to_json_coeffs()}
     _emit(payload, args.format, [f"chow = {poly.to_text()}"])
@@ -449,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--base", help="base chamber sign string")
     g.add_argument("--show-h", action="store_true")
     g.add_argument("--show-f", action="store_true")
-    g.add_argument("--dump-tope-graph", metavar="PATH")
+    g.add_argument("--dump-tope-graph", metavar="PATH",
+                   help="write the chambers and edges ('-' for stdout)")
     g.set_defaults(func=cmd_gamma)
 
     c = sub.add_parser("chow", help="Chow polynomial of the lattice of flats")

@@ -227,18 +227,6 @@ def verify_el(lat: GradedLattice, labeler) -> list[tuple[int, int, str]]:
     return report
 
 
-def verify_r_labeling(lat: GradedLattice, labeler) -> list[tuple[int, int, str]]:
-    """Check the R-labeling property on every interval, weak convention:
-    exactly one weakly increasing maximal chain."""
-    report = []
-    for lo, hi, words in _interval_words(lat, labeler):
-        increasing = sum(all(word[k] <= word[k + 1] for k in range(len(word) - 1))
-                         for word in words)
-        if increasing != 1:
-            report.append((lo, hi, f"{increasing} weakly increasing chains"))
-    return report
-
-
 def min_atom_label(lat: GradedLattice):
     """The least-atom EL-labeling of a geometric lattice: a cover x < y is
     labeled by the smallest atom below y and not below x (atom order = id

@@ -125,27 +125,6 @@ def moebius(lat: GradedLattice, base: int) -> dict[int, int]:
     return values
 
 
-def check_graded(lat: GradedLattice) -> None:
-    """Assert the grading axioms; used by tests, not production paths."""
-    assert lat.rank[lat.bottom] == 0
-    for i, ups in enumerate(lat.covers):
-        for j in ups:
-            assert lat.rank[j] == lat.rank[i] + 1, "cover must raise rank by 1"
-    for chain in lat.maximal_chains(lat.bottom, lat.top):
-        assert len(chain) == lat.height + 1
-
-
-def contract_interval(lat: GradedLattice, lo: int, hi: int) -> GradedLattice:
-    """Induced graded lattice on [lo, hi], rank shifted so rank(lo) = 0."""
-    ids = lat.interval(lo, hi)
-    pos = {v: i for i, v in enumerate(ids)}
-    base = lat.rank[lo]
-    elements = [lat.elements[v] for v in ids]
-    rank = [lat.rank[v] - base for v in ids]
-    covers = [[pos[w] for w in lat.covers[v] if w in pos] for v in ids]
-    return GradedLattice(elements, rank, covers, pos[lo], pos[hi])
-
-
 def _refine_colors(lat: GradedLattice):
     lower = lat.lower_covers()
     colors = list(lat.rank)

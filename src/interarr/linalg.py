@@ -29,36 +29,12 @@ def primitive_vector(v) -> tuple[int, ...]:
     return tuple(-x for x in w) if first < 0 else w
 
 
-def int_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        for r in range(rank + 1, len(m)):
-            if m[r][c] != 0:
-                f1, f2 = pr[c], m[r][c]
-                m[r] = [f1 * x - f2 * y for x, y in zip(m[r], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 class EchelonBasis:
     """Incrementally maintained integer row-echelon basis of a row space.
 
     Supports O(rank * n) membership tests and rank-preserving insertion;
-    used for matroid closures and the subset-sum characteristic polynomial.
+    used for ranks, matroid closures and the subset-sum characteristic
+    polynomial.
     """
 
     __slots__ = ("rows", "pivots")

@@ -9,16 +9,11 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .poly import GammaVector, IntPolynomial, one_plus_t_power
+from .poly import IntPolynomial, one_plus_t_power
 
 
 class OddSumError(ArithmeticError):
     """Raised when a sum that must halve exactly turns out odd."""
-
-
-def descents(seq) -> int:
-    """Number of strict descents of an integer sequence."""
-    return sum(1 for a, b in zip(seq, seq[1:]) if a > b)
 
 
 def peaks(u) -> int:
@@ -34,12 +29,6 @@ def maxima(u) -> int:
     padded = (0,) + tuple(u) + (0,)
     return sum(1 for i in range(1, len(u) + 1)
                if padded[i - 1] < padded[i] > padded[i + 1])
-
-
-def horizontal_flip(u) -> tuple[int, ...]:
-    """Entrywise complement (n+1-u_1, ..., n+1-u_n); an involution."""
-    n = len(u)
-    return tuple(n + 1 - x for x in u)
 
 
 def inversion_sequence(sigma) -> tuple[int, ...]:
@@ -110,12 +99,3 @@ def increment_closed(n: int) -> IntPolynomial:
 def maxima_census(n: int) -> dict[int, int]:
     """How many permutations of [n] have k maxima, for each k."""
     return _census(n, maxima)
-
-
-def gamma_b_closed(n: int) -> GammaVector:
-    """gamma_k = 4^k * #{u in S_n : p(u) = k}, the direct peak census."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    census = _census(n, peaks)
-    entries = [4 ** k * census.get(k, 0) for k in range(n // 2 + 1)]
-    return GammaVector(tuple(entries), n)

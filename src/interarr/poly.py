@@ -166,11 +166,6 @@ def f_to_h(f: IntPolynomial) -> IntPolynomial:
     return f.shift_argument(-1)
 
 
-def h_to_f(h: IntPolynomial) -> IntPolynomial:
-    """Inverse substitution t -> t + 1; h_to_f(f_to_h(p)) == p."""
-    return h.shift_argument(1)
-
-
 def is_palindromic(h: IntPolynomial) -> bool:
     """True iff the coefficient list reads the same reversed."""
     return h.coeffs == tuple(reversed(h.coeffs))

@@ -58,7 +58,7 @@ class NotCanonicalError(ValueError):
 
 
 class SignedPartition:
-    """Canonical encoding, relied on by `covers`: every block is a sorted
+    """Canonical encoding, relied on by `_cover_blocks`: every block is a sorted
     tuple; blocks[0] is the zero block; for k = 0, 1, ... the block at 2k+1
     is the normalized block of the k-th mirror pair and the block at 2k+2
     its mirror, with the pairs' representatives strictly increasing."""
@@ -132,10 +132,6 @@ class SignedPartition:
             blocks.append((-k,))
         return cls.from_blocks(n, blocks)
 
-    @classmethod
-    def top(cls, n: int) -> SignedPartition:
-        return cls(n, (tuple(range(-n, n + 1)),))
-
     @property
     def zero_block(self) -> tuple[int, ...]:
         return self.blocks[0]
@@ -143,10 +139,6 @@ class SignedPartition:
     @property
     def rank(self) -> int:
         return self.n - (len(self.blocks) - 1) // 2
-
-    def normalized_classes(self) -> list[tuple[int, ...]]:
-        """One normalized block per mirror pair, sorted by representative."""
-        return list(self.blocks[1::2])
 
     def refines(self, other: SignedPartition) -> bool:
         lookup = {}
@@ -188,7 +180,9 @@ def render(p: SignedPartition) -> str:
 
 
 def _cover_blocks(blocks: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """The canonical block tuples of all covers, in `covers` order.
+    """The canonical block tuples of all covers in the full type-B lattice:
+    one mirror pair folds into the zero block, or two mirror classes merge
+    (in two inequivalent ways, keeping the mirror symmetry).
 
     The layout fixes where every block goes: a fold of pair k drops the
     blocks at 2k+1 and 2k+2 and sorts only the new zero block; a merge of
@@ -209,15 +203,6 @@ def _cover_blocks(blocks: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, 
     return out
 
 
-def covers(p: SignedPartition) -> list[SignedPartition]:
-    """All covers in the full type-B lattice.
-
-    Either one mirror pair is folded into the zero block, or two mirror
-    classes merge (in two inequivalent ways, keeping the mirror symmetry).
-    """
-    return [SignedPartition(p.n, q) for q in _cover_blocks(p.blocks)]
-
-
 def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int, int]:
     """Read the cover x < y once: its edge class and the representatives
     i <= j of the two merged x-classes, (r, r) when the pair of r folds into
@@ -225,7 +210,7 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
     block, the y-block of i.
 
     Both partitions must be in the canonical layout, as `from_blocks` and
-    `covers` make them: the first mirror pair k where the blocks differ is
+    `enumerate_lattice` make them: the first mirror pair k where the blocks differ is
     folded when the zero block changed, and otherwise merged with the next
     differing pair l.  y must then equal the one block tuple that
     `_cover_blocks` builds for that fold or merge, else NotACoverError.
@@ -265,12 +250,6 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
     raise NotACoverError(x=x, y=y)
 
 
-def classify_edge(x: SignedPartition, y: SignedPartition) -> EdgeClass:
-    """Signed if the zero block grew; else coherent when the two normalized
-    merged blocks land in the same block of y, non-coherent otherwise."""
-    return decode_cover(x, y)[0]
-
-
 @dataclass(frozen=True)
 class LatticeVariant:
     """Which {k, 0, -k} zero blocks are admitted: all of them for the full
@@ -290,21 +269,10 @@ def variant_b(n: int) -> LatticeVariant:
     return LatticeVariant(n, frozenset(range(1, n + 1)))
 
 
-def variant_d(n: int) -> LatticeVariant:
-    return LatticeVariant(n, frozenset())
-
-
 def variant_dns(n: int, s: int) -> LatticeVariant:
     if not 0 <= s <= n:
         raise ValueError(f"s={s} out of range")
     return LatticeVariant(n, frozenset(range(1, s + 1)))
-
-
-def variant_dn_set(n: int, coords) -> LatticeVariant:
-    allowed = frozenset(coords)
-    if not all(1 <= k <= n for k in allowed):
-        raise ValueError("coordinate set out of range")
-    return LatticeVariant(n, allowed)
 
 
 def enumerate_lattice(v: LatticeVariant) -> GradedLattice:

@@ -19,7 +19,7 @@ from interarr.cli import _run_verify_task, _verify_tasks
 from interarr.fixtures import (CHOW_A_EXAMPLES, CHOW_B_EXAMPLES, chow_table,
                                gamma_table)
 from interarr.labeling import min_atom_label
-from interarr.permstats import gamma_b_closed, h_d_closed
+from interarr.permstats import h_b_closed, h_d_closed
 from interarr.poly import f_to_h, h_to_gamma, is_palindromic
 from interarr.topegraph import build_tope_graph, h_via_indegree, h_via_separation
 
@@ -78,7 +78,7 @@ def test_criterion_3_gamma_tables(gamma_computed):
                 mismatches.append((n, s, gamma.entries))
     closed_ok = True
     for n in range(3, 7):
-        closed_ok = closed_ok and gamma_b_closed(n).entries == table[n][n]
+        closed_ok = closed_ok and h_to_gamma(h_b_closed(n)).entries == table[n][n]
         closed_ok = closed_ok and h_to_gamma(h_d_closed(n)).entries == table[n][0]
     _announce(3, "gamma tables n=3..6 via tope graph and peak census",
               not mismatches and closed_ok, f"mismatches: {mismatches}")

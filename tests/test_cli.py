@@ -5,7 +5,8 @@ import pytest
 import interarr.cli as cli
 import interarr.topegraph as topegraph
 from interarr import fixtures
-from interarr.arrangement import ChamberComplex, arrangement_to_text, make_family
+from interarr.arrangement import ChamberComplex, make_family
+from test_arrangement import arrangement_to_text
 
 
 def run(capsys, *argv):
@@ -120,7 +121,8 @@ def _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method, flags):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("dimension 2\n1 0\n0 1\n", "first non-comment line must be 'dim n'"),
+    ("dimension 2\n1 0\n0 1\n", "line 1: expected 'dim n', got 'dimension 2'"),
+    ("# nothing but a comment\n\n", "expected 'dim n', got no non-comment line"),
     ("dim 2 3\n1 0\n0 1\n", "line 1: expected 'dim n', got 'dim 2 3'"),
     ("# a plane\ndim 2\n1 0\n\n0 x\n", "line 5: entries must be integers, got '0 x'"),
     ("dim 2\n1 0\n0 1 1\n", "line 3: expected 2 integers, got '0 1 1'"),
@@ -224,6 +226,24 @@ def test_dump_tope_graph(tmp_path, capsys):
     assert len(lines) == 8 + 8  # octagon: vertices then edges
     assert all(len(l) == 4 for l in lines[:8])
     assert dumps[1] == dumps[0]
+
+
+def test_dump_tope_graph_to_stdout(tmp_path, monkeypatch, capsys):
+    # '-' means stdout: the dump, then the gamma line, and no file named '-'
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "gamma", "--family", "b", "--n", "2", "--dump-tope-graph", "-")
+    assert code == 0 and not (tmp_path / "-").exists()
+    graph = topegraph.build_tope_graph(make_family("b", 2))
+    assert out == topegraph.dump_tope_graph(graph) + "gamma = (1, 4)\n"
+
+
+def test_dump_tope_graph_stdout_with_json_exits_2_before_computing(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_tope_graph", lambda a: pytest.fail("computed"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gamma", "--family", "b", "--n", "2", "--dump-tope-graph", "-",
+                  "--format", "json"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "both write to stdout" in out.err
 
 
 def test_dump_chains(tmp_path, capsys):

@@ -3,14 +3,15 @@ import math
 import pytest
 
 from interarr.arrangement import intersection_lattice, make_family
-from interarr.lattice import check_graded, lattice_isomorphic
+from interarr.lattice import lattice_isomorphic
 from interarr.lattice import GradedLattice
-from interarr.signed_partitions import (EdgeClass, NotACoverError,
+from interarr.signed_partitions import (EdgeClass, LatticeVariant, NotACoverError,
                                         NotCanonicalError, SignedPartition,
-                                        ZeroBlockError, classify_edge, covers,
+                                        ZeroBlockError, _cover_blocks, decode_cover,
                                         enumerate_lattice, is_normalized,
                                         render, representative, variant_b,
-                                        variant_d, variant_dn_set, variant_dns)
+                                        variant_dns)
+from test_arrangement import check_graded
 
 PI_B_SIZES = {1: 2, 2: 6, 3: 24, 4: 116, 5: 648}
 
@@ -27,14 +28,13 @@ def test_b2_shape():
 
 
 def test_d3_matches_figure_node_count():
-    assert len(enumerate_lattice(variant_d(3))) == 15
+    assert len(enumerate_lattice(variant_dns(3, 0))) == 15
 
 
 def test_variant_coincidences():
     for n in (2, 3, 4):
-        assert len(enumerate_lattice(variant_dns(n, 0))) == len(enumerate_lattice(variant_d(n)))
         assert len(enumerate_lattice(variant_dns(n, n))) == len(enumerate_lattice(variant_b(n)))
-        assert len(enumerate_lattice(variant_dn_set(n, range(1, n + 1)))) == \
+        assert len(enumerate_lattice(LatticeVariant(n, frozenset(range(1, n + 1))))) == \
             len(enumerate_lattice(variant_b(n)))
 
 
@@ -49,12 +49,11 @@ def test_element_invariants_exhaustive():
 
 def test_bottom_covers_and_coatom():
     bottom = SignedPartition.bottom(2)
-    assert len(covers(bottom)) == 4
+    assert len(_cover_blocks(bottom.blocks)) == 4
     coatoms = [p for p in enumerate_lattice(variant_b(3)).elements
                if len(p.blocks) == 3]
     for c in coatoms:
-        ups = covers(c)
-        assert len(ups) == 1 and ups[0] == SignedPartition.top(3)
+        assert _cover_blocks(c.blocks) == [(tuple(range(-3, 4)),)]
 
 
 def test_covers_raise_rank_by_one():
@@ -85,11 +84,11 @@ def test_classify_edge_examples():
     signed = SignedPartition.from_blocks(2, [(-1, 0, 1), (2,), (-2,)])
     coherent = SignedPartition.from_blocks(2, [(0,), (1, 2), (-1, -2)])
     non_coherent = SignedPartition.from_blocks(2, [(0,), (1, -2), (-1, 2)])
-    assert classify_edge(x, signed) == EdgeClass.SIGNED
-    assert classify_edge(x, coherent) == EdgeClass.COHERENT
-    assert classify_edge(x, non_coherent) == EdgeClass.NON_COHERENT
+    assert decode_cover(x, signed)[0] == EdgeClass.SIGNED
+    assert decode_cover(x, coherent)[0] == EdgeClass.COHERENT
+    assert decode_cover(x, non_coherent)[0] == EdgeClass.NON_COHERENT
     with pytest.raises(NotACoverError) as exc:
-        classify_edge(x, SignedPartition.top(2))
+        decode_cover(x, SignedPartition.from_blocks(2, [range(-2, 3)]))
     assert str(exc.value) == "0|1|-1|2|-2 is not covered by 120-1-2"
 
 
@@ -114,7 +113,7 @@ def test_subposet_edge_laws():
                 x_in_d = _zero_size(x) != 3
                 y_in_d = _zero_size(y) != 3
                 if x_in_d != y_in_d:
-                    assert classify_edge(x, y) == EdgeClass.SIGNED, (render(x), render(y))
+                    assert decode_cover(x, y)[0] == EdgeClass.SIGNED, (render(x), render(y))
 
 
 def test_no_edge_between_different_singleton_zero_blocks():
@@ -155,7 +154,7 @@ def test_lattice_isomorphic_to_arrangement_side():
 
 def test_lattice_isomorphic_negative_and_reflexive():
     b3 = enumerate_lattice(variant_b(3))
-    d3 = enumerate_lattice(variant_d(3))
+    d3 = enumerate_lattice(variant_dns(3, 0))
     assert not lattice_isomorphic(b3, d3)
     assert lattice_isomorphic(b3, b3)
 
@@ -191,7 +190,7 @@ def test_validate_rejects_non_canonical_layout():
     assert not isinstance(err.value, NotCanonicalError)
 
 
-# The sort-based generator that `covers` and `enumerate_lattice` replaced:
+# The sort-based generator that `_cover_blocks` and `enumerate_lattice` replaced:
 # every cover is re-sorted by (representative, mirrored-last) and the
 # lattice deduplicates SignedPartition objects.  Kept as an oracle.
 
@@ -262,16 +261,15 @@ def test_covers_match_sorting_oracle_on_b1_to_b6():
     for n in range(1, 7):
         lat = _enumerate_by_sorting(variant_b(n))
         for p in lat.elements:
-            got = covers(p)
-            assert got == _covers_by_sorting(p), render(p)
+            got = _cover_blocks(p.blocks)
+            assert got == [q.blocks for q in _covers_by_sorting(p)], render(p)
             for q in got:
-                q.validate()
+                SignedPartition(p.n, q).validate()
 
 
 def test_lattices_match_sorting_oracle():
     variants = [variant_b(n) for n in range(1, 7)]
-    variants += [variant_d(n) for n in range(1, 6)]
     variants += [variant_dns(n, s) for n in range(1, 6) for s in range(n + 1)]
-    variants.append(variant_dn_set(5, (2, 4)))
+    variants.append(LatticeVariant(5, frozenset({2, 4})))
     for v in variants:
         _same_lattice(enumerate_lattice(v), _enumerate_by_sorting(v))
