@@ -1,7 +1,9 @@
 """Chow polynomials of geometric lattices by four independent routes.
 
-1. labeled-chain sums over any R-labeling, aggregated by a rank-layer
-   sweep (`labeling.enumerate_filtered_chains` streams the same chains),
+1. labeled-chain sums over any R-labeling, aggregated by a rank-order
+   sweep of prefix sums over each element's sorted last labels, with
+   descent histograms packed into one int whose digits cannot carry
+   (`labeling.enumerate_filtered_chains` streams the same chains),
 2. a closed form for the rank-n braid lattice,
 3. a closed form for the full type-B lattice,
 4. the recursion through reduced characteristic polynomials of minors.
@@ -103,7 +105,7 @@ def chain_sum(descent_counts: dict[int, int], n: int) -> IntPolynomial:
 
 def chow_via_chains(lat: GradedLattice, labeler) -> IntPolynomial:
     """sum over filtered maximal chains of t^des (t+1)^(n-1-2des), with the
-    chains aggregated by the rank-layer sweep."""
+    chains aggregated by the rank-order sweep."""
     if lat.height == 0:
         return IntPolynomial.one()
     return chain_sum(filtered_descent_counts(lat, labeler), lat.height)

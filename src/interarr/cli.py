@@ -461,21 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--show-f", action="store_true")
     g.add_argument("--dump-tope-graph", metavar="PATH",
                    help="write the chambers and edges ('-' for stdout)")
-    g.set_defaults(func=cmd_gamma)
+    g.set_defaults(func=cmd_gamma, parser=g)
 
     c = sub.add_parser("chow", help="Chow polynomial of the lattice of flats")
     family_flags(c, ["auto", "chains", "closed", "recursive"])
     c.add_argument("--dump-chains", metavar="PATH",
                    help="write surviving labeled chains ('-' for stdout)")
-    c.set_defaults(func=cmd_chow)
+    c.set_defaults(func=cmd_chow, parser=c)
 
     f = sub.add_parser("fvector", help="f-vector of the sphere triangulation")
     family_flags(f, ["auto"])
-    f.set_defaults(func=cmd_fvector)
+    f.set_defaults(func=cmd_fvector, parser=f)
 
     t = sub.add_parser("tables", help="regenerate the golden tables and diff")
     t.add_argument("--jobs", type=positive_int, default=1)
-    t.set_defaults(func=cmd_tables)
+    t.set_defaults(func=cmd_tables, parser=t)
 
     v = sub.add_parser("verify", help="run the verification suites")
     v.add_argument("--suite", default="all",
@@ -483,15 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n-max", type=int, default=4)
     v.add_argument("--jobs", type=positive_int, default=1)
     v.add_argument("--format", choices=["text", "json"], default="text")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, parser=v)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, parser)
+    try:  # a command's flag errors print that command's usage line
+        return args.func(args, args.parser)
     except (InvalidParamsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,9 @@ preceded by a strict ascent.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .lattice import GradedLattice, NotComparableError
 from .signed_partitions import (EdgeClass, NotACoverError, SignedPartition,
@@ -161,42 +163,75 @@ def enumerate_filtered_chains(lat: GradedLattice, labeler):
 
 def filtered_descent_counts(lat: GradedLattice, labeler) -> dict[int, int]:
     """Multiset of descent counts over surviving maximal chains, aggregated
-    by a rank-layer sweep: the same pruned prefix tree as
-    enumerate_filtered_chains, collapsed by the shared (last label, mode)
-    state so large lattices stay tractable.
+    by a rank-order sweep over the same pruned prefix tree as
+    enumerate_filtered_chains.
+
+    A prefix's future depends only on whether the next label strictly
+    exceeds its last one: a strict rise always survives, and a non-rise
+    survives, as a descent, only right after a strict rise.  So each
+    element keeps two maps from last label to histogram, one over every
+    surviving prefix and one over those whose last step rose (the first
+    step out of the bottom does not count as a rise).  With the element's
+    labels sorted, a cover labelled l takes the prefix sum of every
+    histogram below l as rises, and the suffix sum of the rising ones at l
+    or above, moved up one descent; one bisect finds the split.
+
+    A histogram is one int whose W-bit digits count prefixes by descents,
+    W = bit_length(number of maximal chains).  Every sum the sweep forms
+    counts distinct prefixes of one element, and they extend to distinct
+    maximal chains, so no digit exceeds that number and none carries:
+    adding histograms is int addition and a descent is a shift by W.  The
+    labeler runs once per cover, as each element is expanded.
     """
     if lat.height == 0:
         return {0: 1}
-    labels = _edge_labels(lat, labeler)
-    order = sorted(range(len(lat)), key=lambda i: lat.rank[i])
-    # per element: {(last_label, mode): descent-count histogram}
-    states: dict[int, dict] = {lat.bottom: {(None, _FIRST): [1]}}
+    covers, elements, bottom, top = lat.covers, lat.elements, lat.bottom, lat.top
+    order = sorted(range(len(lat)), key=lat.rank.__getitem__)
+    chains = [0] * len(lat)
+    chains[bottom] = 1
     for v in order:
-        st = states.pop(v, None)
-        if st is None or v == lat.top:
-            if st is not None:
-                states[v] = st
+        for w in covers[v]:
+            chains[w] += chains[v]
+    width = chains[top].bit_length()
+    # per element: last label -> histogram, over every surviving prefix
+    # and over those whose last step rose
+    every = [{} for _ in order]
+    rising = [{} for _ in order]
+    x = elements[bottom]
+    for w in covers[bottom]:
+        every[w][labeler(x, elements[w])] = 1
+    for v in order:
+        if v == bottom or v == top:
             continue
-        for w, lab in zip(lat.covers[v], labels[v]):
-            tgt = states.setdefault(w, {})
-            for (last, mode), hist in st.items():
-                if last is None:
-                    nmode, shift = _FIRST, 0
-                else:
-                    nmode = _step_mode(last, mode, lab)
-                    if nmode is None:
-                        continue
-                    shift = 1 if nmode is _WEAK else 0
-                dst = tgt.setdefault((lab, nmode), [])
-                if len(dst) < len(hist) + shift:
-                    dst.extend([0] * (len(hist) + shift - len(dst)))
-                for d, c in enumerate(hist):
-                    dst[d + shift] += c
+        x = elements[v]
+        # labelled before the dead-element check: one labeler call per cover
+        labels = [labeler(x, elements[w]) for w in covers[v]]
+        hists, rose = every[v], rising[v]
+        every[v] = rising[v] = None
+        if not hists:
+            continue
+        keys = sorted(hists)
+        below = list(accumulate(map(hists.__getitem__, keys), initial=0))
+        above = list(accumulate((rose.get(k, 0) for k in reversed(keys)), initial=0))
+        above.reverse()
+        for w, lab in zip(covers[v], labels):
+            i = bisect_left(keys, lab)
+            rise, fall = below[i], above[i] << width
+            if rise:
+                tgt = rising[w]
+                tgt[lab] = tgt.get(lab, 0) + rise
+            if rise or fall:
+                tgt = every[w]
+                tgt[lab] = tgt.get(lab, 0) + rise + fall
+    total = sum(every[top].values())
+    mask = (1 << width) - 1
     out: dict[int, int] = {}
-    for hist in states.get(lat.top, {}).values():
-        for d, c in enumerate(hist):
-            if c:
-                out[d] = out.get(d, 0) + c
+    d = 0
+    while total:
+        if total & mask:
+            out[d] = total & mask
+        total >>= width
+        d += 1
     return out
 
 

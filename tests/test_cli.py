@@ -78,16 +78,23 @@ def test_file_family(tmp_path, capsys):
     assert code == 0 and out.strip() == "chow = t^2 + 8*t + 1"
 
 
-def test_flag_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gamma", "--family", "dns", "--n", "3"])  # missing --s
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["chow", "--family", "d", "--n", "3", "--method", "closed"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["gamma", "--family", "b"])  # missing --n
-    assert exc.value.code == 2
+def test_flag_errors_exit_2(tmp_path, monkeypatch, capsys):
+    # each command's flag error prints that command's usage line
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["gamma", "--family", "dns", "--n", "3"],  # missing --s
+        ["chow", "--family", "d", "--n", "3", "--method", "closed"],
+        ["gamma", "--family", "b"],  # missing --n
+        ["chow", "--family", "dns", "--n", "3", "--s", "1", "--method", "recursive",
+         "--dump-chains", "out.txt"],
+        ["fvector", "--family", "dns", "--n", "3", "--s", "4"],
+        ["verify", "--suite", "el", "--n-max", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith(f"usage: interarr {argv[0]} "), argv
+    assert not (tmp_path / "out.txt").exists()
 
 
 NON_SIMPLICIAL_NORMALS = [

@@ -1,16 +1,20 @@
 import math
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from interarr.labeling import (_interval_words, count_chains_with_word,
+from interarr.labeling import (_FIRST, _WEAK, _edge_labels, _interval_words,
+                               _step_mode, count_chains_with_word,
                                dump_chain_line, el_label,
                                enumerate_filtered_chains,
                                filtered_descent_counts, label_set,
                                min_atom_label, r_label, verify_el)
-from interarr.lattice import NotComparableError
+from interarr.lattice import GradedLattice, NotComparableError
 from interarr.signed_partitions import (EdgeClass, NotACoverError,
                                         NotCanonicalError, SignedPartition,
                                         _cover_blocks, decode_cover,
@@ -259,6 +263,112 @@ def test_filtered_chain_counts_match_dfs(pi_b, dns_lattices):
     for lat in [pi_b[2], pi_b[3], pi_b[4], dns_lattices[(4, 1)], dns_lattices[(3, 0)]]:
         dfs = Counter(c.descent_count for c in enumerate_filtered_chains(lat, el_label))
         assert dict(dfs) == filtered_descent_counts(lat, el_label)
+
+
+def _sweep_by_states(lat, labeler) -> dict[int, int]:
+    """The layered sweep before prefix sums: every element keeps a
+    {(last label, mode): descent histogram} map, and each cover steps every
+    state through _step_mode.  The reference the prefix-sum sweep must
+    reproduce."""
+    if lat.height == 0:
+        return {0: 1}
+    labels = _edge_labels(lat, labeler)
+    order = sorted(range(len(lat)), key=lambda i: lat.rank[i])
+    states: dict[int, dict] = {lat.bottom: {(None, _FIRST): [1]}}
+    for v in order:
+        st_v = states.pop(v, None)
+        if st_v is None or v == lat.top:
+            if st_v is not None:
+                states[v] = st_v
+            continue
+        for w, lab in zip(lat.covers[v], labels[v]):
+            tgt = states.setdefault(w, {})
+            for (last, mode), hist in st_v.items():
+                if last is None:
+                    nmode, shift = _FIRST, 0
+                else:
+                    nmode = _step_mode(last, mode, lab)
+                    if nmode is None:
+                        continue
+                    shift = 1 if nmode is _WEAK else 0
+                dst = tgt.setdefault((lab, nmode), [])
+                if len(dst) < len(hist) + shift:
+                    dst.extend([0] * (len(hist) + shift - len(dst)))
+                for d, c in enumerate(hist):
+                    dst[d + shift] += c
+    out: dict[int, int] = {}
+    for hist in states.get(lat.top, {}).values():
+        for d, c in enumerate(hist):
+            if c:
+                out[d] = out.get(d, 0) + c
+    return out
+
+
+def _table_labeler(lat, labels):
+    """A labeler reading one label per cover, listed in cover order."""
+    idx = {e: i for i, e in enumerate(lat.elements)}
+    table = dict(zip(((i, j) for i in range(len(lat)) for j in lat.covers[i]), labels))
+    return lambda x, y: table[idx[x], idx[y]]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sweep_matches_state_oracle_on_dns(n):
+    # s = 0 is D_n and s = n is B_n; both sweeps share one labelling
+    for s in range(n + 1):
+        lat = enumerate_lattice(variant_dns(n, s))
+        labels = [lab for row in _edge_labels(lat, el_label) for lab in row]
+        labeler = _table_labeler(lat, labels)
+        assert filtered_descent_counts(lat, labeler) == _sweep_by_states(lat, labeler), (n, s)
+
+
+@pytest.mark.parametrize("family, n", [("a", 4), ("b", 3), ("d", 4)])
+def test_sweep_matches_state_oracle_on_flats(family, n):
+    lat = intersection_lattice(make_family(family, n))
+    labeler = min_atom_label(lat)
+    assert filtered_descent_counts(lat, labeler) == _sweep_by_states(lat, labeler)
+
+
+@lru_cache(maxsize=None)
+def _tie_lattice(name):
+    if name == "a4 flats":
+        return intersection_lattice(make_family("a", 4))
+    n, s = {"b3": (3, 3), "d4": (4, 0), "dns31": (3, 1)}[name]
+    return enumerate_lattice(variant_dns(n, s))
+
+
+@pytest.mark.parametrize("name", ["b3", "d4", "dns31", "a4 flats"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sweep_with_tied_labels_matches_oracles(name, data):
+    # labels from 0..3 tie often, so equal labels sit at the bisect boundary
+    lat = _tie_lattice(name)
+    n_covers = sum(map(len, lat.covers))
+    labeler = _table_labeler(lat, data.draw(st.lists(
+        st.integers(0, 3), min_size=n_covers, max_size=n_covers)))
+    dfs = dict(Counter(c.descent_count for c in enumerate_filtered_chains(lat, labeler)))
+    assert filtered_descent_counts(lat, labeler) == _sweep_by_states(lat, labeler) == dfs
+
+
+@pytest.mark.parametrize("k", [2 ** j - e for j in range(1, 7) for e in (1, 0)])
+def test_one_digit_holding_every_chain_does_not_carry(k):
+    # rank 2 with k atoms and ascending labels: all k chains have no
+    # descent, so digit 0 holds k, which needs every bit of bit_length(k)
+    lat = GradedLattice(range(k + 2), [0] + [1] * k + [2],
+                        [list(range(1, k + 1))] + [[k + 1]] * k + [[]], 0, k + 1)
+    assert filtered_descent_counts(lat, lambda x, y: int(y == k + 1)) == {0: k}
+
+
+def test_sweep_labels_each_cover_once():
+    lat = enumerate_lattice(variant_dns(4, 2))
+    calls = Counter()
+
+    def counting(x, y):
+        calls[x, y] += 1
+        return el_label(x, y)
+
+    filtered_descent_counts(lat, counting)
+    assert sum(calls.values()) == sum(map(len, lat.covers))
+    assert set(calls.values()) == {1}
 
 
 def test_rank1_lattice_single_chain():
