@@ -68,6 +68,8 @@ def _resolve_family(args, parser) -> tuple[str, int | None, int | None]:
         return fam, None, None
     if n is None:
         parser.error(f"--family {fam} requires --n")
+    if n < 1:
+        parser.error(f"--n must be >= 1, got {n}")
     if fam == "dns":
         if s is None:
             parser.error("--family dns requires --s")

@@ -15,8 +15,9 @@ the text dump.
 
 The wall certificate builds no point on any wall.  It checks that every
 recorded wall of a chamber has a chamber across it that records the same
-wall, and that each chamber's witness lies strictly inside the chamber,
-by dot products computed here once per chamber (the walk derives its
+wall, and that each chamber's witness lies strictly inside the chamber.
+It pairs every witness with every normal through the normal's nonzero
+entries, read here from the normals themselves (the walk derives its
 pairings by reflection instead, so each route still checks the other).
 Convexity does the rest; see `_verify_walls`.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 from .arrangement import (Arrangement, ChamberComplex, chamber_complex,
                           signs_to_mask)
 from .feasibility import CertificateError
-from .linalg import dot
 from .poly import IntPolynomial
 
 
@@ -42,7 +42,10 @@ def _verify_walls(cc: ChamberComplex) -> None:
     """Certify every recorded wall by two checks: the chamber across each
     wall h of a chamber (its mask with bit h flipped) exists and records h
     too, and each chamber's witness pairs with every normal nonzero and
-    with the chamber's sign.
+    with the chamber's sign.  A pairing reads only the normal's nonzero
+    entries (at most two in a built-in family; a dense normal reads all
+    of them), and the negative pairings are gathered into a mask in the
+    same loop.
 
     Convexity does the rest.  The witnesses p and q of two chambers whose
     masks differ only at h pair with each a_j, j != h, with the same sign,
@@ -50,7 +53,7 @@ def _verify_walls(cc: ChamberComplex) -> None:
     q crosses H_h, it lies strictly inside every other half-space of both
     chambers: h is a wall of both.
     """
-    normals, masks, facets, index = cc.arrangement.normals, cc.masks, cc.facets, cc.index
+    masks, facets, index = cc.masks, cc.facets, cc.index
     for mask, walls in zip(masks, facets):
         for h in walls:
             across = index.get(mask ^ 1 << h)
@@ -58,9 +61,19 @@ def _verify_walls(cc: ChamberComplex) -> None:
                 raise CertificateError("recorded wall has no chamber across it")
             if h not in facets[across]:
                 raise CertificateError("wall recorded by one of its two chambers only")
+    supports = [(1 << j, tuple((k, c) for k, c in enumerate(aj) if c))
+                for j, aj in enumerate(cc.arrangement.normals)]
     for mask, w in zip(masks, cc.witnesses):
-        row = [dot(aj, w) for aj in normals]
-        if 0 in row or sum(1 << j for j, d in enumerate(row) if d < 0) != mask:
+        neg = 0
+        for bit, support in supports:
+            d = 0
+            for k, c in support:
+                d += c * w[k]
+            if d < 0:
+                neg |= bit
+            elif not d:
+                raise CertificateError("chamber witness lies outside its chamber")
+        if neg != mask:
             raise CertificateError("chamber witness lies outside its chamber")
 
 

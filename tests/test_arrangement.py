@@ -334,6 +334,60 @@ def test_integer_simplex_matches_fraction_oracle_on_walls(monkeypatch, k):
         assert feasible_strict(rows, a.dim) == feasible_strict_fraction(rows, a.dim)
 
 
+# b3 in coordinates where every normal has full support: each normal a
+# becomes a M, and M is unimodular (det 1), so the chambers are b3's
+_FULL_SUPPORT_BASIS = ((3, 3, 4), (2, 1, 2), (1, -2, -1))
+B3_FULL_SUPPORT = make_arrangement(
+    3, [tuple(dot(a, col) for col in zip(*_FULL_SUPPORT_BASIS))
+        for a in make_family("b", 3).normals], simplicial=True)
+
+
+# Test oracle: the mirror step before it read only the support of the Gram
+# row, kept verbatim.
+
+
+def _try_mirror_dense(normals, gram, p, row, i, target_mask):
+    ai, gi = normals[i], gram[i]
+    n2, aip = gi[i], row[i]
+    q = [n2 * x - 2 * aip * y for x, y in zip(p, ai)]
+    qrow = [n2 * x - 2 * aip * y for x, y in zip(row, gi)]
+    g = math.gcd(*q)
+    if g > 1:
+        q = [x // g for x in q]
+        qrow = [x // g for x in qrow]
+    if _row_mask(qrow) != target_mask:
+        return None
+    return tuple(q), tuple(qrow)
+
+
+@pytest.mark.parametrize("case", ["b3", "d4", "dns42", "dns53", "b3 full support",
+                                  "random 0", "random 1"])
+def test_sparse_mirror_matches_dense_oracle(case):
+    # every chamber of the walk against every hyperplane, walls or not: the
+    # same None or the same (q, qrow) as the dense oracle
+    a = {"b3": make_family("b", 3), "d4": make_family("d", 4),
+         "dns42": make_family("dns", 4, 2), "dns53": make_family("dns", 5, 3),
+         "b3 full support": B3_FULL_SUPPORT,
+         "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}[case]
+    random_case = case.startswith("random")
+    cc = (arr._chamber_bfs_general if random_case else arr._chamber_bfs_simplicial)(a)
+    gram = arr._gram(a.normals)
+    supports = arr._supports(gram)
+    seen = set()  # (gcd(q) == G_ii, a point was returned)
+    for mask, p in zip(cc.masks, cc.witnesses):
+        row = _pairings(a.normals, p)
+        for i in range(a.m):
+            target = mask ^ 1 << i
+            got = arr._try_mirror(a.normals, gram, supports, p, row, i, target)
+            assert got == _try_mirror_dense(a.normals, gram, p, row, i, target), (mask, i)
+            reflected = [gram[i][i] * x - 2 * row[i] * y for x, y in zip(p, a.normals[i])]
+            seen.add((math.gcd(*reflected) == gram[i][i], got is not None))
+    # the sparse step both lands and misses; the dense one is reached where
+    # the reflection is not integral
+    assert {(True, True), (True, False)} <= seen
+    assert any(not sparse for sparse, _ in seen) == (random_case or case == "b3 full support")
+
+
 @st.composite
 def _essential_small(draw):
     dim = draw(st.integers(2, 4))

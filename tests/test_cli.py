@@ -89,6 +89,11 @@ def test_flag_errors_exit_2(tmp_path, monkeypatch, capsys):
          "--dump-chains", "out.txt"],
         ["fvector", "--family", "dns", "--n", "3", "--s", "4"],
         ["verify", "--suite", "el", "--n-max", "1"],
+        ["chow", "--family", "dns", "--n", "0", "--s", "0"],
+        ["chow", "--family", "b", "--n", "0"],
+        ["chow", "--family", "dns", "--n", "-2", "--s", "0"],
+        ["gamma", "--family", "a", "--n", "0"],
+        ["fvector", "--family", "d", "--n", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

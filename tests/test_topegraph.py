@@ -11,6 +11,7 @@ from interarr.arrangement import f_polynomial, f_vector, chamber_count
 from interarr.topegraph import (BaseNotAChamberError, NotSimplicialError,
                                 _verify_walls, build_tope_graph, dump_tope_graph,
                                 h_via_indegree, h_via_separation, in_degrees)
+from test_arrangement import B3_FULL_SUPPORT
 
 
 def edge_degrees(g):
@@ -270,10 +271,13 @@ def _corruptions(cc):
 WITNESS_FAULTS = ("negated", "scaled", "shifted", "nudged", "perturbed")
 
 
-@pytest.mark.parametrize("fam, n, s", [("b", 2, None), ("b", 3, None), ("d", 4, None),
-                                       ("dns", 4, 2), ("dns", 5, 3)])
-def test_pairing_certificate_matches_dot_products(fam, n, s):
-    cc = chamber_complex(make_family(fam, n, s))
+@pytest.mark.parametrize("a", [
+    *(pytest.param(make_family(fam, n, s), id=f"{fam}-{n}-{s}") for fam, n, s in
+      [("b", 2, None), ("b", 3, None), ("d", 4, None), ("dns", 4, 2), ("dns", 5, 3)]),
+    # every normal has full support, so no pairing skips an entry
+    pytest.param(B3_FULL_SUPPORT, id="b3-full-support")])
+def test_pairing_certificate_matches_dot_products(a):
+    cc = chamber_complex(a)
     corrupted = dict(_corruptions(cc))
     verdicts = {name: (_verdict(_verify_walls, bad), _expected_verdict(bad))
                 for name, bad in corrupted.items()}
