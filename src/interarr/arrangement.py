@@ -45,8 +45,7 @@ from math import gcd
 
 from .feasibility import CertificateError, feasible_strict, generic_point
 from .lattice import GradedLattice, moebius
-from .linalg import (EchelonBasis, dot, gcd_reduced, integer_kernel_basis,
-                     primitive_vector, solve_square_int)
+from .linalg import EchelonBasis, dot, gcd_reduced, primitive_vector, solve_square_int
 
 
 class NotEssentialError(ValueError):
@@ -186,12 +185,18 @@ def load_arrangement(path, simplicial: bool = False) -> Arrangement:
 # flats, intersection lattice
 
 
-def closure_of(a: Arrangement, subset) -> frozenset[int]:
-    """All hyperplanes containing the intersection of the given ones."""
-    basis = EchelonBasis()
-    for h in subset:
-        basis.add(a.normals[h])
-    return frozenset(h for h in range(a.m) if basis.contains(a.normals[h]))
+def _cover_classes(a: Arrangement, basis: EchelonBasis) -> dict[tuple[int, ...], list[int]]:
+    """The hyperplanes outside the flat spanned by `basis`, grouped by the
+    primitive form of their residuals.  A residual is a nonzero multiple
+    of the normal modulo the row space, zero at every pivot, so a_g lies in
+    the span of the flat and a_h exactly when their residuals are parallel:
+    each group closes the flat to one cover, and every cover is one group."""
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for h, v in enumerate(a.normals):
+        r = basis.residual(v)
+        if any(r):
+            classes.setdefault(primitive_vector(r), []).append(h)
+    return classes
 
 
 @dataclass(frozen=True)
@@ -206,11 +211,11 @@ class Flat:
 
 
 def intersection_lattice(a: Arrangement) -> GradedLattice:
-    """All flats by iterated closure, graded by codimension.
+    """All flats, rank by rank from their covers, graded by codimension.
 
-    The covers of a flat partition the hyperplanes outside it, so each
-    cover is closed once: hyperplanes inside a cover already found for the
-    flat are skipped.
+    A flat's covers are its `_cover_classes`: one reduction per hyperplane
+    against the flat's echelon basis finds them all, and only a cover not
+    yet found copies the basis and adds one row.
     """
     bottom = frozenset()
     ranks = {bottom: 0}
@@ -219,17 +224,12 @@ def intersection_lattice(a: Arrangement) -> GradedLattice:
     while layer:
         nxt: dict[frozenset, EchelonBasis] = {}
         for flat, basis in layer.items():
-            covered = set(flat)
-            for h in range(a.m):
-                if h in covered:
-                    continue
-                b2 = basis.copy()
-                b2.add(a.normals[h])
-                bigger = frozenset(
-                    g for g in range(a.m) if b2.contains(a.normals[g]))
-                covered |= bigger
-                nxt.setdefault(bigger, b2)
-                ranks[bigger] = ranks[flat] + 1
+            for residual, hs in _cover_classes(a, basis).items():
+                bigger = flat.union(hs)
+                if bigger not in nxt:
+                    nxt[bigger] = basis.copy()
+                    nxt[bigger].add(residual)
+                    ranks[bigger] = ranks[flat] + 1
                 cover_pairs.append((flat, bigger))
         layer = nxt
 
@@ -243,27 +243,16 @@ def intersection_lattice(a: Arrangement) -> GradedLattice:
 
 
 def restrict_to_flat(a: Arrangement, hyperplanes) -> Arrangement:
-    """The induced arrangement inside the flat, in integer coordinates.
-
-    An integer basis of the subspace is chosen; each hyperplane not
-    containing the flat contributes its pairing vector, primitivized and
-    deduplicated.
-    """
-    members = closure_of(a, hyperplanes)
-    rows = [a.normals[h] for h in sorted(members)]
-    basis = integer_kernel_basis(rows, a.dim)
-    sub_dim = len(basis)
-    induced: list[tuple[int, ...]] = []
-    seen = set()
-    for h in range(a.m):
-        if h in members:
-            continue
-        vec = tuple(dot(a.normals[h], b) for b in basis)
-        vec = primitive_vector(vec)
-        if vec not in seen:
-            seen.add(vec)
-            induced.append(vec)
-    return Arrangement(sub_dim, tuple(induced), simplicial=a.simplicial)
+    """The induced arrangement inside the flat of the given hyperplanes: one
+    hyperplane per cover, its residual read on the non-pivot coordinates,
+    onto which the flat projects isomorphically (the rows are triangular on
+    the pivots); on the flat a residual pairs as its normal does."""
+    basis = EchelonBasis()
+    for h in hyperplanes:
+        basis.add(a.normals[h])
+    free = [j for j in range(a.dim) if j not in basis.pivots]
+    return Arrangement(len(free), tuple(tuple(r[j] for j in free)
+                                        for r in _cover_classes(a, basis)), a.simplicial)
 
 
 def restrict(a: Arrangement, h: int) -> Arrangement:

@@ -65,7 +65,13 @@ def _resolve_family(args, parser) -> tuple[str, int | None, int | None]:
     if fam == "file":
         if not args.path:
             parser.error("--family file requires --path")
+        if n is not None or s is not None:
+            parser.error("--n and --s do not apply to --family file")
         return fam, None, None
+    if args.path or args.simplicial:
+        parser.error("--path and --simplicial require --family file")
+    if s is not None and fam != "dns":
+        parser.error(f"--s applies to --family dns only, not {fam}")
     if n is None:
         parser.error(f"--family {fam} requires --n")
     if n < 1:

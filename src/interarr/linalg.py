@@ -1,4 +1,4 @@
-"""Small exact integer linear algebra helpers (ranks, kernels, solves).
+"""Small exact integer linear algebra helpers (ranks, residuals, solves).
 
 Everything operates on tuples/lists of Python ints; sizes are tiny
 (dimension <= 8, a few dozen rows), so clarity beats asymptotics.
@@ -32,8 +32,8 @@ def primitive_vector(v) -> tuple[int, ...]:
 class EchelonBasis:
     """Incrementally maintained integer row-echelon basis of a row space.
 
-    Supports O(rank * n) membership tests and rank-preserving insertion;
-    used for ranks, matroid closures and the subset-sum characteristic
+    Supports O(rank * n) residuals and rank-preserving insertion; used for
+    ranks, the covers of a flat and the subset-sum characteristic
     polynomial.
     """
 
@@ -49,7 +49,10 @@ class EchelonBasis:
         nb.pivots = self.pivots[:]
         return nb
 
-    def _reduce(self, v):
+    def residual(self, v) -> list[int]:
+        """v reduced against every row in turn, each step a nonzero multiple
+        of v minus a combination of rows.  The result is zero at every
+        pivot, and all zero exactly when v is in the span of the rows."""
         v = list(v)
         for row, p in zip(self.rows, self.pivots):
             if v[p] != 0:
@@ -57,12 +60,9 @@ class EchelonBasis:
                 v = [a * x - b * y for x, y in zip(v, row)]
         return v
 
-    def contains(self, v) -> bool:
-        return all(x == 0 for x in self._reduce(v))
-
     def add(self, v) -> bool:
         """Insert v; returns True if the rank grew."""
-        red = self._reduce(v)
+        red = self.residual(v)
         for p, x in enumerate(red):
             if x != 0:
                 self.rows.append(list(gcd_reduced(red)))
@@ -75,86 +75,26 @@ class EchelonBasis:
         return len(self.rows)
 
 
-def integer_kernel_basis(rows, n: int) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x in Z^n : M x = 0} via unimodular column ops."""
-    if not rows:
-        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    m = [list(r) for r in rows]
-    r = len(m)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of U
-
-    def col_op(j, k, q):
-        # column_j -= q * column_k, applied to both m and u
-        for row in m:
-            row[j] -= q * row[k]
-        for row in u:
-            row[j] -= q * row[k]
-
-    def col_swap(j, k):
-        for row in m:
-            row[j], row[k] = row[k], row[j]
-        for row in u:
-            row[j], row[k] = row[k], row[j]
-
-    c = 0
-    for i in range(r):
-        live = [j for j in range(c, n) if m[i][j] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(m[i][j]))
-            a = live[0]
-            nxt = []
-            for j in live[1:]:
-                q = m[i][j] // m[i][a]
-                col_op(j, a, q)
-                if m[i][j] != 0:
-                    nxt.append(j)
-            live = [a] + nxt
-        if live[0] != c:
-            col_swap(live[0], c)
-        c += 1
-        if c == n:
-            break
-    # columns c..n-1 of m are zero in all processed rows, hence in all rows
-    return [tuple(u[i][j] for i in range(n)) for j in range(c, n)]
-
-
-def bareiss_det(rows) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
-    m = [list(r) for r in rows]
-    d = len(m)
-    if d == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, d) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[d - 1][d - 1]
-
-
 def solve_square_int(rows, rhs) -> tuple[list[int], int] | None:
-    """Solve an integer square system by Cramer; returns (numerators, det).
-
-    None if singular.  The exact solution is numerators / det.
-    """
-    det = bareiss_det(rows)
-    if det == 0:
-        return None
-    d = len(rows)
-    nums = []
-    for c in range(d):
-        modified = [list(r[:c]) + [rhs[i]] + list(r[c + 1:]) for i, r in enumerate(rows)]
-        nums.append(bareiss_det(modified))
-    return nums, det
-
+    """Solve an integer square system: (numerators, den), the solution being
+    numerators / den and |den| the determinant's absolute value; None if
+    singular.  One fraction-free Gauss-Jordan pass (Bareiss) over
+    [rows | rhs]: each division by the previous pivot is exact, and the last
+    pivot ends up on the whole diagonal, so the last column holds the
+    numerators."""
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    d = len(m)
+    prev = 1
+    for k in range(d):
+        piv = next((r for r in range(k, d) if m[r][k] != 0), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        rk, pk = m[k], m[k][k]
+        for i, ri in enumerate(m):
+            if i != k:
+                f = ri[k]
+                for j in range(k + 1, d + 1):
+                    ri[j] = (pk * ri[j] - f * rk[j]) // prev
+        prev = pk
+    return [r[d] for r in m], prev

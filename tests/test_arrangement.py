@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 import interarr.arrangement as arr
 from interarr.arrangement import (Arrangement, Flat, InvalidParamsError,
                                   NotEssentialError, chamber_complex, make_arrangement,
-                                  chamber_count, closure_of,
-                                  f_polynomial, f_vector, intersection_lattice,
+                                  chamber_count, f_polynomial, f_vector, intersection_lattice,
                                   make_family, parse_arrangement_text, restrict,
                                   restrict_to_flat)
 from interarr.arrangement import _pairings, _row_mask
 from interarr.feasibility import feasible_strict
 from interarr.chow import chow_recursive, chow_via_chains
 from interarr.labeling import min_atom_label
-from interarr.linalg import dot, primitive_vector
+from interarr.linalg import EchelonBasis, dot, primitive_vector
 from interarr.lattice import GradedLattice, lattice_isomorphic
 from interarr.poly import f_to_h
 from test_feasibility import feasible_strict_fraction, scale_to_int
@@ -524,9 +523,17 @@ def test_intersection_lattice_single_hyperplane():
     assert len(lat) == 2 and lat.height == 1
 
 
+def closure_of(a, subset) -> frozenset[int]:
+    """All hyperplanes containing the intersection of the given ones."""
+    basis = EchelonBasis()
+    for h in subset:
+        basis.add(a.normals[h])
+    return frozenset(h for h in range(a.m) if not any(basis.residual(a.normals[h])))
+
+
 def _lattice_by_every_closure(a):
-    """Oracle: close every (flat, hyperplane outside it) pair, then number
-    the flats by (rank, sorted hyperplanes)."""
+    """Oracle: close every (flat, hyperplane outside it) pair from scratch,
+    then number the flats by (rank, sorted hyperplanes)."""
     ranks = {frozenset(): 0}
     pairs = set()
     layer = [frozenset()]
@@ -643,6 +650,19 @@ def test_restrict_single_hyperplane_is_empty():
     r = restrict(make_arrangement(1, [(1,)]), 0)
     assert r.dim == 0 and r.m == 0
     assert len(intersection_lattice(r)) == 1
+
+
+def test_restriction_lattice_is_the_upper_interval():
+    # L(A^X) = [X, top]: the restriction to every flat has the upper
+    # interval above it as its lattice of flats
+    cases = [make_family("b", 3), make_family("d", 4), make_family("dns", 4, 2)]
+    for a in cases + list(RANDOM_POOL):
+        lat = intersection_lattice(a)
+        for x, flat in enumerate(lat.elements):
+            sub = restrict_to_flat(a, flat.hyperplanes)
+            assert sub.dim == a.dim - flat.rank and sub.is_essential()
+            assert lattice_isomorphic(intersection_lattice(sub),
+                                      contract_interval(lat, x, lat.top)), (a, flat)
 
 
 def test_contract_interval():

@@ -94,6 +94,14 @@ def test_flag_errors_exit_2(tmp_path, monkeypatch, capsys):
         ["chow", "--family", "dns", "--n", "-2", "--s", "0"],
         ["gamma", "--family", "a", "--n", "0"],
         ["fvector", "--family", "d", "--n", "-1"],
+        # family flags the family does not read
+        ["chow", "--family", "b", "--n", "3", "--s", "1"],
+        ["gamma", "--family", "a", "--n", "3", "--s", "0"],
+        ["fvector", "--family", "d", "--n", "3", "--s", "0"],
+        ["chow", "--family", "file", "--path", "arr.txt", "--n", "3"],
+        ["gamma", "--family", "file", "--path", "arr.txt", "--s", "1"],
+        ["fvector", "--family", "b", "--n", "3", "--path", "arr.txt"],
+        ["gamma", "--family", "dns", "--n", "3", "--s", "1", "--simplicial"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 from interarr.feasibility import feasible_strict, generic_point
-from interarr.linalg import (EchelonBasis, bareiss_det, dot, gcd_reduced,
-                             integer_kernel_basis, primitive_vector,
+from interarr.linalg import (EchelonBasis, dot, gcd_reduced, primitive_vector,
                              solve_square_int)
 
 # Test oracle: the Fraction phase-1 simplex and `scale_to_int` that the
@@ -183,13 +182,58 @@ def test_primitive_vector():
         primitive_vector((0, 0))
 
 
-def test_int_rank_and_kernel():
+def test_int_rank_and_residual():
     eb = EchelonBasis()
     assert eb.add((1, 2)) and not eb.add((2, 4)) and eb.rank == 1
-    kb = integer_kernel_basis([(1, 1, 1)], 3)
-    assert len(kb) == 2 and all(dot((1, 1, 1), v) == 0 for v in kb)
-    kb2 = integer_kernel_basis([(2, 4, 6), (0, 0, 5)], 3)
-    assert len(kb2) == 1 and dot((2, 4, 6), kb2[0]) == 0 and kb2[0][2] == 0
+    eb = EchelonBasis()
+    assert eb.add((2, 4, 6)) and eb.add((0, 3, 5))
+    # zero at every pivot, and a nonzero multiple of v modulo the rows
+    r = eb.residual((1, 1, 1))
+    assert [r[p] for p in eb.pivots] == [0, 0] and any(r)
+    assert eb.residual((2, 7, 11)) == [0, 0, 0]
+
+
+# Test oracle: the Cramer solve the library ran before its one-pass
+# Gauss-Jordan elimination, kept verbatim with its Bareiss determinant.
+
+
+def bareiss_det(rows) -> int:
+    """Exact determinant of an integer matrix (Bareiss elimination)."""
+    m = [list(r) for r in rows]
+    d = len(m)
+    if d == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(d - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, d) if m[r][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[d - 1][d - 1]
+
+
+def solve_square_cramer(rows, rhs) -> tuple[list[int], int] | None:
+    """Solve an integer square system by Cramer; returns (numerators, det).
+
+    None if singular.  The exact solution is numerators / det.
+    """
+    det = bareiss_det(rows)
+    if det == 0:
+        return None
+    d = len(rows)
+    nums = []
+    for c in range(d):
+        modified = [list(r[:c]) + [rhs[i]] + list(r[c + 1:]) for i, r in enumerate(rows)]
+        nums.append(bareiss_det(modified))
+    return nums, det
 
 
 def test_bareiss_and_solve():
@@ -198,10 +242,40 @@ def test_bareiss_and_solve():
     nums, den = solve_square_int([(2, 0), (1, 1)], (4, 5))
     assert [n / den for n in nums] == [2.0, 3.0]
     assert solve_square_int([(1, 1), (2, 2)], (1, 1)) is None
+    assert solve_square_int([], []) == ([], 1)
+
+
+def test_solve_matches_cramer_oracle():
+    rng = random.Random(4242)
+    singular = 0
+    for d in range(1, 8):
+        for _ in range(60):
+            bound = rng.choice([1, 3, 50])
+            rows = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
+            if d > 1 and rng.random() < 0.3:
+                # a dependent row, or a zero column, makes the system singular
+                i, j = rng.sample(range(d), 2)
+                if rng.random() < 0.5:
+                    c = rng.randint(-3, 3)
+                    rows[i] = [c * x for x in rows[j]]
+                else:
+                    for r in rows:
+                        r[i] = 0
+            rhs = [rng.randint(-bound, bound) for _ in range(d)]
+            got, want = solve_square_int(rows, rhs), solve_square_cramer(rows, rhs)
+            det = bareiss_det(rows)
+            if want is None:
+                singular += 1
+                assert got is None and det == 0, (rows, rhs)
+                continue
+            nums, den = got
+            assert abs(den) == abs(det), (rows, rhs)
+            assert [x * want[1] for x in nums] == [y * den for y in want[0]], (rows, rhs)
+    assert singular > 20
 
 
 def test_echelon_basis():
     eb = EchelonBasis()
     assert eb.add((1, -1, 0)) and eb.add((0, 1, -1)) and not eb.add((1, 0, -1))
-    assert eb.contains((2, -1, -1)) and not eb.contains((1, 1, 1))
+    assert not any(eb.residual((2, -1, -1))) and any(eb.residual((1, 1, 1)))
     assert eb.rank == 2
