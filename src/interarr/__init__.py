@@ -19,7 +19,7 @@ from .feasibility import CertificateError
 from .labeling import (LabeledChain, count_chains_with_word, el_label,
                        enumerate_filtered_chains, label_set, min_atom_label,
                        r_label, verify_el)
-from .lattice import GradedLattice, NotComparableError, lattice_isomorphic, moebius
+from .lattice import GradedLattice, NotComparableError, lattice_isomorphic
 from .permstats import (OddSumError, h_b_closed, h_d_closed, increment_closed,
                         inversion_sequence, maxima, peaks)
 from .poly import (GammaVector, IntPolynomial, NonPalindromicError, f_to_h,

@@ -44,7 +44,7 @@ from itertools import combinations
 from math import gcd
 
 from .feasibility import CertificateError, feasible_strict, generic_point
-from .lattice import GradedLattice, moebius
+from .lattice import GradedLattice, characteristic_polys
 from .linalg import EchelonBasis, dot, gcd_reduced, primitive_vector, solve_square_int
 
 
@@ -636,7 +636,7 @@ def f_vector(a: Arrangement) -> list[int]:
     lat = intersection_lattice(a)
     out = [0] * (a.dim + 1)
     for x, rank in enumerate(lat.rank):
-        out[a.dim - rank] += sum(abs(mu) for mu in moebius(lat, x).values())
+        out[a.dim - rank] += sum(abs(chi[0]) for chi in characteristic_polys(lat, x).values())
     return out
 
 

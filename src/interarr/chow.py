@@ -6,10 +6,13 @@
    (`labeling.enumerate_filtered_chains` streams the same chains),
 2. a closed form for the rank-n braid lattice,
 3. a closed form for the full type-B lattice,
-4. the recursion through reduced characteristic polynomials of minors.
+4. the recursion through reduced characteristic polynomials of minors,
+   reading chi of every [F, F'] from one `lattice.characteristic_polys`
+   pass per flat F.
 
-Also the characteristic-polynomial machinery these need, the
-2^m subset-sum oracle, and the arithmeticity verifiers for the
+Also `characteristic_poly` of one interval (a lookup in that pass), the
+2^m subset-sum oracle that checks it, the closed forms' two weights over
+one tuple domain, and the arithmeticity verifiers for the
 intermediate-arrangement family.
 """
 
@@ -17,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
 from .arrangement import Arrangement, make_family
 from .labeling import el_label, filtered_descent_counts
-from .lattice import GradedLattice, moebius
+from .lattice import GradedLattice, NotComparableError, characteristic_polys
 from .linalg import EchelonBasis
 from .permstats import maxima_census
 from .poly import GammaVector, IntPolynomial, h_to_gamma, one_plus_t_power
@@ -39,13 +43,9 @@ class TooLargeError(ValueError):
 def characteristic_poly(lat: GradedLattice, lo: int, hi: int) -> IntPolynomial:
     """chi of the interval [lo, hi] in the corank convention:
     sum of mu(a) * t^(rank(hi) - rank(a))."""
-    ids = lat.interval(lo, hi)  # raises NotComparableError
-    mu = moebius(lat, lo)
-    top_rank = lat.rank[hi]
-    coeffs = [0] * (top_rank - lat.rank[lo] + 1)
-    for a in ids:
-        coeffs[top_rank - lat.rank[a]] += mu[a]
-    return IntPolynomial(coeffs)
+    if not lat.leq(lo, hi):
+        raise NotComparableError(f"element {lo} is not below {hi}")
+    return IntPolynomial(characteristic_polys(lat, lo)[hi])
 
 
 def divide_by_t_minus_1(p: IntPolynomial) -> IntPolynomial:
@@ -134,30 +134,24 @@ def _tuple_domain(n: int):
             yield tup, descents
 
 
-def chow_type_a(n: int) -> IntPolynomial:
-    """Closed form for the rank-n braid lattice: weight a_1 * ... * a_n."""
+def _chow_closed(n: int, weight) -> IntPolynomial:
+    """sum over `_tuple_domain(n)` of prod(weight(a_i)) * t^des (t+1)^(n-1-2des)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     acc = IntPolynomial.zero()
     for tup, des in _tuple_domain(n):
-        w = 1
-        for a in tup:
-            w *= a
-        acc = acc + w * _chain_weight(des, n)
+        acc = acc + prod(map(weight, tup)) * _chain_weight(des, n)
     return acc
+
+
+def chow_type_a(n: int) -> IntPolynomial:
+    """Closed form for the rank-n braid lattice: weight a_1 * ... * a_n."""
+    return _chow_closed(n, lambda a: a)
 
 
 def chow_type_b(n: int) -> IntPolynomial:
     """Closed form for the full type-B lattice: weight prod(2 a_i - 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    acc = IntPolynomial.zero()
-    for tup, des in _tuple_domain(n):
-        w = 1
-        for a in tup:
-            w *= 2 * a - 1
-        acc = acc + w * _chain_weight(des, n)
-    return acc
+    return _chow_closed(n, lambda a: 2 * a - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +173,10 @@ def chow_recursive(lat: GradedLattice) -> IntPolynomial:
             return IntPolynomial.one()
         if f in cache:
             return cache[f]
-        mu = moebius(lat, f)
-        up = lat.up_set(f)
-        masks = lat._ensure_down_masks()
         total = IntPolynomial.zero()
-        for f2 in up:
-            if f2 == f:
-                continue
-            r2 = lat.rank[f2]
-            coeffs = [0] * (r2 - lat.rank[f] + 1)
-            m2 = masks[f2]
-            for b in up:
-                if m2 >> b & 1:
-                    coeffs[r2 - lat.rank[b]] += mu[b]
-            chibar = divide_by_t_minus_1(IntPolynomial(coeffs))
-            total = total + chibar * upper(f2)
+        for f2, chi in characteristic_polys(lat, f).items():
+            if f2 != f:
+                total = total + divide_by_t_minus_1(IntPolynomial(chi)) * upper(f2)
         cache[f] = total
         return total
 

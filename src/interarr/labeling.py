@@ -103,15 +103,13 @@ def count_chains_with_word(lat: GradedLattice, lo: int, hi: int, sigma) -> int:
     target = tuple(labels[s - 1] for s in sigma)
     count = 0
     stack = [(lo, 0)]
-    masks = lat._ensure_down_masks()
-    hi_mask = masks[hi]
     while stack:
         v, depth = stack.pop()
         if depth == k:
             count += v == hi
             continue
         for w in lat.covers[v]:
-            if hi_mask >> w & 1:
+            if lat.leq(w, hi):
                 if r_label(lat.elements[v], lat.elements[w]) == target[depth]:
                     stack.append((w, depth + 1))
     return count

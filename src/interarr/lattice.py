@@ -75,16 +75,6 @@ class GradedLattice:
     def leq(self, x: int, y: int) -> bool:
         return bool(self._ensure_down_masks()[y] >> x & 1)
 
-    def interval(self, lo: int, hi: int):
-        """Ids of [lo, hi] in rank order; NotComparableError if empty."""
-        if not self.leq(lo, hi):
-            raise NotComparableError(f"element {lo} is not below {hi}")
-        masks = self._ensure_down_masks()
-        hi_mask = masks[hi]
-        ids = [i for i in self.up_set(lo) if hi_mask >> i & 1]
-        ids.sort(key=lambda v: self.rank[v])
-        return ids
-
     def maximal_chains(self, lo: int, hi: int):
         """Yield saturated chains lo -> hi as id tuples (DFS order)."""
         masks = self._ensure_down_masks()
@@ -102,27 +92,43 @@ class GradedLattice:
                     stack.append((w, chain + (w,)))
 
 
-def moebius(lat: GradedLattice, base: int) -> dict[int, int]:
-    """Moebius values on [base, top]: mu(base) = 1 and mu(a) = -sum of mu
-    over [base, a), by rank order."""
-    up = lat.up_set(base)
-    up_mask = 0
+def characteristic_polys(lat: GradedLattice, lo: int) -> dict[int, list[int]]:
+    """Coefficients of chi([lo, hi]) for every hi >= lo, constant term first,
+    in the corank convention: sum over b in [lo, hi] of mu(lo, b) *
+    t^(rank(hi) - rank(b)).  The constant term is mu(lo, hi).
+
+    One pass over [lo, top] in BFS order, which is rank order.  The
+    coefficient of t^(rank(hi) - rank(lo) - k) sums mu over hi's down mask
+    cut to the k-th layer of [lo, top], and mu(lo, hi) is minus the other
+    coefficients.  Layer 0 is lo, with mu 1, and mu is -1 on layer 1.
+    """
+    up = lat.up_set(lo)
+    rank = lat.rank
+    base = rank[lo]
+    layers = [0] * (lat.height - base + 1)
     for v in up:
-        up_mask |= 1 << v
+        layers[rank[v] - base] |= 1 << v
     masks = lat._ensure_down_masks()
-    values: dict[int, int] = {}
-    for a in sorted(up, key=lambda v: lat.rank[v]):
-        if a == base:
-            values[a] = 1
-            continue
-        below = masks[a] & up_mask & ~(1 << a)
-        total = 0
-        while below:
-            lsb = below & -below
-            total += values[lsb.bit_length() - 1]
-            below ^= lsb
-        values[a] = -total
-    return values
+    mu = {lo: 1}
+    chis = {lo: [1]}
+    for hi in up[1:]:
+        r = rank[hi] - base
+        below = masks[hi]
+        coeffs = [0] * (r + 1)
+        coeffs[r] = 1
+        if r > 1:
+            coeffs[r - 1] = -(below & layers[1]).bit_count()
+        for k in range(2, r):
+            bits = below & layers[k]
+            total = 0
+            while bits:
+                lsb = bits & -bits
+                total += mu[lsb.bit_length() - 1]
+                bits ^= lsb
+            coeffs[r - k] = total
+        mu[hi] = coeffs[0] = -sum(coeffs)
+        chis[hi] = coeffs
+    return chis
 
 
 def _refine_colors(lat: GradedLattice):

@@ -18,7 +18,7 @@ from interarr.feasibility import feasible_strict
 from interarr.chow import chow_recursive, chow_via_chains
 from interarr.labeling import min_atom_label
 from interarr.linalg import EchelonBasis, dot, primitive_vector
-from interarr.lattice import GradedLattice, lattice_isomorphic
+from interarr.lattice import GradedLattice, NotComparableError, lattice_isomorphic
 from interarr.poly import f_to_h
 from test_feasibility import feasible_strict_fraction, scale_to_int
 
@@ -42,7 +42,9 @@ def check_graded(lat: GradedLattice) -> None:
 
 def contract_interval(lat: GradedLattice, lo: int, hi: int) -> GradedLattice:
     """Induced graded lattice on [lo, hi], rank shifted so rank(lo) = 0."""
-    ids = lat.interval(lo, hi)
+    if not lat.leq(lo, hi):
+        raise NotComparableError(f"element {lo} is not below {hi}")
+    ids = [v for v in lat.up_set(lo) if lat.leq(v, hi)]  # BFS order is rank order
     pos = {v: i for i, v in enumerate(ids)}
     base = lat.rank[lo]
     elements = [lat.elements[v] for v in ids]

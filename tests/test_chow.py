@@ -8,23 +8,89 @@ from interarr.chow import (NonDivisibleError, TooLargeError, chain_sum,
                            check_chow_arithmetic, check_gamma_arithmetic, chow_dns,
                            chow_recursive, chow_type_a, chow_type_b,
                            chow_via_chains, divide_by_t_minus_1, dns_lattice,
-                           gamma_increment_closed, moebius, verify_chow_arithmetic,
+                           gamma_increment_closed, verify_chow_arithmetic,
                            verify_gamma_arithmetic)
 from interarr.fixtures import CHOW_A_EXAMPLES, CHOW_B_EXAMPLES, chow_table
 from interarr.labeling import el_label, enumerate_filtered_chains, min_atom_label
-from interarr.lattice import GradedLattice, NotComparableError
+from interarr.lattice import GradedLattice, NotComparableError, characteristic_polys
 from interarr.poly import IntPolynomial, is_palindromic
 from interarr.topegraph import h_via_indegree
+from test_arrangement import RANDOM_POOL
+
+
+# Test oracles: the Moebius route before `characteristic_polys` fused it with
+# the coefficient sums, one Moebius table per lower end and one interval per
+# pair, kept verbatim apart from the interval's id list.
+
+
+def moebius(lat: GradedLattice, base: int) -> dict[int, int]:
+    """Moebius values on [base, top]: mu(base) = 1 and mu(a) = -sum of mu
+    over [base, a), by rank order."""
+    up = lat.up_set(base)
+    up_mask = 0
+    for v in up:
+        up_mask |= 1 << v
+    masks = lat._ensure_down_masks()
+    values: dict[int, int] = {}
+    for a in sorted(up, key=lambda v: lat.rank[v]):
+        if a == base:
+            values[a] = 1
+            continue
+        below = masks[a] & up_mask & ~(1 << a)
+        total = 0
+        while below:
+            lsb = below & -below
+            total += values[lsb.bit_length() - 1]
+            below ^= lsb
+        values[a] = -total
+    return values
+
+
+def characteristic_poly_oracle(lat: GradedLattice, lo: int, hi: int) -> IntPolynomial:
+    """chi of [lo, hi] from `moebius` summed over the interval's ids."""
+    ids = [v for v in lat.up_set(lo) if lat.leq(v, hi)]
+    mu = moebius(lat, lo)
+    top_rank = lat.rank[hi]
+    coeffs = [0] * (top_rank - lat.rank[lo] + 1)
+    for a in ids:
+        coeffs[top_rank - lat.rank[a]] += mu[a]
+    return IntPolynomial(coeffs)
+
+
+def _mu(lat, base):
+    """mu(base, hi) for every hi >= base: the constant terms of the library's chis."""
+    return {hi: chi[0] for hi, chi in characteristic_polys(lat, base).items()}
+
+
+def _oracle_lattices(pi_b, dns_lattices):
+    lats = {"3-chain": GradedLattice(("a", "b", "c"), (0, 1, 2), ((1,), (2,), ()), 0, 2),
+            "pi_b 3": pi_b[3], "a3": intersection_lattice(make_family("a", 3))}
+    lats.update({f"dns 3 {s}": dns_lattices[(3, s)] for s in range(4)})
+    lats.update({f"random {k}": intersection_lattice(a) for k, a in enumerate(RANDOM_POOL)})
+    return lats
+
+
+def test_characteristic_polys_match_the_moebius_oracle(pi_b, dns_lattices):
+    for name, lat in _oracle_lattices(pi_b, dns_lattices).items():
+        for lo in range(len(lat)):
+            chis = characteristic_polys(lat, lo)
+            assert sorted(chis) == sorted(lat.up_set(lo)), (name, lo)
+            for hi, chi in chis.items():
+                assert IntPolynomial(chi) == characteristic_poly_oracle(lat, lo, hi), \
+                    (name, lo, hi)
+                assert characteristic_poly(lat, lo, hi) == IntPolynomial(chi)
+            assert _mu(lat, lo) == moebius(lat, lo), (name, lo)
 
 
 def test_moebius_three_chain():
     lat = GradedLattice(("a", "b", "c"), (0, 1, 2), ((1,), (2,), ()), 0, 2)
-    assert moebius(lat, 0) == {0: 1, 1: -1, 2: 0}
+    assert moebius(lat, 0) == _mu(lat, 0) == {0: 1, 1: -1, 2: 0}
+    assert characteristic_polys(lat, 0) == {0: [1], 1: [-1, 1], 2: [0, -1, 1]}
 
 
 def test_moebius_pi2(pi_b):
     lat = pi_b[2]
-    table = moebius(lat, lat.bottom)
+    table = _mu(lat, lat.bottom)
     assert table[lat.top] == 3
     assert sum(table.values()) == 0
 
@@ -32,17 +98,16 @@ def test_moebius_pi2(pi_b):
 def test_moebius_partial_sums_vanish(pi_b):
     lat = pi_b[3]
     for base in range(len(lat)):
-        table = moebius(lat, base)
-        masks = lat._ensure_down_masks()
+        table = _mu(lat, base)
         for a in lat.up_set(base):
-            total = sum(mu for b, mu in table.items() if masks[a] >> b & 1)
+            total = sum(mu for b, mu in table.items() if lat.leq(b, a))
             assert total == (1 if a == base else 0)
 
 
 def test_moebius_alternates_with_rank(pi_b):
     for n in (2, 3, 4):
         lat = pi_b[n]
-        table = moebius(lat, lat.bottom)
+        table = _mu(lat, lat.bottom)
         for i, mu in table.items():
             assert mu != 0
             assert (mu > 0) == (lat.rank[i] % 2 == 0)
@@ -164,7 +229,8 @@ def _chow_flag_sum(lat):
         total = IntPolynomial.zero()
         for f2 in lat.up_set(f):
             if f2 != f:
-                total = total + divide_by_t_minus_1(characteristic_poly(lat, f, f2)) * upper(f2)
+                chi = characteristic_poly_oracle(lat, f, f2)
+                total = total + divide_by_t_minus_1(chi) * upper(f2)
         return total
 
     return upper(lat.bottom)

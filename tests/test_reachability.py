@@ -117,3 +117,16 @@ def test_every_library_definition_is_reached():
     # an exemption lapses once its name is gone or something reaches it
     assert sorted(EXEMPT.keys() - defined) == []
     assert exempt_reached == []
+
+
+def test_only_the_lattice_module_reads_its_order():
+    # the down masks and lower covers are the lattice's private order; every
+    # other module asks `leq`, `up_set` or `characteristic_polys`
+    private = {"_ensure_down_masks", "_down_masks", "_lower"}
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.stem == "lattice":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert names & private == set(), path.name
