@@ -1,8 +1,12 @@
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from interarr.arrangement import intersection_lattice, make_family
+from interarr.arrangement import (Arrangement, intersection_lattice, make_arrangement,
+                                  make_family)
 from interarr.chow import (NonDivisibleError, TooLargeError, chain_sum,
                            char_poly_bruteforce, characteristic_poly,
                            check_chow_arithmetic, check_gamma_arithmetic, chow_dns,
@@ -13,6 +17,7 @@ from interarr.chow import (NonDivisibleError, TooLargeError, chain_sum,
 from interarr.fixtures import CHOW_A_EXAMPLES, CHOW_B_EXAMPLES, chow_table
 from interarr.labeling import el_label, enumerate_filtered_chains, min_atom_label
 from interarr.lattice import GradedLattice, NotComparableError, characteristic_polys
+from interarr.linalg import EchelonBasis, primitive_vector
 from interarr.poly import IntPolynomial, is_palindromic
 from interarr.topegraph import h_via_indegree
 from test_arrangement import RANDOM_POOL
@@ -169,12 +174,100 @@ def test_char_poly_intermediate_closed_form():
 
 
 def test_moebius_equals_subset_sum():
-    cases = [("a", 3, None), ("b", 3, None), ("d", 3, None)]
-    cases += [("dns", 3, s) for s in range(4)]
+    cases = [(fam, n, None) for fam in "abd" for n in (3, 4)]
+    cases += [("dns", n, s) for n in (3, 4) for s in range(n + 1)]
     for fam, n, s in cases:
         a = make_family(fam, n, s)
         lat = intersection_lattice(a)
         assert characteristic_poly(lat, lat.bottom, lat.top) == char_poly_bruteforce(a)
+
+
+# Test oracle: Whitney's subset sum before it was grouped by span, one
+# recursion over all 2^m subsets, kept verbatim apart from the guard.
+
+
+def _char_poly_by_subsets(a) -> IntPolynomial:
+    k = a.rank()
+    coeffs = [0] * (k + 1)
+    normals = a.normals
+
+    def rec(idx: int, basis: EchelonBasis, parity: int) -> None:
+        if idx == len(normals):
+            coeffs[k - basis.rank] += -1 if parity else 1
+            return
+        rec(idx + 1, basis, parity)
+        b2 = basis.copy()
+        b2.add(normals[idx])
+        rec(idx + 1, b2, parity ^ 1)
+
+    rec(0, EchelonBasis(), 0)
+    return IntPolynomial(coeffs)
+
+
+def test_span_grouped_sum_matches_every_subset():
+    # every a/b/d family and every dns(n, s) with at most 16 hyperplanes
+    # (b_n and d_n are dns(n, n) and dns(n, 0), so each is summed once)
+    cases = {}
+    for n in range(1, 6):
+        for fam, s in [("a", None), ("b", None), ("d", None)] + [("dns", s) for s in range(n + 1)]:
+            a = make_family(fam, n, s)
+            if a.m <= 16:
+                cases.setdefault(a.normals, a)
+    assert len(cases) == 18
+    for a in list(cases.values()) + list(RANDOM_POOL):
+        assert char_poly_bruteforce(a) == _char_poly_by_subsets(a), a.normals
+
+
+@dataclass(frozen=True)
+class _NormalList:
+    """Integer normals read the way both subset sums read an `Arrangement`,
+    without its checks: repeated, scaled and non-primitive normals pass."""
+
+    dim: int
+    normals: tuple[tuple[int, ...], ...]
+    m = property(lambda self: len(self.normals))
+    rank = Arrangement.rank
+
+
+@st.composite
+def _normal_lists(draw):
+    """Up to 10 nonzero normals in dim 1..4: r <= dim independent generators
+    (e_i plus a multiple of each later e_k; r < dim makes the arrangement
+    non-essential), then combinations of them or copies of an earlier
+    normal times one of -2, -1, 1, 2.  Hypothesis starts from the simplest
+    draws, so r and the count are drawn from the top down."""
+    dim = draw(st.integers(1, 4))
+    r = draw(st.integers(1, dim).map(lambda r: dim + 1 - r))
+    normals = [tuple(0 if k < i else 1 if k == i else draw(st.integers(-2, 2))
+                     for k in range(dim)) for i in range(r)]
+    gens = normals[:]
+    weights = st.tuples(*[st.integers(-2, 2)] * r).filter(any)
+    for _ in range(draw(st.integers(0, 10 - r).map(lambda k: 10 - r - k))):
+        if draw(st.booleans()):
+            c = draw(st.sampled_from((-2, -1, 1, 2)))
+            normals.append(tuple(c * x for x in draw(st.sampled_from(normals))))
+        else:
+            w = draw(weights)
+            normals.append(tuple(sum(c * g[k] for c, g in zip(w, gens)) for k in range(dim)))
+    return _NormalList(dim, tuple(normals))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_normal_lists())
+@example(_NormalList(2, ((1, 0), (1, 0), (0, 1))))
+@example(_NormalList(2, ((1, 2), (-2, -4), (1, -1))))
+@example(_NormalList(3, ((1, 1, 0), (1, -1, 0), (2, 0, 0))))
+def test_span_grouped_sum_property(multi):
+    # repeats, scalar multiples and non-essential arrangements: the grouped
+    # sum equals every subset's, and neither sees parallel copies
+    chi = char_poly_bruteforce(multi)
+    assert chi == _char_poly_by_subsets(multi), multi
+    a = make_arrangement(multi.dim, sorted({primitive_vector(v) for v in multi.normals}))
+    assert a.rank() == multi.rank()
+    assert char_poly_bruteforce(a) == chi, multi
+    if a.is_essential():
+        lat = intersection_lattice(a)
+        assert characteristic_poly(lat, lat.bottom, lat.top) == chi, multi
 
 
 def test_divide_by_t_minus_1():

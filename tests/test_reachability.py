@@ -130,3 +130,15 @@ def test_only_the_lattice_module_reads_its_order():
         names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         assert names & private == set(), path.name
+
+
+def test_subset_sum_oracle_shares_nothing_with_the_moebius_route():
+    # `char_poly_bruteforce` checks the Moebius route, so its body reads
+    # ranks and closures through `EchelonBasis` and names none of that route
+    route = {"_cover_classes", "intersection_lattice", "characteristic_polys",
+             "characteristic_poly"}
+    tree = ast.parse((LIBRARY / "chow.py").read_text(encoding="utf-8"))
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef)
+                and n.name == "char_poly_bruteforce")
+    names = {name for _, name in _reads(body)}
+    assert names & route == set()

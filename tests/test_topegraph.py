@@ -170,14 +170,18 @@ def test_dump_b2_exact():
         "0 1 0\n0 2 3\n1 3 2\n2 4 1\n3 5 1\n4 6 2\n5 7 3\n6 7 0\n")
 
 
-def _verify_walls_by_dot(cc):
+def _verify_walls_by_dot(cc, chambers=None):
     """Reference wall certificate: for every recorded wall, the wall point z
     between the witnesses of its two chambers is built and each hyperplane
-    is tested with a fresh dot product."""
+    is tested with a fresh dot product.  Given a set of `chambers`, only
+    the walls that one of them records or lies across are checked, in the
+    same order."""
     normals = cc.arrangement.normals
     for ci, (mask, walls) in enumerate(zip(cc.masks, cc.facets)):
         for h in walls:
             cj = cc.index.get(mask ^ 1 << h)
+            if chambers is not None and ci not in chambers and cj not in chambers:
+                continue
             if cj is None:
                 raise CertificateError("recorded wall has no chamber across it")
             if h not in cc.facets[cj]:
@@ -205,12 +209,24 @@ def _verdict(check, cc):
     return "pass"
 
 
-def _expected_verdict(cc):
+def _changed_chambers(bad, true):
+    """The chambers whose witness or walls differ between two complexes on
+    the same chambers."""
+    return {c for c in range(len(true.masks)) if bad.witnesses[c] != true.witnesses[c]
+            or bad.facets[c] != true.facets[c]}
+
+
+def _expected_verdict(cc, true=None):
     """The reference's verdict; where it passes, the witness of every chamber
-    must still lie in that chamber."""
-    verdict = _verdict(_verify_walls_by_dot, cc)
+    must still lie in that chamber.  Given the `true` complex, which passes
+    both checks, only the walls and witnesses at chambers that differ from
+    it are checked: any other check reads the normals, masks, walls and
+    witnesses it read on the true complex, so it passes again."""
+    chambers = None if true is None else _changed_chambers(cc, true)
+    verdict = _verdict(lambda c: _verify_walls_by_dot(c, chambers), cc)
     if verdict == "pass":
-        for mask, w in zip(cc.masks, cc.witnesses):
+        for c in range(len(cc.masks)) if chambers is None else sorted(chambers):
+            mask, w = cc.masks[c], cc.witnesses[c]
             for j, aj in enumerate(cc.arrangement.normals):
                 d = dot(aj, w)
                 if d == 0 or (d < 0) != bool(mask >> j & 1):
@@ -279,7 +295,9 @@ WITNESS_FAULTS = ("negated", "scaled", "shifted", "nudged", "perturbed")
 def test_pairing_certificate_matches_dot_products(a):
     cc = chamber_complex(a)
     corrupted = dict(_corruptions(cc))
-    verdicts = {name: (_verdict(_verify_walls, bad), _expected_verdict(bad))
+    # the full reference on the true complex, the restricted one on each copy
+    verdicts = {name: (_verdict(_verify_walls, bad),
+                       _expected_verdict(bad, None if bad is cc else cc))
                 for name, bad in corrupted.items()}
     # the reference and the certificate pass and fail the same complexes
     assert {name: got == "pass" for name, (got, _) in verdicts.items()} == {
@@ -299,3 +317,14 @@ def test_pairing_certificate_matches_dot_products(a):
         h_via_indegree(corrupted["both sides"])
     assert {verdicts[f"perturbed {r}"][0] == "pass" for r in range(PERTURBATIONS)} == {
         True, False}
+
+
+@pytest.mark.parametrize("a", [pytest.param(make_family("dns", 4, 2), id="dns-4-2"),
+                               pytest.param(make_family("b", 3), id="b3")])
+def test_restricted_reference_matches_the_full_one(a):
+    # skipping the walls no corruption touched changes no verdict string
+    cc = chamber_complex(a)
+    for name, bad in _corruptions(cc):
+        if bad is not cc:
+            assert _changed_chambers(bad, cc)
+            assert _expected_verdict(bad, cc) == _expected_verdict(bad), name
