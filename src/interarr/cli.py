@@ -11,7 +11,6 @@ import json
 import math
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
 from . import fixtures
@@ -214,9 +213,11 @@ def _table_cell(task) -> list[int]:
 
 def _map_tasks(fn, tasks, jobs: int) -> list:
     """fn over tasks in order; a pool never has more workers than tasks,
-    since it forks every worker at the first submit."""
+    since it forks every worker at the first submit.  The pool is imported
+    here, so a serial run never loads multiprocessing."""
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .poly import IntPolynomial
 
 
 def _load(name: str) -> dict:
-    with resources.files("interarr.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    # read through this module's loader, as pkgutil.get_data would, so a
+    # zipped install works too; importing neither importlib.resources nor
+    # pkgutil (which loads typing) keeps a cold start short
+    return json.loads(__loader__.get_data(os.path.join(os.path.dirname(__file__), "data", name)))
 
 
 def gamma_table() -> dict[int, dict[int, tuple[int, ...]]]:

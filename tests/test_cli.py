@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -367,7 +371,7 @@ def test_pool_never_larger_than_task_list(small_tables, monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     code, out, _ = run(capsys, "verify", "--suite", "chains", "--n-max", "3",
                        "--jobs", "64")
     assert code == 0 and "VERIFY: PASS (2/2 checks)" in out
@@ -400,7 +404,7 @@ def test_tables_submit_costliest_rows_first(monkeypatch, capsys):
             return map(fn, items)
 
     code, serial, _ = run(capsys, "tables")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     code2, pooled, _ = run(capsys, "tables", "--jobs", "2")
     assert code == code2 == 0 and pooled == serial
     assert [t[1] for t in submitted] == [3, 3, 3, 3, 3, 3, 2, 2, 2]
@@ -423,3 +427,49 @@ def test_tables_detects_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(cli.fixtures, "chow_table", lambda: {})
     code, out, _ = run(capsys, "tables")
     assert code == 1 and "MISMATCH" in out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cold(code: str, *args: str) -> subprocess.CompletedProcess:
+    """code in a fresh interpreter that imports nothing through site
+    (-I -S: a plain interpreter may load importlib.resources there);
+    argv[1] is the source tree."""
+    return subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC), *args],
+                          capture_output=True, timeout=300)
+
+
+def test_serial_commands_import_no_pool_and_no_resources():
+    proc = run_cold("""
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import interarr
+import interarr.cli as cli
+from interarr import fixtures
+fixtures.chow_table(), fixtures.gamma_table()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["chow", "--family", "dns", "--n", "3", "--s", "1"]),
+             cli.main(["verify", "--suite", "lattice", "--n-max", "2"])]
+print(codes, sorted(m for m in sys.modules
+                    if m.partition(".")[0] in ("concurrent", "multiprocessing")
+                    or m.startswith("importlib.resources")))
+""")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"[0, 0] []\n"
+
+
+def test_pool_imported_at_first_use_matches_serial_run():
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import interarr.cli as cli
+code = cli.main(["verify", "--suite", "el", "--n-max", "3", "--jobs", sys.argv[2]])
+print("pool" if "multiprocessing" in sys.modules else "serial", file=sys.stderr)
+sys.exit(code)
+"""
+    pooled, serial = run_cold(code, "2"), run_cold(code, "1")
+    assert (pooled.returncode, pooled.stderr) == (0, b"pool\n"), pooled.stderr.decode()
+    assert (serial.returncode, serial.stderr) == (0, b"serial\n"), serial.stderr.decode()
+    assert b"VERIFY: PASS (8/8 checks)" in serial.stdout
+    assert pooled.stdout == serial.stdout
