@@ -25,8 +25,7 @@ from .permstats import (OddSumError, h_b_closed, h_d_closed, increment_closed,
 from .poly import (GammaVector, IntPolynomial, NonPalindromicError, f_to_h,
                    gamma_to_h, h_to_gamma, is_palindromic)
 from .signed_partitions import (EdgeClass, LatticeVariant, NotACoverError,
-                                SignedPartition, ZeroBlockError,
-                                enumerate_lattice, representative, variant_b,
+                                SignedPartition, enumerate_lattice, variant_b,
                                 variant_dns)
 from .topegraph import (BaseNotAChamberError, NotSimplicialError,
                         build_tope_graph, h_via_indegree, h_via_separation,

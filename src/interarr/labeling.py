@@ -20,7 +20,7 @@ from itertools import accumulate
 
 from .lattice import GradedLattice, NotComparableError
 from .signed_partitions import (EdgeClass, NotACoverError, SignedPartition,
-                                decode_cover, representative)
+                                decode_cover)
 
 
 def r_label(x: SignedPartition, y: SignedPartition) -> int:
@@ -47,11 +47,9 @@ def label_set(x: SignedPartition, y: SignedPartition) -> frozenset[int]:
     if not (x.rank <= y.rank and x.refines(y)):
         raise NotComparableError("label_set requires x <= y")
     out = set()
-    for yb in y.blocks:
-        yset = set(yb)
-        mins = [0 if 0 in b else representative(b)
-                for b in x.blocks if set(b) <= yset]
-        mins.sort()
+    for c in y.masks:
+        # (b & -b).bit_length() >> 1 is a block's representative, 0 for the zero block
+        mins = sorted((b & -b).bit_length() >> 1 for b in x.masks if b | c == c)
         out.update(mins[1:])
     return frozenset(out)
 

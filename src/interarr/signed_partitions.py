@@ -6,6 +6,12 @@ Elements are mirror-symmetric partitions of {-n, ..., n}: the block through
 cut out by restricting which {k, 0, -k} zero blocks may appear, which
 models the lattices of the intermediate arrangements between type D and
 type B.
+
+A block is an int mask in absolute-value order: bit 0 is 0, bit 2r-1 is +r
+and bit 2r is -r.  A non-zero block's representative, its least absolute
+value, is then (b & -b).bit_length() >> 1, and the block is normalized (it
+holds its representative with positive sign) when its lowest set bit is
+odd.  A fold or a merge is an or of masks.
 """
 
 from __future__ import annotations
@@ -30,27 +36,10 @@ class NotACoverError(ValueError):
         return f"{render(self.x)} is not covered by {render(self.y)}"
 
 
-class ZeroBlockError(ValueError):
-    """Raised when a representative is requested for the zero block."""
-
-
 class EdgeClass(Enum):
     SIGNED = "signed"
     COHERENT = "coherent"
     NON_COHERENT = "non-coherent"
-
-
-def representative(block) -> int:
-    """Least absolute value in a non-zero block."""
-    if 0 in block:
-        raise ZeroBlockError("the zero block has no representative")
-    return min(abs(x) for x in block)
-
-
-def is_normalized(block) -> bool:
-    """A non-zero block is normalized when it contains its representative
-    with positive sign."""
-    return representative(block) in block
 
 
 class NotCanonicalError(ValueError):
@@ -58,17 +47,37 @@ class NotCanonicalError(ValueError):
 
 
 class SignedPartition:
-    """Canonical encoding, relied on by `_cover_blocks`: every block is a sorted
-    tuple; blocks[0] is the zero block; for k = 0, 1, ... the block at 2k+1
-    is the normalized block of the k-th mirror pair and the block at 2k+2
-    its mirror, with the pairs' representatives strictly increasing."""
+    """A signed partition of {-n..n}, stored as one int mask per block.
 
-    __slots__ = ("n", "blocks", "_hash")
+    The canonical layout, relied on by `_cover_masks` and `decode_cover`:
+    masks[0] is the zero block; for k = 0, 1, ... the mask at 2k+1 is the
+    normalized block of the k-th mirror pair and the mask at 2k+2 its
+    mirror, with the pairs' representatives strictly increasing.
 
-    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]):
+    Block tuples exist only at the boundary.  The raw constructor takes
+    sorted tuples already in this layout and rejects only what a mask
+    cannot hold, an unsorted block or a repeated element; `validate` checks
+    the rest.  `from_blocks` takes blocks in any order, and `blocks` and
+    `render` give them back."""
+
+    __slots__ = ("n", "masks")
+
+    def __init__(self, n: int, blocks):
+        masks = []
+        for b in map(tuple, blocks):
+            masks.append(_mask(b))
+            if list(b) != sorted(b):
+                raise NotCanonicalError("blocks must be sorted tuples")
         self.n = n
-        self.blocks = blocks
-        self._hash = hash((n, blocks))
+        self.masks = tuple(masks)
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> SignedPartition:
+        """The partition of masks already in the layout; nothing is checked."""
+        p = object.__new__(cls)
+        p.n = n
+        p.masks = masks
+        return p
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> SignedPartition:
@@ -76,53 +85,57 @@ class SignedPartition:
         zero = None
         rest = []
         for b in blocks:
-            tb = tuple(sorted(b))
-            if 0 in tb:
+            m = _mask(b)
+            if m & 1:
                 if zero is not None:
                     raise ValueError("two blocks contain 0")
-                zero = tb
+                zero = m
             else:
-                rest.append(tb)
+                rest.append(m)
         if zero is None:
             raise ValueError("no zero block")
-        rest.sort(key=lambda b: (representative(b), not is_normalized(b)))
-        part = cls(n, (zero,) + tuple(rest))
+        # the lowest set bit orders by representative, normalized first
+        rest.sort(key=lambda m: m & -m)
+        part = cls._from_masks(n, (zero, *rest))
         part.validate()
         return part
 
     def validate(self) -> None:
         """ValueError unless the blocks are a mirror-symmetric partition of
         {-n..n}; NotCanonicalError unless they are in the canonical layout."""
-        blocks = self.blocks
-        seen = set()
-        for b in blocks:
-            for x in b:
-                if not -self.n <= x <= self.n or x in seen:
-                    raise ValueError(f"bad partition element {x}")
-                seen.add(x)
-        if len(seen) != 2 * self.n + 1:
+        masks = self.masks
+        full = (1 << 2 * self.n + 1) - 1
+        odd = (full >> 1) // 3 << 1          # the bits of +1..+n
+        seen = 0
+        for b in masks:
+            if not b:
+                raise ValueError("empty block")
+            bad = b & (seen | ~full)
+            if bad:
+                raise ValueError(f"bad partition element {_elements(bad)[0]}")
+            seen |= b
+        if seen != full:
             raise ValueError("not a partition of {-n..n}")
-        block_set = {frozenset(b) for b in blocks}
-        for b in blocks:
-            if frozenset(-x for x in b) not in block_set:
-                raise ValueError(f"mirror of {b} missing")
-            if 0 not in b and any(-x in b for x in b):
-                raise ValueError(f"self-paired elements outside zero block: {b}")
-        if any(list(b) != sorted(b) for b in blocks):
-            raise NotCanonicalError("blocks must be sorted tuples")
-        if 0 not in blocks[0]:
+        mirrors = [(b & 1) | ((b & odd) << 1) | ((b >> 1) & odd) for b in masks]
+        present = set(masks)
+        for b, nb in zip(masks, mirrors):
+            if nb not in present:
+                raise ValueError(f"mirror of {_elements(b)} missing")
+            if not b & 1 and b & nb:
+                raise ValueError(f"self-paired elements outside zero block: {_elements(b)}")
+        if not masks[0] & 1:
             raise NotCanonicalError("the zero block must come first")
         prev = 0
-        for k in range(1, len(blocks), 2):
-            b, mirror = blocks[k], blocks[k + 1]
-            rep = representative(b)
-            if rep not in b:
-                raise NotCanonicalError(f"block {k} is not normalized: {b}")
-            if mirror != tuple(sorted(-x for x in b)):
+        for k in range(1, len(masks), 2):
+            b = masks[k]
+            low = (b & -b).bit_length()
+            if low & 1:
+                raise NotCanonicalError(f"block {k} is not normalized: {_elements(b)}")
+            if masks[k + 1] != mirrors[k]:
                 raise NotCanonicalError(f"block {k + 1} is not the mirror of block {k}")
-            if rep <= prev:
+            if low >> 1 <= prev:
                 raise NotCanonicalError("representatives must increase")
-            prev = rep
+            prev = low >> 1
 
     @classmethod
     def bottom(cls, n: int) -> SignedPartition:
@@ -133,29 +146,23 @@ class SignedPartition:
         return cls.from_blocks(n, blocks)
 
     @property
-    def zero_block(self) -> tuple[int, ...]:
-        return self.blocks[0]
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as sorted tuples, in the layout's order."""
+        return tuple(map(_elements, self.masks))
 
     @property
     def rank(self) -> int:
-        return self.n - (len(self.blocks) - 1) // 2
+        return self.n - (len(self.masks) - 1) // 2
 
     def refines(self, other: SignedPartition) -> bool:
-        lookup = {}
-        for bi, b in enumerate(other.blocks):
-            for x in b:
-                lookup[x] = bi
-        for b in self.blocks:
-            if len({lookup[x] for x in b}) != 1:
-                return False
-        return True
+        return all(any(b | c == c for c in other.masks) for b in self.masks)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SignedPartition)
-                and self.n == other.n and self.blocks == other.blocks)
+                and self.n == other.n and self.masks == other.masks)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.masks))
 
     def __lt__(self, other) -> bool:
         return self.blocks < other.blocks
@@ -164,42 +171,62 @@ class SignedPartition:
         return f"SignedPartition({render(self)!r})"
 
 
+def _mask(block) -> int:
+    """The mask of an iterable of elements of {-n..n}."""
+    m = 0
+    for x in block:
+        bit = 1 << (2 * x - 1 if x > 0 else -2 * x)
+        if m & bit:
+            raise ValueError(f"bad partition element {x}")
+        m |= bit
+    return m
+
+
+def _elements(m: int) -> tuple[int, ...]:
+    """The elements of a block mask, ascending."""
+    down = [0] if m & 1 else []          # 0, -1, -2, ... as found
+    up = []
+    r = 1
+    m >>= 1
+    while m:
+        if m & 1:
+            up.append(r)
+        if m & 2:
+            down.append(-r)
+        m >>= 2
+        r += 1
+    return tuple(down[::-1] + up)
+
+
 def render(p: SignedPartition) -> str:
     """Figure-style text: blocks joined by '|', each block written as
     positives ascending, then 0, then negatives by absolute value."""
-    parts = []
-    for b in p.blocks:
-        pos = sorted(x for x in b if x > 0)
-        neg = sorted((x for x in b if x < 0), key=abs)
-        body = "".join(str(x) for x in pos)
-        if 0 in b:
-            body += "0"
-        body += "".join(str(x) for x in neg)
-        parts.append(body)
-    return "|".join(parts)
+    return "|".join("".join(str(x) for x in b if x > 0) + "0" * (0 in b)
+                    + "".join(str(x) for x in reversed(b) if x < 0)
+                    for b in p.blocks)
 
 
-def _cover_blocks(blocks: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """The canonical block tuples of all covers in the full type-B lattice:
-    one mirror pair folds into the zero block, or two mirror classes merge
-    (in two inequivalent ways, keeping the mirror symmetry).
+def _cover_masks(masks: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The canonical masks of all covers in the full type-B lattice: one
+    mirror pair folds into the zero block, or two mirror classes merge (in
+    two inequivalent ways, keeping the mirror symmetry).
 
     The layout fixes where every block goes: a fold of pair k drops the
-    blocks at 2k+1 and 2k+2 and sorts only the new zero block; a merge of
-    pairs i < j puts the two merged blocks at i's positions (the smaller
+    masks at 2k+1 and 2k+2 and ors them into the zero block; a merge of
+    pairs i < j puts the two merged masks at i's positions (the smaller
     representative stays normalized) and drops j's pair."""
-    zero = blocks[0]
-    m = len(blocks)
-    out = [(tuple(sorted(zero + blocks[k] + blocks[k + 1])),) + blocks[1:k] + blocks[k + 2:]
+    zero = masks[0]
+    m = len(masks)
+    out = [(zero | masks[k] | masks[k + 1],) + masks[1:k] + masks[k + 2:]
            for k in range(1, m, 2)]
     for i in range(1, m, 2):
-        b, nb = blocks[i], blocks[i + 1]
-        head = blocks[:i]
+        b, nb = masks[i], masks[i + 1]
+        head = masks[:i]
         for j in range(i + 2, m, 2):
-            c, nc = blocks[j], blocks[j + 1]
-            rest = blocks[i + 2:j] + blocks[j + 2:]
-            out.append(head + (tuple(sorted(b + c)), tuple(sorted(nb + nc))) + rest)
-            out.append(head + (tuple(sorted(b + nc)), tuple(sorted(nb + c))) + rest)
+            c, nc = masks[j], masks[j + 1]
+            rest = masks[i + 2:j] + masks[j + 2:]
+            out.append(head + (b | c, nb | nc) + rest)
+            out.append(head + (b | nc, nb | c) + rest)
     return out
 
 
@@ -210,13 +237,13 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
     block, the y-block of i.
 
     Both partitions must be in the canonical layout, as `from_blocks` and
-    `enumerate_lattice` make them: the first mirror pair k where the blocks differ is
-    folded when the zero block changed, and otherwise merged with the next
-    differing pair l.  y must then equal the one block tuple that
-    `_cover_blocks` builds for that fold or merge, else NotACoverError.
+    `enumerate_lattice` make them: the first mirror pair k where the masks
+    differ is folded when the zero block changed, and otherwise merged with
+    the next differing pair l.  y must then equal the one mask tuple that
+    `_cover_masks` builds for that fold or merge, else NotACoverError.
     NotCanonicalError when a block read from x lacks its representative
     (a pair stored mirror first); other layout faults are not detected."""
-    xb, yb = x.blocks, y.blocks
+    xb, yb = x.masks, y.masks
     m = len(xb)
     if x.n != y.n or len(yb) != m - 2:
         raise NotACoverError(x=x, y=y)
@@ -224,11 +251,12 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
     while k < m - 2 and xb[k] == yb[k]:
         k += 2
     b, nb = xb[k], xb[k + 1]
-    i = min(map(abs, b))
-    if i not in b:
-        raise NotCanonicalError(f"block {k} is not normalized: {b}")
+    low = (b & -b).bit_length()
+    if low & 1:
+        raise NotCanonicalError(f"block {k} is not normalized: {_elements(b)}")
+    i = low >> 1
     if xb[0] != yb[0]:
-        if yb == (tuple(sorted(xb[0] + b + nb)),) + xb[1:k] + xb[k + 2:]:
+        if yb == (xb[0] | b | nb,) + xb[1:k] + xb[k + 2:]:
             return EdgeClass.SIGNED, i, i
         raise NotACoverError(x=x, y=y)
     l = k + 2
@@ -237,16 +265,16 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
     if l >= m:
         raise NotACoverError(x=x, y=y)
     c, nc = xb[l], xb[l + 1]
-    j = min(map(abs, c))
-    if j not in c:
-        raise NotCanonicalError(f"block {l} is not normalized: {c}")
-    rest = xb[k + 2:l] + xb[l + 2:]
-    if j in yb[k]:
-        cls, merged = EdgeClass.COHERENT, (tuple(sorted(b + c)), tuple(sorted(nb + nc)))
+    low = c & -c
+    if low.bit_length() & 1:
+        raise NotCanonicalError(f"block {l} is not normalized: {_elements(c)}")
+    # low is the bit of +j
+    if yb[k] & low:
+        cls, merged = EdgeClass.COHERENT, (b | c, nb | nc)
     else:
-        cls, merged = EdgeClass.NON_COHERENT, (tuple(sorted(b + nc)), tuple(sorted(nb + c)))
-    if yb == xb[:k] + merged + rest:
-        return cls, i, j
+        cls, merged = EdgeClass.NON_COHERENT, (b | nc, nb | c)
+    if yb == xb[:k] + merged + xb[k + 2:l] + xb[l + 2:]:
+        return cls, i, low.bit_length() >> 1
     raise NotACoverError(x=x, y=y)
 
 
@@ -259,10 +287,9 @@ class LatticeVariant:
     allowed: frozenset[int]
 
     def admits(self, p: SignedPartition) -> bool:
-        z = p.zero_block
-        if len(z) == 3:
-            return z[2] in self.allowed
-        return True
+        z = p.masks[0]
+        # a zero block {-k, 0, k} has three bits, the highest at 2k
+        return z.bit_count() != 3 or z.bit_length() >> 1 in self.allowed
 
 
 def variant_b(n: int) -> LatticeVariant:
@@ -279,34 +306,44 @@ def enumerate_lattice(v: LatticeVariant) -> GradedLattice:
     """All partitions of the variant, graded by rank, with cover adjacency.
 
     Rank-synchronous generation from the bottom.  Cover candidates are
-    block tuples; each distinct one becomes a single SignedPartition, which
-    `v.admits` keeps or drops.  Each rank is numbered in sorted order and
-    parents are visited in id order, so every cover list comes out sorted.
+    mask tuples; each distinct one becomes a single SignedPartition, which
+    `v.admits` keeps or drops.  Each rank is numbered in the sorted order
+    of its block tuples and parents are visited in id order, so every cover
+    list comes out sorted.
     """
-    bottom = SignedPartition.bottom(v.n)
+    n = v.n
+    bottom = SignedPartition.bottom(n)
     elements: list[SignedPartition] = [bottom]
     cover_lists: list[list[int]] = [[]]
-    layer = [(0, bottom.blocks)]
+    layer = [(0, bottom.masks)]
+    tuples: dict[int, tuple[int, ...]] = {}     # block mask -> sorted block tuple
     top = 0
     while layer:
-        parents: dict[tuple, list[int]] = {}
-        for pid, blocks in layer:
-            for q in _cover_blocks(blocks):
+        parents: dict[tuple[int, ...], list[int]] = {}
+        for pid, masks in layer:
+            for q in _cover_masks(masks):
                 ups = parents.get(q)
                 if ups is None:
                     parents[q] = [pid]
                 else:
                     ups.append(pid)
-        layer = []
-        for q in sorted(parents):
-            p = SignedPartition(v.n, q)
+        kept = []
+        for q in parents:
+            p = SignedPartition._from_masks(n, q)
             if v.admits(p):
-                qid = len(elements)
-                elements.append(p)
-                cover_lists.append([])
-                for pid in parents[q]:
-                    cover_lists[pid].append(qid)
-                layer.append((qid, q))
+                kept.append(p)
+                for b in q:
+                    if b not in tuples:
+                        tuples[b] = _elements(b)
+        kept.sort(key=lambda p: tuple(map(tuples.__getitem__, p.masks)))
+        layer = []
+        for p in kept:
+            qid = len(elements)
+            elements.append(p)
+            cover_lists.append([])
+            for pid in parents[p.masks]:
+                cover_lists[pid].append(qid)
+            layer.append((qid, p.masks))
         if layer:
             top = layer[0][0]
     return GradedLattice(elements, [p.rank for p in elements], cover_lists, 0, top)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import subprocess
 import sys
@@ -64,6 +65,19 @@ def test_chow_methods(capsys):
         assert code == 0 and out.strip() == "chow = t^2 + 14*t + 1"
     code, out, _ = run(capsys, "chow", "--family", "a", "--n", "3")
     assert code == 0 and out.strip() == "chow = t^2 + 8*t + 1"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--family", "dns", "--n", "4", "--s", "2"],
+     "f1fb7a8b9675199e59bf6d9416afca4528d9c0b60089968341aa5558f183429c"),
+    (["--family", "b", "--n", "4"],
+     "7b85631b0cfb6b95d09ed2db832567f2bbc8e08693d5eca9bbc5110570cff4c4"),
+], ids=["dns-4-2", "b-4"])
+def test_chain_dump_bytes_are_pinned(capsys, argv, digest):
+    # the sha256 of stdout as the block-tuple representation printed it;
+    # chains come out in element-id order, so this also pins the ids
+    code, out, _ = run(capsys, "chow", *argv, "--method", "chains", "--dump-chains", "-")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_fvector(capsys):

@@ -17,10 +17,10 @@ from interarr.labeling import (_FIRST, _WEAK, _edge_labels, _interval_words,
 from interarr.lattice import GradedLattice, NotComparableError
 from interarr.signed_partitions import (EdgeClass, NotACoverError,
                                         NotCanonicalError, SignedPartition,
-                                        _cover_blocks, decode_cover,
-                                        enumerate_lattice, representative,
+                                        decode_cover, enumerate_lattice,
                                         variant_b, variant_dns)
 from interarr.arrangement import intersection_lattice, make_family
+from test_signed_partitions import _cover_blocks, representative
 
 
 def verify_r_labeling(lat, labeler) -> list[tuple[int, int, str]]:
@@ -63,13 +63,14 @@ def _oracle_cover(x, y):
     search for the first new block of y and the x-blocks inside it."""
     if not (y.rank == x.rank + 1 and x.refines(y)):
         raise NotACoverError("not a cover")
-    if len(y.zero_block) > len(x.zero_block):
-        folded = [b for b in x.blocks[1::2] if set(b) <= set(y.zero_block)]
+    xb, yb = x.blocks, y.blocks
+    if len(yb[0]) > len(xb[0]):
+        folded = [b for b in xb[1::2] if set(b) <= set(yb[0])]
         r = representative(folded[0])
         return EdgeClass.SIGNED, r, r
-    x_blocks = set(x.blocks)
-    target = set(next(b for b in y.blocks[1:] if b not in x_blocks))
-    reps = sorted(representative(b) for b in x.blocks[1:] if set(b) <= target)
+    x_blocks = set(xb)
+    target = set(next(b for b in yb[1:] if b not in x_blocks))
+    reps = sorted(representative(b) for b in xb[1:] if set(b) <= target)
     i, j = reps[0], reps[-1]
     same_sign = (i in target) == (j in target)
     return (EdgeClass.COHERENT if same_sign else EdgeClass.NON_COHERENT), i, j
@@ -446,7 +447,7 @@ def test_descent_preservation_across_s(pi_b, dns_lattices):
             marker = tuple(sorted((-s, 0, s)))
             profile = Counter()
             for chain in lat.maximal_chains(lat.bottom, lat.top):
-                if not any(lat.elements[v].zero_block == marker for v in chain):
+                if not any(lat.elements[v].blocks[0] == marker for v in chain):
                     continue
                 word = [el_label(lat.elements[chain[k]], lat.elements[chain[k + 1]])
                         for k in range(len(chain) - 1)]

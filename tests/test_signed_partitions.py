@@ -1,17 +1,125 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interarr.arrangement import intersection_lattice, make_family
-from interarr.lattice import lattice_isomorphic
-from interarr.lattice import GradedLattice
+from interarr.labeling import label_set
+from interarr.lattice import GradedLattice, NotComparableError, lattice_isomorphic
 from interarr.signed_partitions import (EdgeClass, LatticeVariant, NotACoverError,
                                         NotCanonicalError, SignedPartition,
-                                        ZeroBlockError, _cover_blocks, decode_cover,
-                                        enumerate_lattice, is_normalized,
-                                        render, representative, variant_b,
+                                        _cover_masks, _mask, decode_cover,
+                                        enumerate_lattice, render, variant_b,
                                         variant_dns)
 from test_arrangement import check_graded
+
+
+# The tuple representation that the block masks replaced: every block a
+# sorted tuple of elements, so a fold or a merge concatenates blocks and
+# sorts them again.  Kept as oracles for the mask code.
+
+class ZeroBlockError(ValueError):
+    """Raised when a representative is requested for the zero block."""
+
+
+def representative(block) -> int:
+    """Least absolute value in a non-zero block."""
+    if 0 in block:
+        raise ZeroBlockError("the zero block has no representative")
+    return min(abs(x) for x in block)
+
+
+def is_normalized(block) -> bool:
+    """A non-zero block is normalized when it contains its representative
+    with positive sign."""
+    return representative(block) in block
+
+
+def _cover_blocks(blocks):
+    """The canonical block tuples of all covers in the full type-B lattice,
+    in the order `_cover_masks` gives them."""
+    zero = blocks[0]
+    m = len(blocks)
+    out = [(tuple(sorted(zero + blocks[k] + blocks[k + 1])),) + blocks[1:k] + blocks[k + 2:]
+           for k in range(1, m, 2)]
+    for i in range(1, m, 2):
+        b, nb = blocks[i], blocks[i + 1]
+        head = blocks[:i]
+        for j in range(i + 2, m, 2):
+            c, nc = blocks[j], blocks[j + 1]
+            rest = blocks[i + 2:j] + blocks[j + 2:]
+            out.append(head + (tuple(sorted(b + c)), tuple(sorted(nb + nc))) + rest)
+            out.append(head + (tuple(sorted(b + nc)), tuple(sorted(nb + c))) + rest)
+    return out
+
+
+def decode_cover_by_tuples(x, y):
+    """`decode_cover` on block tuples: the same reading of the layout, with
+    each fold or merge rebuilt by sorting."""
+    xb, yb = x.blocks, y.blocks
+    m = len(xb)
+    if x.n != y.n or len(yb) != m - 2:
+        raise NotACoverError(x=x, y=y)
+    k = 1
+    while k < m - 2 and xb[k] == yb[k]:
+        k += 2
+    b, nb = xb[k], xb[k + 1]
+    i = min(map(abs, b))
+    if i not in b:
+        raise NotCanonicalError(f"block {k} is not normalized: {b}")
+    if xb[0] != yb[0]:
+        if yb == (tuple(sorted(xb[0] + b + nb)),) + xb[1:k] + xb[k + 2:]:
+            return EdgeClass.SIGNED, i, i
+        raise NotACoverError(x=x, y=y)
+    l = k + 2
+    while l < m - 2 and xb[l] == yb[l]:
+        l += 2
+    if l >= m:
+        raise NotACoverError(x=x, y=y)
+    c, nc = xb[l], xb[l + 1]
+    j = min(map(abs, c))
+    if j not in c:
+        raise NotCanonicalError(f"block {l} is not normalized: {c}")
+    rest = xb[k + 2:l] + xb[l + 2:]
+    if j in yb[k]:
+        cls, merged = EdgeClass.COHERENT, (tuple(sorted(b + c)), tuple(sorted(nb + nc)))
+    else:
+        cls, merged = EdgeClass.NON_COHERENT, (tuple(sorted(b + nc)), tuple(sorted(nb + c)))
+    if yb == xb[:k] + merged + rest:
+        return cls, i, j
+    raise NotACoverError(x=x, y=y)
+
+
+def _refines_by_tuples(x, y):
+    lookup = {e: bi for bi, b in enumerate(y.blocks) for e in b}
+    return all(len({lookup[e] for e in b}) == 1 for b in x.blocks)
+
+
+def _label_set_by_tuples(x, y):
+    if not (x.rank <= y.rank and _refines_by_tuples(x, y)):
+        raise NotComparableError("label_set requires x <= y")
+    out = set()
+    for yb in y.blocks:
+        yset = set(yb)
+        mins = sorted(0 if 0 in b else representative(b)
+                      for b in x.blocks if set(b) <= yset)
+        out.update(mins[1:])
+    return frozenset(out)
+
+
+def _admits_by_tuples(v, p):
+    z = p.blocks[0]
+    return z[2] in v.allowed if len(z) == 3 else True
+
+
+def _render_by_tuples(p):
+    parts = []
+    for b in p.blocks:
+        pos = sorted(x for x in b if x > 0)
+        neg = sorted((x for x in b if x < 0), key=abs)
+        parts.append("".join(map(str, pos)) + ("0" if 0 in b else "") + "".join(map(str, neg)))
+    return "|".join(parts)
 
 PI_B_SIZES = {1: 2, 2: 6, 3: 24, 4: 116, 5: 648}
 
@@ -50,10 +158,12 @@ def test_element_invariants_exhaustive():
 def test_bottom_covers_and_coatom():
     bottom = SignedPartition.bottom(2)
     assert len(_cover_blocks(bottom.blocks)) == 4
+    assert len(_cover_masks(bottom.masks)) == 4
     coatoms = [p for p in enumerate_lattice(variant_b(3)).elements
                if len(p.blocks) == 3]
     for c in coatoms:
         assert _cover_blocks(c.blocks) == [(tuple(range(-3, 4)),)]
+        assert _cover_masks(c.masks) == [(2 ** 7 - 1,)]
 
 
 def test_covers_raise_rank_by_one():
@@ -77,6 +187,12 @@ def test_representative():
     assert representative((7,)) == 7 and is_normalized((7,))
     with pytest.raises(ZeroBlockError):
         representative((-1, 0, 1))
+    # the mask rules: the lowest set bit gives the representative, and its
+    # position is odd exactly on a normalized block
+    for block in [(2, -4, 5), (-2, 4, -5), (7,), (-7,), (-3, 1), (-1, 3)]:
+        low = (_mask(block) & -_mask(block)).bit_length()
+        assert low >> 1 == representative(block)
+        assert low % 2 == 0 if is_normalized(block) else low % 2 == 1
 
 
 def test_classify_edge_examples():
@@ -99,7 +215,7 @@ def test_render_style():
 
 
 def _zero_size(p):
-    return len(p.zero_block)
+    return len(p.blocks[0])
 
 
 def test_subposet_edge_laws():
@@ -126,7 +242,7 @@ def test_no_edge_between_different_singleton_zero_blocks():
             for j in ups:
                 y = lat.elements[j]
                 if _zero_size(y) == 3:
-                    assert x.zero_block == y.zero_block
+                    assert x.blocks[0] == y.blocks[0]
 
 
 def test_one_jump_law():
@@ -137,7 +253,7 @@ def test_one_jump_law():
             lat = enumerate_lattice(variant_dns(n, s))
             marker = tuple(sorted((-s, 0, s)))
             for chain in lat.maximal_chains(lat.bottom, lat.top):
-                flags = [lat.elements[v].zero_block == marker for v in chain]
+                flags = [lat.elements[v].blocks[0] == marker for v in chain]
                 jumps = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
                 assert jumps in (0, 2)
 
@@ -190,6 +306,29 @@ def test_validate_rejects_non_canonical_layout():
     assert not isinstance(err.value, NotCanonicalError)
 
 
+def test_raw_constructor_rejects_what_a_mask_cannot_hold():
+    # an unsorted block or an element repeated inside a block has no mask,
+    # so the raw constructor rejects it at once instead of leaving it to
+    # validate; everything else a mask can hold still waits for validate
+    with pytest.raises(NotCanonicalError, match="blocks must be sorted tuples"):
+        SignedPartition(3, ((0,), (2, 1), (-2, -1), (3,), (-3,)))
+    with pytest.raises(ValueError, match="bad partition element 1") as err:
+        SignedPartition(3, ((0,), (1, 1, 2), (-2, -1), (3,), (-3,)))
+    assert not isinstance(err.value, NotCanonicalError)
+    for blocks, message in [
+        (((0,), (1, 2), (-2, -1), (3,), (-3,), (3,)), "bad partition element 3"),
+        (((0,), (1, 2), (-2, -1), (4,), (-4,)), "bad partition element 4"),
+        (((0,), (1, 2), (-2, -1)), "not a partition"),
+        (((0,), (1, 2), (-2, -1), ()), "empty block"),
+        (((0,), (1, 2), (-2, -1), (-3, 3)), "self-paired"),
+    ]:
+        p = SignedPartition(3, blocks)
+        assert p.blocks == blocks
+        with pytest.raises(ValueError, match=message) as err:
+            p.validate()
+        assert not isinstance(err.value, NotCanonicalError)
+
+
 # The sort-based generator that `_cover_blocks` and `enumerate_lattice` replaced:
 # every cover is re-sorted by (representative, mirrored-last) and the
 # lattice deduplicates SignedPartition objects.  Kept as an oracle.
@@ -237,7 +376,7 @@ def _enumerate_by_sorting(v):
                 if v.admits(q):
                     pending.append((ids[p], q))
                     nxt.add(q)
-        layer = sorted(nxt)
+        layer = sorted(nxt, key=lambda q: q.blocks)
         for q in layer:
             ids[q] = len(elements)
             elements.append(q)
@@ -263,8 +402,10 @@ def test_covers_match_sorting_oracle_on_b1_to_b6():
         for p in lat.elements:
             got = _cover_blocks(p.blocks)
             assert got == [q.blocks for q in _covers_by_sorting(p)], render(p)
-            for q in got:
-                SignedPartition(p.n, q).validate()
+            ups = [SignedPartition(p.n, q) for q in got]
+            for q in ups:
+                q.validate()
+            assert [q.masks for q in ups] == _cover_masks(p.masks)
 
 
 def test_lattices_match_sorting_oracle():
@@ -273,3 +414,83 @@ def test_lattices_match_sorting_oracle():
     variants.append(LatticeVariant(5, frozenset({2, 4})))
     for v in variants:
         _same_lattice(enumerate_lattice(v), _enumerate_by_sorting(v))
+
+
+def test_decode_cover_matches_tuple_decoder_on_every_ordered_pair():
+    # every ordered pair of elements, covers or not, including x == y and
+    # pairs going down: the same value or the same exception class
+    variants = [variant_b(n) for n in range(1, 5)] + [variant_dns(4, s) for s in range(5)]
+    pairs = covers = 0
+    for v in variants:
+        elements = enumerate_lattice(v).elements
+        for x in elements:
+            for y in elements:
+                pairs += 1
+                try:
+                    want = decode_cover_by_tuples(x, y)
+                except ValueError as exc:
+                    with pytest.raises(type(exc)):
+                        decode_cover(x, y)
+                    continue
+                covers += 1
+                assert decode_cover(x, y) == want
+    assert pairs == 59462 and covers > 0
+
+
+@st.composite
+def signed_partitions(draw, n=None):
+    """A signed partition of {-n..n}, n <= 7: each r joins the zero block
+    or one of up to n mirror classes, with a sign."""
+    n = draw(st.integers(1, 7)) if n is None else n
+    classes = {}
+    zero = [0]
+    for r in range(1, n + 1):
+        cls = draw(st.integers(0, n))
+        if cls == 0:
+            zero += [r, -r]
+        else:
+            classes.setdefault(cls, []).append(r * draw(st.sampled_from((1, -1))))
+    blocks = [zero] + list(classes.values()) + [[-x for x in b] for b in classes.values()]
+    order = draw(st.permutations(range(len(blocks))))
+    return SignedPartition.from_blocks(n, [blocks[i] for i in order])
+
+
+@st.composite
+def comparable_pairs(draw):
+    """(x, y) of one n: y is x after a few covers read from the tuple
+    oracle, or an independent draw."""
+    x = draw(signed_partitions())
+    if draw(st.booleans()):
+        return x, draw(signed_partitions(x.n))
+    y = x
+    for _ in range(draw(st.integers(0, x.n))):
+        ups = _cover_blocks(y.blocks)
+        if not ups:
+            break
+        y = SignedPartition(x.n, draw(st.sampled_from(ups)))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparable_pairs(), st.data())
+def test_masks_round_trip_and_agree_with_tuple_bodies(pair, data):
+    x, y = pair
+    for p in pair:
+        assert SignedPartition.from_blocks(p.n, p.blocks) == p
+        assert hash(SignedPartition.from_blocks(p.n, p.blocks)) == hash(p)
+        assert SignedPartition(p.n, p.blocks) == p
+        assert render(p) == _render_by_tuples(p)
+        assert p.rank == p.n - (len(p.blocks) - 1) // 2
+        allowed = frozenset(data.draw(st.sets(st.integers(1, p.n))))
+        v = LatticeVariant(p.n, allowed)
+        assert v.admits(p) == _admits_by_tuples(v, p)
+    assert x.refines(y) == _refines_by_tuples(x, y)
+    assert y.refines(x) == _refines_by_tuples(y, x)
+    for lo, hi in (pair, pair[::-1]):
+        try:
+            want = _label_set_by_tuples(lo, hi)
+        except NotComparableError:
+            with pytest.raises(NotComparableError):
+                label_set(lo, hi)
+            continue
+        assert label_set(lo, hi) == want
