@@ -10,14 +10,18 @@ side of hyperplane h).  Sign strings over '+'/'-' exist only at the
 boundary: `ChamberComplex.sign_strings()`, the
 `dump_tope_graph` text and the CLI's `--base`.
 
-Chamber enumeration is breadth-first wall-crossing.  One crossing test,
-`_cross`, decides each candidate wall exactly and returns a point of the
-chamber across it; the general walk asks it of every hyperplane, the walk
-for arrangements flagged simplicial only for the first chamber.  Its
-ladder runs from cheap to dear: the mirror image of the chamber's point,
-a ray walk across the hyperplane, a Farkas certificate that it is no wall
-(a nonnegative combination of two other signed normals), and last the
-integer LP oracle, which decides whatever the three cheap rungs leave.
+Chamber enumeration is breadth-first wall-crossing.  One routine,
+`_chamber_walls`, decides every candidate wall of a chamber exactly and
+returns a point of each new chamber across one; the general walk asks it
+of every chamber, the walk for arrangements flagged simplicial only of
+the first.  Its first pass runs the cheap rungs on every hyperplane: a
+neighbour already found, the mirror image of the chamber's point and a
+ray walk across the hyperplane prove walls, and a Farkas certificate (a
+nonnegative combination of two other signed normals) proves a non-wall.
+Its second pass gives what is left to the integer LP oracle, first on
+the chamber's known walls and the flipped hyperplane only: most
+non-walls are infeasible already there.  The full system decides the
+rest, and its witness is the point of the new chamber.
 After the first chamber, the simplicial walk derives a chamber's walls
 from its neighbour's: crossing wall w replaces each other wall k by the
 next hyperplane through the codimension-2 flat H_w & H_k, found once per
@@ -418,8 +422,7 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
     mask0 = _row_mask(row0)
     gram = _gram(normals)
     supports = _supports(gram)
-    facets0 = tuple(i for i in range(a.m)
-                    if _cross(normals, gram, supports, mask0, p0, row0, i) is not None)
+    facets0 = _chamber_walls(normals, gram, supports, mask0, p0, row0, {})[0]
     if len(facets0) != d:
         raise _SimplicialityError(f"seed chamber has {len(facets0)} walls, expected {d}")
     pivots: dict[tuple[int, int, bool], int] = {}
@@ -544,25 +547,53 @@ def _pair_redundant(gram, mask, i) -> bool:
     return False
 
 
-def _cross(normals, gram, supports, mask, p, row, i):
-    """An interior point of the chamber across hyperplane i from the chamber
-    `mask` (interior point p, pairing row `row`); None if i is not a wall.
+def _chamber_walls(normals, gram, supports, mask, p, row, index):
+    """The walls of the chamber `mask` (interior point p, pairing row `row`),
+    ascending, and an interior point of the chamber across each wall whose
+    chamber is not yet in `index`, as {wall: point}.
 
-    Exact certificates from cheap to dear: the mirror image of p, a point
-    just past H_i on the ray from p perpendicular to it (it crosses H_i
-    first whenever the foot of that ray is inside every other half-space),
-    a Farkas combination of two other signed normals proving i is no wall
-    (`_pair_redundant`), and last the integer LP oracle, which decides the
-    walls both points miss and the non-walls that need three or more terms.
+    Pass 1 runs the cheap exact rungs on every hyperplane.  It is a wall
+    when the chamber across it is already known, or when the mirror image
+    of p or a point just past H_i on the ray from p perpendicular to it
+    (`_try_ray_walk`) lands across it; it is no wall when a Farkas
+    combination of two other signed normals certifies so
+    (`_pair_redundant`).  The walls found are the chamber's known walls.
+    Pass 2 decides what is left in hyperplane order, with the integer LP
+    oracle.  If the chamber's known walls and the flipped row of i admit
+    no common point, neither do all the rows, and i is no wall (Clarkson's
+    output-sensitive test).  Otherwise the full system decides; its witness
+    is the point across a new wall, which joins the known walls.  The LP
+    is only asked about the full system after a feasible subsystem, so
+    every wall gets the witness the full system alone would give.
     """
-    nmask = mask ^ 1 << i
-    hit = _try_mirror(normals, gram, supports, p, row, i, nmask)
-    if hit is not None:
-        return hit[0]
-    wit = _try_ray_walk(normals, mask, p, i, nmask)
-    if wit is None and not _pair_redundant(gram, mask, i):
-        wit = feasible_strict(_signed_rows(normals, nmask), len(p))
-    return wit
+    d = len(p)
+    signed = _signed_rows(normals, mask)
+    known = []          # signed rows of the walls proved so far
+    walls = []
+    crossed = {}
+    undecided = []
+    for i in range(len(normals)):
+        nmask = mask ^ 1 << i
+        if nmask not in index:
+            hit = _try_mirror(normals, gram, supports, p, row, i, nmask)
+            wit = hit[0] if hit is not None else _try_ray_walk(normals, mask, p, i, nmask)
+            if wit is None:
+                if not _pair_redundant(gram, mask, i):
+                    undecided.append(i)
+                continue
+            crossed[i] = wit
+        walls.append(i)
+        known.append(signed[i])
+    for i in undecided:
+        flipped = tuple(-x for x in signed[i])
+        if feasible_strict(known + [flipped], d) is None:
+            continue
+        wit = feasible_strict(signed[:i] + [flipped] + signed[i + 1:], d)
+        if wit is not None:
+            crossed[i] = wit
+            walls.append(i)
+            known.append(signed[i])
+    return tuple(sorted(walls)), crossed
 
 
 def _chamber_bfs_general(a: Arrangement) -> ChamberComplex:
@@ -577,19 +608,13 @@ def _chamber_bfs_general(a: Arrangement) -> ChamberComplex:
     supports = _supports(gram)
     for ci, mask in enumerate(masks):  # breadth-first: masks grows as chambers are found
         p = witnesses[ci]
-        row = _pairings(normals, p)
-        walls = []
-        for i in range(a.m):
-            nmask = mask ^ (1 << i)
-            if nmask not in index:
-                wit = _cross(normals, gram, supports, mask, p, row, i)
-                if wit is None:
-                    continue
-                index[nmask] = len(masks)
-                masks.append(nmask)
-                witnesses.append(wit)
-            walls.append(i)
-        facets.append(tuple(walls))
+        walls, crossed = _chamber_walls(normals, gram, supports, mask,
+                                        p, _pairings(normals, p), index)
+        for i in sorted(crossed):
+            index[mask ^ 1 << i] = len(masks)
+            masks.append(mask ^ 1 << i)
+            witnesses.append(crossed[i])
+        facets.append(walls)
     return ChamberComplex(a, masks, witnesses, facets)
 
 

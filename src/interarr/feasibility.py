@@ -25,9 +25,20 @@ def _phase1_simplex(a_rows, n: int):
     fraction-free (Edmonds; Bareiss): the actual tableau is T / den with
     den > 0 the last pivot, and a pivot on (r, c) keeps row r and maps every
     other row to (T[r][c] T[i] - T[i][c] T[r]) / den, an exact division.
+
+    The artificial columns are not stored; the basis names them by their
+    column numbers 2n+m+i, so ties of the leaving rule fall as with them.
+    None of them ever enters a feasible system: once no u, v or w column
+    has a negative reduced cost, the simplex multipliers y satisfy
+    y^T A = 0 and y >= 0, and if some x has A x >= 1 then
+    0 = y^T A x >= sum(y) forces y = 0, so the objective is 0 and every
+    artificial reduced cost is 1.  Bland's rule scans the artificial
+    columns last, so the pivots, and the witness, are those of the full
+    tableau; in an infeasible system the loop stops at the same point with
+    positive artificial mass instead of pivoting further.
     """
     m = len(a_rows)
-    ncols = 2 * n + m + m
+    ncols = 2 * n + m
     rows = []
     for i, r in enumerate(a_rows):
         row = [0] * (ncols + 1)
@@ -35,7 +46,6 @@ def _phase1_simplex(a_rows, n: int):
             row[j] = v
             row[n + j] = -v
         row[2 * n + i] = -1                    # surplus
-        row[2 * n + m + i] = 1                 # artificial
         row[ncols] = 1                         # rhs
         rows.append(row)
     # objective: minimize sum of artificials; store negated reduced costs
@@ -43,8 +53,7 @@ def _phase1_simplex(a_rows, n: int):
     for i in range(m):
         for j in range(ncols + 1):
             obj[j] -= rows[i][j]
-        obj[2 * n + m + i] += 1
-    basis = [2 * n + m + i for i in range(m)]
+    basis = [ncols + i for i in range(m)]      # the artificials, by column number
     den = 1
 
     while True:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .lattice import GradedLattice, NotComparableError
-from .signed_partitions import (EdgeClass, NotACoverError, SignedPartition,
+from .signed_partitions import (_COHERENT, _SIGNED, NotACoverError, SignedPartition,
                                 decode_cover)
 
 
@@ -33,9 +33,9 @@ def el_label(x: SignedPartition, y: SignedPartition) -> tuple[int, int]:
     """Pair label: (0, max) on coherent, (1, 1) on signed, (2, min) on
     non-coherent edges; pairs compare lexicographically."""
     cls, i, j = decode_cover(x, y)
-    if cls is EdgeClass.SIGNED:
+    if cls is _SIGNED:
         return (1, 1)
-    if cls is EdgeClass.COHERENT:
+    if cls is _COHERENT:
         return (0, j)
     return (2, i)
 

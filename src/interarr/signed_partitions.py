@@ -42,6 +42,11 @@ class EdgeClass(Enum):
     NON_COHERENT = "non-coherent"
 
 
+# The members under module-level names: a cover's class is read from a
+# global, not looked up on the enum once per call.
+_SIGNED, _COHERENT, _NON_COHERENT = EdgeClass.SIGNED, EdgeClass.COHERENT, EdgeClass.NON_COHERENT
+
+
 class NotCanonicalError(ValueError):
     """Raised when a valid signed partition breaks the canonical layout."""
 
@@ -257,7 +262,7 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
     i = low >> 1
     if xb[0] != yb[0]:
         if yb == (xb[0] | b | nb,) + xb[1:k] + xb[k + 2:]:
-            return EdgeClass.SIGNED, i, i
+            return _SIGNED, i, i
         raise NotACoverError(x=x, y=y)
     l = k + 2
     while l < m - 2 and xb[l] == yb[l]:
@@ -270,9 +275,9 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
         raise NotCanonicalError(f"block {l} is not normalized: {_elements(c)}")
     # low is the bit of +j
     if yb[k] & low:
-        cls, merged = EdgeClass.COHERENT, (b | c, nb | nc)
+        cls, merged = _COHERENT, (b | c, nb | nc)
     else:
-        cls, merged = EdgeClass.NON_COHERENT, (b | nc, nb | c)
+        cls, merged = _NON_COHERENT, (b | nc, nb | c)
     if yb == xb[:k] + merged + xb[k + 2:l] + xb[l + 2:]:
         return cls, i, low.bit_length() >> 1
     raise NotACoverError(x=x, y=y)

@@ -413,6 +413,93 @@ def test_cone_certificate_matches_lp_oracle(a):
     _assert_pair_certificates_match_minor_oracle(a)
 
 
+# Test oracle: the crossing ladder the general walk ran before it decided a
+# chamber's walls in two passes, kept verbatim.  It asks the full LP about
+# every hyperplane that the three cheap rungs leave open.
+
+
+def _cross(normals, gram, supports, mask, p, row, i):
+    nmask = mask ^ 1 << i
+    hit = arr._try_mirror(normals, gram, supports, p, row, i, nmask)
+    if hit is not None:
+        return hit[0]
+    wit = arr._try_ray_walk(normals, mask, p, i, nmask)
+    if wit is None and not arr._pair_redundant(gram, mask, i):
+        wit = arr.feasible_strict(arr._signed_rows(normals, nmask), len(p))
+    return wit
+
+
+def _chamber_bfs_by_ladder(a):
+    normals = a.normals
+    p0 = arr.generic_point(normals, a.dim)
+    mask0 = _row_mask(_pairings(normals, p0))
+    masks = [mask0]
+    witnesses = [p0]
+    facets = []
+    index = {mask0: 0}
+    gram = arr._gram(normals)
+    supports = arr._supports(gram)
+    for ci, mask in enumerate(masks):
+        p = witnesses[ci]
+        row = _pairings(normals, p)
+        walls = []
+        for i in range(a.m):
+            nmask = mask ^ (1 << i)
+            if nmask not in index:
+                wit = _cross(normals, gram, supports, mask, p, row, i)
+                if wit is None:
+                    continue
+                index[nmask] = len(masks)
+                masks.append(nmask)
+                witnesses.append(wit)
+            walls.append(i)
+        facets.append(tuple(walls))
+    return arr.ChamberComplex(a, masks, witnesses, facets)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_essential_small())
+@example(RANDOM_POOL[0])
+@example(RANDOM_POOL[1])
+@example(make_arrangement(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)]))
+@example(make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
+def test_two_pass_walls_match_the_ladder_oracle(a):
+    # chambers in the same order, the same witnesses, walls and edges
+    def dump(cc):
+        return repr((cc.masks, cc.witnesses, cc.facets, cc.edges))
+    assert dump(arr._chamber_bfs_general(a)) == dump(_chamber_bfs_by_ladder(a))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_known_walls_refute_non_walls_before_the_full_lp(monkeypatch, k):
+    # every LP question of the walk is a subsystem over the chamber's known
+    # walls, followed by the full system only when the subsystem is feasible
+    a = RANDOM_POOL[k]
+    asked = []
+
+    def recording(rows, n):
+        asked.append((len(rows), feasible_strict(rows, n)))
+        return asked[-1][1]
+    monkeypatch.setattr(arr, "feasible_strict", recording)
+    _chamber_bfs_by_ladder(a)
+    ladder = len(asked)
+    asked.clear()
+    arr._chamber_bfs_general(a)
+    full = refuted = t = 0
+    while t < len(asked):
+        size, wit = asked[t]
+        assert size < a.m
+        if wit is None:
+            refuted += 1
+            t += 1
+        else:
+            assert asked[t + 1][0] == a.m
+            full += 1
+            t += 2
+    # most non-walls never reach the full system
+    assert refuted > 2 * full and 3 * full < ladder, (refuted, full, ladder)
+
+
 def _f_vector_by_walks(a):
     """Oracle: count the chambers of every restriction A^X by a chamber walk
     inside X, in integer coordinates."""

@@ -11,15 +11,17 @@ from interarr.linalg import (EchelonBasis, dot, gcd_reduced, primitive_vector,
                              solve_square_int)
 
 # Test oracle: the Fraction phase-1 simplex and `scale_to_int` that the
-# library ran before its fraction-free tableau, kept verbatim.  The integer
-# simplex must make the same pivots, so verdicts and witnesses agree exactly.
+# library ran before its fraction-free tableau, kept verbatim but for the
+# optional record of entering columns.  The integer simplex must make the
+# same pivots, so verdicts and witnesses agree exactly.
 
 
-def _phase1_simplex_fraction(a_rows, n: int):
+def _phase1_simplex_fraction(a_rows, n: int, entered=None):
     """Feasibility of A x >= 1 with x free; returns a Fraction solution or None.
 
     Standard form: A u - A v - w + s = 1 with u, v, w, s >= 0 and artificial
-    block s started as the basis; minimize sum(s).
+    block s started as the basis; minimize sum(s).  Every entering column
+    is appended to `entered` when it is a list.
     """
     m = len(a_rows)
     if m == 0:
@@ -51,6 +53,8 @@ def _phase1_simplex_fraction(a_rows, n: int):
                 break
         if enter == -1:
             break
+        if entered is not None:
+            entered.append(enter)
         leave = -1
         best = None
         for i in range(m):
@@ -152,6 +156,40 @@ def test_integer_simplex_matches_fraction_oracle_on_large_coefficients():
         rows = [tuple(rng.randint(-5, 5) * rng.randint(1, 1 << 42) for _ in range(dim))
                 for _ in range(rng.randint(1, 8))]
         assert feasible_strict(rows, dim) == feasible_strict_fraction(rows, dim), rows
+
+
+def test_no_artificial_column_enters_a_feasible_system():
+    # the library's tableau stores no artificial columns: on every feasible
+    # system the full Fraction tableau never lets one enter, and the two
+    # agree on every verdict and witness, zero, repeated, doubled and
+    # opposite rows included.  The first system breaks a leaving tie
+    # between a row with an artificial and a row with a surplus in its basis.
+    rng = random.Random(2424)
+    cases = [(4, [(1, 2, 2, -1), (0, -2, -1, 2), (2, -1, 1, 0), (1, 1, 0, 1),
+                  (-2, -1, -1, 2), (-2, 1, -2, 1), (2, 2, 0, 2)])]
+    for _ in range(600):
+        dim = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim))
+                for _ in range(rng.randint(0, 7))]
+        for _ in range(rng.randint(0, 3)):
+            r = rng.choice(rows + [(0,) * dim])
+            rows.insert(rng.randint(0, len(rows)),
+                        rng.choice([r, tuple(2 * x for x in r), tuple(-x for x in r)]))
+        cases.append((dim, rows))
+    feasible = infeasible = artificial_in_infeasible = 0
+    for dim, rows in cases:
+        entered = []
+        sol = _phase1_simplex_fraction(rows, dim, entered)
+        assert feasible_strict(rows, dim) == (None if sol is None else scale_to_int(sol)), rows
+        if sol is None:
+            infeasible += 1
+            artificial_in_infeasible += any(j >= 2 * dim + len(rows) for j in entered)
+        else:
+            feasible += 1
+            assert all(j < 2 * dim + len(rows) for j in entered), rows
+    assert feasible > 100 and infeasible > 300
+    # the infeasible systems do go on pivoting artificials in the full tableau
+    assert artificial_in_infeasible
 
 
 def test_library_imports_no_fractions():
