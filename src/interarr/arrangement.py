@@ -24,18 +24,27 @@ non-walls are infeasible already there.  The full system decides the
 rest, and its witness is the point of the new chamber.
 After the first chamber, the simplicial walk derives a chamber's walls
 from its neighbour's: crossing wall w replaces each other wall k by the
-next hyperplane through the codimension-2 flat H_w & H_k, found once per
-(w, k, side) in a walk; every chamber is still certified by an integer
-witness point, and any inconsistency falls back to the general walk.
-The pair certificate and that pivot ask the same question, whether
+next hyperplane through the codimension-2 flat H_w & H_k, read from the
+walk's table of rank-2 flats; every chamber is still certified by an
+integer witness point, and any inconsistency falls back to the general
+walk.  The pair certificate and that pivot ask the same question, whether
 a_h = alpha a_j + beta a_k, answered by integer Cramer on the Gram
-matrix of the normals.  Both walks test a witness through its pairing
-row (a_j . w for every hyperplane j): the row of a witness mirrored
-across hyperplane i follows from its parent's row and the Gram row G_i,
-with no dot product.  Where the mirror is an integer reflection (in the
-integer root systems, always) only the entries on the support of G_i
-change, and only those are computed and tested; in a built-in family
-of rank n >= 2 that support holds at most 4n - 5 of up to n^2 entries.
+matrix of the normals once per rank-2 flat in a walk (`_WalkTables`):
+the first pair of a flat that either asks about scans the hyperplanes
+and fills the entries of every pair in the flat, so a chamber pays only
+sign tests.  Both walks test a witness through its pairing row (a_j . w
+for every hyperplane j): the row of a witness mirrored across hyperplane
+i follows from its parent's row and the Gram row G_i, with no dot
+product, and so do the crossing times of the ray walk.  Where the
+reflection is integral (n2 = a_i . a_i divides 2 a_i entrywise, as in
+every built-in family), the mirror of p is p - c a_i with c =
+2 (a_i . p) / n2, with no scaling, gcd or division: an integral
+reflection is its own inverse, so it keeps p primitive, and every
+witness of a walk is primitive (the first point ends in 1, and every
+later one is such a mirror or gcd-reduced).  Only the entries of its
+row on the support of G_i change, and only those are computed and
+tested; in a built-in family of rank n >= 2 that support holds at most
+4n - 5 of up to n^2 entries.
 The walls each chamber records (`ChamberComplex.facets`) are the only
 record of the adjacency; `ChamberComplex.edges` is read from them.
 """
@@ -44,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 from .feasibility import CertificateError, feasible_strict, generic_point
@@ -341,12 +350,6 @@ def _gram(normals) -> tuple[tuple[int, ...], ...]:
     return tuple(_pairings(normals, a) for a in normals)
 
 
-def _supports(gram) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nonzero (j, G[i][j]) of every Gram row i: the pairings that a
-    reflection across hyperplane i can change."""
-    return tuple(tuple((j, x) for j, x in enumerate(gi) if x) for gi in gram)
-
-
 def _signed_rows(normals, mask):
     return [tuple(-x for x in v) if mask >> h & 1 else v
             for h, v in enumerate(normals)]
@@ -368,26 +371,82 @@ def _span_pair(gram, j, k, h):
     return alpha, beta
 
 
-def _pivot(gram, w, k, same_side: bool) -> int:
+class _WalkTables:
+    """What a chamber walk reads of its arrangement, each entry found once
+    per walk: the Gram matrix, the reflection of every hyperplane and,
+    filled as the walk asks, the rank-2 flats.
+
+    `reflections[i]` is (n2, G_i, the nonzero (j, G_ij), integral), n2 =
+    G_ii and `integral` true when n2 divides 2 a_i entrywise (for a
+    primitive a_i, when n2 is 1 or 2, as for every hyperplane of a
+    built-in family): then the reflection across H_i is an integer matrix.
+    """
+
+    __slots__ = ("normals", "gram", "reflections", "_flats", "_spans")
+
+    def __init__(self, normals):
+        self.normals = normals
+        self.gram = gram = _gram(normals)
+        self.reflections = tuple(
+            (gi[i], gi, tuple((j, x) for j, x in enumerate(gi) if x),
+             all(2 * x % gi[i] == 0 for x in ai))
+            for i, (ai, gi) in enumerate(zip(normals, gram)))
+        self._flats = {}
+        self._spans = {}
+
+    def flat(self, w, k):
+        """The hyperplanes through H_w & H_k, w and k among them, ascending:
+        those h that `_span_pair(gram, w, k, h)` spans.  The first pair of a
+        rank-2 flat asked about scans every hyperplane once, for every pair
+        in the flat."""
+        got = self._flats.get((w, k))
+        if got is None:
+            gram = self.gram
+            got = tuple(h for h in range(len(gram))
+                        if h == w or h == k or _span_pair(gram, w, k, h) is not None)
+            for x, y in permutations(got, 2):
+                self._flats[x, y] = got
+        return got
+
+    def line(self, w, k):
+        """(h, alpha, beta) for every other hyperplane h through H_w & H_k,
+        ascending, with D a_h = alpha a_w + beta a_k (`_span_pair`)."""
+        return tuple((h, *_span_pair(self.gram, w, k, h))
+                     for h in self.flat(w, k) if h != w and h != k)
+
+    def spans(self, i):
+        """(j, k, alpha, beta) with j < k and D a_i = alpha a_j + beta a_k,
+        for every pair of other hyperplanes whose normals span a_i: the
+        pairs of the rank-2 flats through H_i."""
+        got = self._spans.get(i)
+        if got is None:
+            gram = self.gram
+            got = []
+            seen = {i}
+            for j in range(len(gram)):
+                if j not in seen:
+                    flat = self.flat(i, j)
+                    seen.update(flat)
+                    got += [(x, y, *_span_pair(gram, x, y, i))
+                            for x, y in combinations([h for h in flat if h != i], 2)]
+            self._spans[i] = got = tuple(got)
+        return got
+
+
+def _pivot(tables, w, k, same_side: bool) -> int:
     """The wall that replaces wall k of a chamber crossed at its wall w.
 
-    Hyperplane h contains H_w & H_k exactly when `_span_pair` writes D a_h =
-    alpha a_w + beta a_k.  In the chamber's coordinates s, t (its signed
-    pairings with a_w, a_k, both positive inside) that hyperplane is the
-    line alpha' s + beta' t = 0, and it misses the chamber's sector unless
-    alpha' and beta' differ in sign; `same_side` says whether the chamber's
-    signs on w and k agree.  The neighbour's sector runs from w to the first
-    such line, the one with the least |beta| / |alpha|, and to k itself when
-    there is none.
+    The hyperplanes h through H_w & H_k are those of `tables.line(w, k)`,
+    with D a_h = alpha a_w + beta a_k.  In the chamber's coordinates s, t
+    (its signed pairings with a_w, a_k, both positive inside) such a
+    hyperplane is the line alpha' s + beta' t = 0, and it misses the
+    chamber's sector unless alpha' and beta' differ in sign; `same_side`
+    says whether the chamber's signs on w and k agree.  The neighbour's
+    sector runs from w to the first such line, the one with the least
+    |beta| / |alpha|, and to k itself when there is none.
     """
     best, best_a, best_b = k, 1, None
-    for h in range(len(gram)):
-        if h == w or h == k:
-            continue
-        span = _span_pair(gram, w, k, h)
-        if span is None:
-            continue
-        alpha, beta = span
+    for h, alpha, beta in tables.line(w, k):
         if ((alpha > 0) == (beta > 0)) != same_side:
             raise _SimplicialityError("a hyperplane cuts the sector between two walls")
         alpha, beta = abs(alpha), abs(beta)
@@ -417,48 +476,51 @@ def _witness_from_facets(a: Arrangement, mask: int, facets):
 def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
     normals = a.normals
     d = a.dim
+    m = a.m
+    tables = _WalkTables(normals)
     p0 = generic_point(normals, d)
     row0 = _pairings(normals, p0)
     mask0 = _row_mask(row0)
-    gram = _gram(normals)
-    supports = _supports(gram)
-    facets0 = _chamber_walls(normals, gram, supports, mask0, p0, row0, {})[0]
+    facets0 = _chamber_walls(tables, mask0, p0, row0, {})[0]
     if len(facets0) != d:
         raise _SimplicialityError(f"seed chamber has {len(facets0)} walls, expected {d}")
-    pivots: dict[tuple[int, int, bool], int] = {}
+    pivots: dict[int, int] = {}  # 2 (w m + k) + (sides of w and k differ) -> pivot
 
     masks = [mask0]
     witnesses = [p0]
     facets = [facets0]
     index = {mask0: 0}
-    rows = {0: row0}  # pairing rows of the chambers still to expand
+    rows = [row0]  # pairing rows, dropped once their chamber is expanded
     for ci, mask in enumerate(masks):  # breadth-first: masks grows as chambers are found
         walls = facets[ci]
-        row = rows.pop(ci)
+        row = rows[ci]
+        rows[ci] = None
         for w in walls:
             nmask = mask ^ (1 << w)
             ni = index.get(nmask)
             if ni is None:
                 nf = [w]
+                base = 2 * w * m
                 for k in walls:
                     if k == w:
                         continue
-                    key = (w, k, (mask >> w & 1) == (mask >> k & 1))
-                    h = pivots.get(key)
-                    if h is None:
-                        h = pivots[key] = _pivot(gram, *key)
+                    key = base + 2 * k + ((mask >> w ^ mask >> k) & 1)
+                    try:
+                        h = pivots[key]
+                    except KeyError:
+                        h = pivots[key] = _pivot(tables, w, k, not key & 1)
                     nf.append(h)
                 if len(set(nf)) != d:
                     raise _SimplicialityError("pivoted walls collide")
                 # mirroring the parent witness is usually an interior point of
                 # the neighbour and avoids the exact solve; verify, never trust
-                hit = _try_mirror(normals, gram, supports, witnesses[ci], row, w, nmask)
+                hit = _mirror(tables, witnesses[ci], row, w, nmask)
                 if hit is None or max(map(abs, hit[0])) > 1 << 24:
                     hit = _witness_from_facets(a, nmask, nf)
                 ni = len(masks)
                 masks.append(nmask)
                 witnesses.append(hit[0])
-                rows[ni] = hit[1]
+                rows.append(hit[1])
                 facets.append(tuple(sorted(nf)))
                 index[nmask] = ni
             elif w not in facets[ni]:
@@ -467,31 +529,35 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
     return ChamberComplex(a, masks, witnesses, facets)
 
 
-def _try_mirror(normals, gram, supports, p, row, i, target_mask):
-    """The reflection q = (n2 p - 2 (a_i . p) a_i) / g of p across hyperplane
-    i, with its pairing row (n2 row - 2 row[i] G[i]) / g, exact because q / g
-    is integer; None unless q lies in the target chamber.  `row` is p's
-    pairing row, and its signs are those of `target_mask` except at i.
+def _mirror(tables, p, row, i, target_mask):
+    """The reflection of p across hyperplane i, primitive, with its pairing
+    row; None unless it lies in the target chamber.  `row` is p's pairing
+    row, and its signs are those of `target_mask` except at i.
 
-    When g = n2 (always in the integer root systems), q = p - c a_i with c =
-    2 row[i] / n2 an integer (a_i is primitive), and qrow = row - c G[i]
-    changes only on the support of G[i]: only those entries are tested,
-    since every other one keeps the sign `row` already has.  Otherwise the
-    whole row is scaled and tested."""
-    ai, gi = normals[i], gram[i]
-    n2, aip = gi[i], row[i]
-    q = [n2 * x - 2 * aip * y for x, y in zip(p, ai)]
-    g = gcd(*q)
-    if g == n2:
+    Where the reflection is integral, q = p - c a_i with c = 2 (a_i . p) /
+    n2 an integer, and qrow = row - c G_i changes only on the support of
+    G_i: only those entries are computed and tested, since every other one
+    keeps the sign `row` already has.  An integral reflection is its own
+    inverse, so q is primitive when p is, as every witness of a walk is.
+    Otherwise q = (n2 p - 2 (a_i . p) a_i) / g with g the gcd of its
+    entries, and the whole row (n2 row - 2 row[i] G_i) / g is tested."""
+    n2, gi, support, integral = tables.reflections[i]
+    aip = row[i]
+    if integral:
         c = 2 * aip // n2
         qrow = list(row)
-        for j, gij in supports[i]:
+        for j, gij in support:
             d = qrow[j] - c * gij
-            if not d or (d < 0) != (target_mask >> j & 1):
+            if d < 0:
+                if not target_mask >> j & 1:
+                    return None
+            elif not d or target_mask >> j & 1:
                 return None
             qrow[j] = d
-        return tuple([x // g for x in q]), tuple(qrow)
+        return tuple([x - c * y for x, y in zip(p, tables.normals[i])]), tuple(qrow)
+    q = [n2 * x - 2 * aip * y for x, y in zip(p, tables.normals[i])]
     qrow = [n2 * x - 2 * aip * y for x, y in zip(row, gi)]
+    g = gcd(*q)
     if g > 1:
         q = [x // g for x in q]
         qrow = [x // g for x in qrow]
@@ -500,21 +566,22 @@ def _try_mirror(normals, gram, supports, p, row, i, target_mask):
     return tuple(q), tuple(qrow)
 
 
-def _try_ray_walk(normals, mask, p, i, target_mask):
+def _try_ray_walk(tables, mask, p, row, i, target_mask):
     """A point just past H_i on the ray from p along a_i, out of the chamber;
-    None unless it lies in the target chamber.  A crossing time is a pair
-    (num, den > 0); pairs are compared by cross-multiplying."""
-    ai = normals[i]
+    None unless it lies in the target chamber.  `row` is p's pairing row,
+    and along the ray a_j . x changes at the rate -s_i G_ij.  A crossing
+    time is a pair (num, den > 0); pairs are compared by cross-multiplying."""
+    normals = tables.normals
+    gi = tables.gram[i]
     si = -1 if mask >> i & 1 else 1
-    direction = tuple(-si * x for x in ai)
     t_i = None
     t_next = None
-    for j, aj in enumerate(normals):
+    for j, gij in enumerate(gi):
         sj = -1 if mask >> j & 1 else 1
-        slope = sj * dot(aj, direction)
+        slope = -si * sj * gij
         if slope >= 0:
             continue
-        t_j = (sj * dot(aj, p), -slope)
+        t_j = (sj * row[j], -slope)
         if j == i:
             t_i = t_j
         elif t_next is None or t_j[0] * t_next[1] < t_next[0] * t_j[1]:
@@ -526,28 +593,27 @@ def _try_ray_walk(normals, mask, p, i, target_mask):
         step, scale = t_i[0] + t_i[1], t_i[1]
     else:
         step, scale = t_i[0] * t_next[1] + t_next[0] * t_i[1], 2 * t_i[1] * t_next[1]
-    q = gcd_reduced([scale * x + step * dx for x, dx in zip(p, direction)])
+    step *= -si
+    q = gcd_reduced([scale * x + step * y for x, y in zip(p, normals[i])])
     return q if _row_mask(_pairings(normals, q)) == target_mask else None
 
 
-def _pair_redundant(gram, mask, i) -> bool:
+def _pair_redundant(tables, mask, i) -> bool:
     """True if the flipped constraint of hyperplane i is a nonnegative
     combination of two other signed rows, certifying (Farkas) that i is not
-    a wall of the chamber `mask`.  With D a_i = alpha a_j + beta a_k and
-    signs s (-1 on the chamber's negative sides), s_i a_i is that
-    combination when s_i s_j alpha >= 0 and s_i s_k beta >= 0."""
-    sign = [-1 if mask >> h & 1 else 1 for h in range(len(gram))]
-    for j, k in combinations(range(len(gram)), 2):
-        if i == j or i == k:
-            continue
-        span = _span_pair(gram, j, k, i)
-        if (span is not None and sign[i] * sign[j] * span[0] >= 0
-                and sign[i] * sign[k] * span[1] >= 0):
+    a wall of the chamber `mask`.  With D a_i = alpha a_j + beta a_k (one
+    of `tables.spans(i)`) and signs s (-1 on the chamber's negative sides),
+    s_i a_i is that combination when s_i s_j alpha >= 0 and
+    s_i s_k beta >= 0."""
+    si = mask >> i & 1
+    for j, k, alpha, beta in tables.spans(i):
+        if ((alpha <= 0 if mask >> j & 1 != si else alpha >= 0)
+                and (beta <= 0 if mask >> k & 1 != si else beta >= 0)):
             return True
     return False
 
 
-def _chamber_walls(normals, gram, supports, mask, p, row, index):
+def _chamber_walls(tables, mask, p, row, index):
     """The walls of the chamber `mask` (interior point p, pairing row `row`),
     ascending, and an interior point of the chamber across each wall whose
     chamber is not yet in `index`, as {wall: point}.
@@ -567,18 +633,18 @@ def _chamber_walls(normals, gram, supports, mask, p, row, index):
     every wall gets the witness the full system alone would give.
     """
     d = len(p)
-    signed = _signed_rows(normals, mask)
+    signed = _signed_rows(tables.normals, mask)
     known = []          # signed rows of the walls proved so far
     walls = []
     crossed = {}
     undecided = []
-    for i in range(len(normals)):
+    for i in range(len(signed)):
         nmask = mask ^ 1 << i
         if nmask not in index:
-            hit = _try_mirror(normals, gram, supports, p, row, i, nmask)
-            wit = hit[0] if hit is not None else _try_ray_walk(normals, mask, p, i, nmask)
+            hit = _mirror(tables, p, row, i, nmask)
+            wit = hit[0] if hit is not None else _try_ray_walk(tables, mask, p, row, i, nmask)
             if wit is None:
-                if not _pair_redundant(gram, mask, i):
+                if not _pair_redundant(tables, mask, i):
                     undecided.append(i)
                 continue
             crossed[i] = wit
@@ -604,12 +670,10 @@ def _chamber_bfs_general(a: Arrangement) -> ChamberComplex:
     witnesses = [p0]
     facets = []
     index = {mask0: 0}
-    gram = _gram(normals)
-    supports = _supports(gram)
+    tables = _WalkTables(normals)
     for ci, mask in enumerate(masks):  # breadth-first: masks grows as chambers are found
         p = witnesses[ci]
-        walls, crossed = _chamber_walls(normals, gram, supports, mask,
-                                        p, _pairings(normals, p), index)
+        walls, crossed = _chamber_walls(tables, mask, p, _pairings(normals, p), index)
         for i in sorted(crossed):
             index[mask ^ 1 << i] = len(masks)
             masks.append(mask ^ 1 << i)

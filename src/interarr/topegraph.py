@@ -7,22 +7,30 @@ its edge list is read from them.  Directing every edge away from a base
 chamber makes the base the unique source; both the in-degree generating
 polynomial and the separating-wall statistic yield the h-polynomial of
 the arrangement's sphere triangulation.  The h routines take an
-arrangement or a chamber complex; a complex is checked to be simplicial,
-in time linear in the chambers, and has its walls certified unless
-`build_tope_graph` (or an earlier h routine) already certified that
-complex.  Sign strings appear only in the optional base argument and in
-the text dump.
+arrangement or a chamber complex.  Certifying a complex checks its walls
+and that it is simplicial, in time linear in the chambers, once per
+complex: a complex that `build_tope_graph` or an earlier h routine
+certified is not checked again, and one that failed is checked, and
+refused, on every call.  Sign strings appear only in the optional base
+argument and in the text dump.
 
 The wall certificate builds no point on any wall.  It checks that every
 recorded wall of a chamber has a chamber across it that records the same
 wall, and that each chamber's witness lies strictly inside the chamber.
-It pairs every witness with every normal through the normal's nonzero
-entries, read here from the normals themselves (the walk derives its
-pairings by reflection instead, so each route still checks the other).
-Convexity does the rest; see `_verify_walls`.
+It pairs all witnesses with one normal at once, in packed int lanes: one
+int per coordinate holds that coordinate of every witness, so a normal's
+pairings take one multiply-add of those ints per nonzero entry of the
+normal, read here from the normals themselves (the walk derives its
+pairings by reflection from the Gram matrix instead, so each route still
+checks the other), and a few and/subtract operations test the sign of
+every lane against the chamber masks, packed the same way.  Convexity
+does the rest; see `_verify_walls`.
 """
 
 from __future__ import annotations
+
+import sys
+from functools import cache
 
 from .arrangement import (Arrangement, ChamberComplex, chamber_complex,
                           signs_to_mask)
@@ -42,10 +50,19 @@ def _verify_walls(cc: ChamberComplex) -> None:
     """Certify every recorded wall by two checks: the chamber across each
     wall h of a chamber (its mask with bit h flipped) exists and records h
     too, and each chamber's witness pairs with every normal nonzero and
-    with the chamber's sign.  A pairing reads only the normal's nonzero
-    entries (at most two in a built-in family; a dense normal reads all
-    of them), and the negative pairings are gathered into a mask in the
-    same loop.
+    with the chamber's sign.
+
+    The pairings of all chambers with one normal are computed at once, in
+    packed lanes: one int per witness coordinate k holds w[k] of every
+    chamber in an F-bit lane, and a normal's lanes are the sum of at most
+    one multiple of those ints per nonzero entry.  2^(F-1) exceeds
+    max |w| max ||a_j||_1, so each lane 2^(F-1) + a_j . w lies strictly
+    between 0 and 2^F: its top bit is set exactly when the pairing is
+    >= 0, and that of the lane less one exactly when it is >= 1.  Both must
+    match the normal's bit of the chamber masks, packed the same way (F > m
+    keeps a mask in its lane).  F is 8, 16, 32 or 64 where one of those is
+    enough, so that an array packs the columns at C speed, and otherwise
+    the least multiple of 8 that is.
 
     Convexity does the rest.  The witnesses p and q of two chambers whose
     masks differ only at h pair with each a_j, j != h, with the same sign,
@@ -61,20 +78,51 @@ def _verify_walls(cc: ChamberComplex) -> None:
                 raise CertificateError("recorded wall has no chamber across it")
             if h not in facets[across]:
                 raise CertificateError("wall recorded by one of its two chambers only")
-    supports = [(1 << j, tuple((k, c) for k, c in enumerate(aj) if c))
-                for j, aj in enumerate(cc.arrangement.normals)]
-    for mask, w in zip(masks, cc.witnesses):
-        neg = 0
-        for bit, support in supports:
-            d = 0
-            for k, c in support:
-                d += c * w[k]
-            if d < 0:
-                neg |= bit
-            elif not d:
-                raise CertificateError("chamber witness lies outside its chamber")
-        if neg != mask:
+    normals = cc.arrangement.normals
+    columns = list(zip(*cc.witnesses))
+    largest = max(max(map(max, columns), default=0), -min(map(min, columns), default=0))
+    reach = largest * max((sum(map(abs, a)) for a in normals), default=1)
+    width, pack = _packer((max(reach.bit_length(), len(normals)) + 8) // 8)
+    top = 8 * width - 1
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(masks), "little")
+    high = ones << top
+    columns = [x - ((x & high) << 1) for x in map(pack, columns)]  # signed lanes
+    # bit j of a lane is set where the pairing with a_j must be positive
+    positive = pack(masks) ^ (high << 1) - ones
+    for j, a in enumerate(normals):
+        lanes = high
+        for x, c in zip(columns, a):
+            if c:
+                lanes += c * x
+        want = positive << top - j & high
+        if lanes & high != want or lanes - ones & high != want:
             raise CertificateError("chamber witness lies outside its chamber")
+
+
+@cache
+def _packer(need: int):
+    """(width, pack) for lanes of at least `need` bytes: the narrowest item
+    width of a machine integer array that is enough, or `need` when none
+    is, and the function that packs a sequence of ints into one int with a
+    lane of that width per value, the first lowest, each in two's
+    complement.  The array module is loaded by the first certificate, not
+    by importing interarr."""
+    from array import array
+
+    for code in "bhiq":
+        width = array(code).itemsize
+        if width >= need:
+            def pack(values):
+                lanes = array(code, values)
+                if sys.byteorder == "big":
+                    lanes.byteswap()
+                return int.from_bytes(lanes.tobytes(), "little")
+            return width, pack
+
+    def pack(values):
+        return int.from_bytes(
+            b"".join([x.to_bytes(need, "little", signed=True) for x in values]), "little")
+    return need, pack
 
 
 def _require_simplicial(cc: ChamberComplex) -> ChamberComplex:
@@ -89,12 +137,14 @@ def _require_simplicial(cc: ChamberComplex) -> ChamberComplex:
 
 
 def _certified(cc: ChamberComplex) -> ChamberComplex:
-    """`cc` itself, with its walls certified (once per complex) and every
-    chamber known to have exactly dim walls."""
+    """`cc` itself, with its walls certified and every chamber known to
+    have exactly dim walls; a complex is marked certified once both hold,
+    and is not checked again."""
     if not cc.certified:
         _verify_walls(cc)
+        _require_simplicial(cc)
         cc.certified = True
-    return _require_simplicial(cc)
+    return cc
 
 
 def build_tope_graph(a: Arrangement) -> ChamberComplex:

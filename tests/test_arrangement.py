@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -220,7 +221,7 @@ def test_multi_term_non_wall_is_left_to_the_lp():
     # (1, 1, 1) = e1 + e2 + e3 on the positive chamber: no two rows give it,
     # so the pair certificate misses this non-wall and the LP decides it
     a = make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-    assert not arr._pair_redundant(arr._gram(a.normals), 0, 3)
+    assert not arr._pair_redundant(arr._WalkTables(a.normals), 0, 3)
     assert feasible_strict(arr._signed_rows(a.normals, 1 << 3), 3) is None
 
 
@@ -262,11 +263,11 @@ def _pair_redundant_minor(normals, mask, i) -> bool:
 def _assert_pair_certificates_match_minor_oracle(a):
     """The same verdict as the 2x2-minor search on every chamber and
     hyperplane of the general walk; returns how many were certified."""
-    gram = arr._gram(a.normals)
+    tables = arr._WalkTables(a.normals)
     certified = 0
     for mask in arr._chamber_bfs_general(a).masks:
         for i in range(a.m):
-            got = arr._pair_redundant(gram, mask, i)
+            got = arr._pair_redundant(tables, mask, i)
             assert got == _pair_redundant_minor(a.normals, mask, i), (mask, i)
             certified += got
     return certified
@@ -310,10 +311,12 @@ def test_integer_ray_walk_matches_fraction_oracle(case):
          "b3": make_family("b", 3),
          "square cone": make_arrangement(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])}[case]
     cc = arr._chamber_bfs_general(a)
+    tables = arr._WalkTables(a.normals)
     hits = 0
     for mask, p in zip(cc.masks, cc.witnesses):
+        row = _pairings(a.normals, p)
         for i in range(a.m):
-            got = arr._try_ray_walk(a.normals, mask, p, i, mask ^ 1 << i)
+            got = arr._try_ray_walk(tables, mask, p, row, i, mask ^ 1 << i)
             assert got == _try_ray_walk_fraction(a.normals, mask, p, i, mask ^ 1 << i)
             hits += got is not None
     assert hits
@@ -372,14 +375,14 @@ def test_sparse_mirror_matches_dense_oracle(case):
          "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}[case]
     random_case = case.startswith("random")
     cc = (arr._chamber_bfs_general if random_case else arr._chamber_bfs_simplicial)(a)
-    gram = arr._gram(a.normals)
-    supports = arr._supports(gram)
+    tables = arr._WalkTables(a.normals)
+    gram = tables.gram
     seen = set()  # (gcd(q) == G_ii, a point was returned)
     for mask, p in zip(cc.masks, cc.witnesses):
         row = _pairings(a.normals, p)
         for i in range(a.m):
             target = mask ^ 1 << i
-            got = arr._try_mirror(a.normals, gram, supports, p, row, i, target)
+            got = arr._mirror(tables, p, row, i, target)
             assert got == _try_mirror_dense(a.normals, gram, p, row, i, target), (mask, i)
             reflected = [gram[i][i] * x - 2 * row[i] * y for x, y in zip(p, a.normals[i])]
             seen.add((math.gcd(*reflected) == gram[i][i], got is not None))
@@ -387,6 +390,162 @@ def test_sparse_mirror_matches_dense_oracle(case):
     # the reflection is not integral
     assert {(True, True), (True, False)} <= seen
     assert any(not sparse for sparse, _ in seen) == (random_case or case == "b3 full support")
+
+
+# Test oracle: the mirror step before it read the walk's reflection table,
+# kept verbatim with the Gram supports it was given.  It scales by n2 and
+# divides by the gcd of the scaled point, so for a primitive point it
+# returns what q = p - c a_i gives where the reflection is integral.
+
+
+def _supports(gram):
+    return tuple(tuple((j, x) for j, x in enumerate(gi) if x) for gi in gram)
+
+
+def _try_mirror(normals, gram, supports, p, row, i, target_mask):
+    ai, gi = normals[i], gram[i]
+    n2, aip = gi[i], row[i]
+    q = [n2 * x - 2 * aip * y for x, y in zip(p, ai)]
+    g = math.gcd(*q)
+    if g == n2:
+        c = 2 * aip // n2
+        qrow = list(row)
+        for j, gij in supports[i]:
+            d = qrow[j] - c * gij
+            if not d or (d < 0) != (target_mask >> j & 1):
+                return None
+            qrow[j] = d
+        return tuple([x // g for x in q]), tuple(qrow)
+    qrow = [n2 * x - 2 * aip * y for x, y in zip(row, gi)]
+    if g > 1:
+        q = [x // g for x in q]
+        qrow = [x // g for x in qrow]
+    if _row_mask(qrow) != target_mask:
+        return None
+    return tuple(q), tuple(qrow)
+
+
+_MIRROR_CASES = {"b3": make_family("b", 3), "d4": make_family("d", 4),
+                 "dns42": make_family("dns", 4, 2), "b3 full support": B3_FULL_SUPPORT,
+                 "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}
+
+
+@pytest.mark.parametrize("case", list(_MIRROR_CASES))
+def test_table_mirror_matches_gcd_oracle(case):
+    # every chamber of the walk against every hyperplane, walls or not
+    a = _MIRROR_CASES[case]
+    random_case = case.startswith("random")
+    cc = (arr._chamber_bfs_general if random_case else arr._chamber_bfs_simplicial)(a)
+    tables = arr._WalkTables(a.normals)
+    supports = _supports(tables.gram)
+    integral = set()
+    for mask, p in zip(cc.masks, cc.witnesses):
+        row = _pairings(a.normals, p)
+        for i in range(a.m):
+            target = mask ^ 1 << i
+            got = arr._mirror(tables, p, row, i, target)
+            assert got == _try_mirror(a.normals, tables.gram, supports, p, row, i, target), (
+                mask, i)
+            integral.add(tables.reflections[i][3])
+    # the integral step is taken in the root systems and the random pool; the
+    # full-support image of b3 has non-integral reflections only
+    assert integral == ({False} if case == "b3 full support"
+                        else {True, False} if random_case else {True})
+
+
+@pytest.mark.parametrize("a", [
+    *(pytest.param(make_family(fam, n, s), id=f"{fam}-{n}-{s}")
+      for fam, n, s in _SMALL_FAMILIES),
+    pytest.param(B3_FULL_SUPPORT, id="b3-full-support"),
+    *(pytest.param(a, id=f"random-{k}") for k, a in enumerate(RANDOM_POOL))])
+def test_walk_witnesses_are_primitive(a):
+    # the integral mirror returns the gcd oracle's point only from a
+    # primitive one; every witness of both walks is primitive
+    walks = [arr._chamber_bfs_general]
+    if a.simplicial:
+        walks.append(arr._chamber_bfs_simplicial)
+    for walk in walks:
+        for w in walk(a).witnesses:
+            assert math.gcd(*w) == 1, (walk.__name__, w)
+
+
+# Test oracle: the pivot before the walk kept a table of rank-2 flats, which
+# scanned every hyperplane for each (w, k, side), kept verbatim.
+
+
+def _pivot_by_scan(gram, w, k, same_side: bool) -> int:
+    best, best_a, best_b = k, 1, None
+    for h in range(len(gram)):
+        if h == w or h == k:
+            continue
+        span = arr._span_pair(gram, w, k, h)
+        if span is None:
+            continue
+        alpha, beta = span
+        if ((alpha > 0) == (beta > 0)) != same_side:
+            raise arr._SimplicialityError("a hyperplane cuts the sector between two walls")
+        alpha, beta = abs(alpha), abs(beta)
+        if best_b is None or beta * best_a < best_b * alpha:
+            best, best_a, best_b = h, alpha, beta
+    return best
+
+
+def _pivot_or_error(pivot, *args):
+    try:
+        return pivot(*args)
+    except arr._SimplicialityError as exc:
+        return str(exc)
+
+
+def _non_simplicial_files():
+    from test_cli import NON_SIMPLICIAL_NORMALS
+
+    return {f"non-simplicial {t}": make_arrangement(3, [tuple(map(int, ln.split()))
+                                                        for ln in normals])
+            for t, normals in enumerate(NON_SIMPLICIAL_NORMALS)}
+
+
+@pytest.mark.parametrize("case", ["b3", "d4", "dns42", "b3 full support", "random 0",
+                                  "random 1", "non-simplicial"])
+def test_table_pivot_matches_scan_oracle(case):
+    # both sides of every pair of walls of every chamber, the rejection of a
+    # hyperplane that cuts the sector between two walls included
+    arrangements = (_non_simplicial_files() if case == "non-simplicial"
+                    else {case: _MIRROR_CASES[case]})
+    outcomes = {}
+    for name, a in arrangements.items():
+        tables = arr._WalkTables(a.normals)
+        for walls in arr._chamber_bfs_general(a).facets:
+            for w, k in permutations(walls, 2):
+                for same_side in (True, False):
+                    got = _pivot_or_error(arr._pivot, tables, w, k, same_side)
+                    assert got == _pivot_or_error(_pivot_by_scan, tables.gram, w, k,
+                                                  same_side), (name, w, k, same_side)
+                    outcomes.setdefault(name, set()).add(got)
+    # pivots are found, and refused on the side where a third hyperplane
+    # through the pair's flat would cut the sector
+    assert all(any(isinstance(h, int) for h in got) for got in outcomes.values())
+    assert "a hyperplane cuts the sector between two walls" in set().union(*outcomes.values())
+    # the file the fast walk refuses for that reason
+    if case == "non-simplicial":
+        with pytest.raises(arr._SimplicialityError, match="cuts the sector"):
+            arr._chamber_bfs_simplicial(arrangements["non-simplicial 3"])
+
+
+@pytest.mark.parametrize("case", ["b3", "dns42", "random 0", "random 1"])
+def test_rank_two_tables_match_a_full_scan(case):
+    a = _MIRROR_CASES[case]
+    tables = arr._WalkTables(a.normals)
+    gram = tables.gram
+    for w, k in permutations(range(a.m), 2):
+        assert tables.line(w, k) == tuple(
+            (h, *arr._span_pair(gram, w, k, h)) for h in range(a.m)
+            if h != w and h != k and arr._span_pair(gram, w, k, h) is not None)
+    for i in range(a.m):
+        # grouped by flat; a chamber's sign test reads them in any order
+        assert sorted(tables.spans(i)) == [
+            (j, k, *arr._span_pair(gram, j, k, i)) for j, k in combinations(range(a.m), 2)
+            if i != j and i != k and arr._span_pair(gram, j, k, i) is not None]
 
 
 @st.composite
@@ -403,10 +562,10 @@ def _essential_small(draw):
 @given(_essential_small())
 @example(make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
 def test_cone_certificate_matches_lp_oracle(a):
-    gram = arr._gram(a.normals)
+    tables = arr._WalkTables(a.normals)
     for mask in arr._chamber_bfs_general(a).masks:
         for i in range(a.m):
-            if arr._pair_redundant(gram, mask, i):
+            if arr._pair_redundant(tables, mask, i):
                 # sound: a certified non-wall has no point across it
                 assert feasible_strict(arr._signed_rows(a.normals, mask ^ 1 << i),
                                        a.dim) is None, (mask, i)
@@ -418,14 +577,14 @@ def test_cone_certificate_matches_lp_oracle(a):
 # every hyperplane that the three cheap rungs leave open.
 
 
-def _cross(normals, gram, supports, mask, p, row, i):
+def _cross(tables, mask, p, row, i):
     nmask = mask ^ 1 << i
-    hit = arr._try_mirror(normals, gram, supports, p, row, i, nmask)
+    hit = arr._mirror(tables, p, row, i, nmask)
     if hit is not None:
         return hit[0]
-    wit = arr._try_ray_walk(normals, mask, p, i, nmask)
-    if wit is None and not arr._pair_redundant(gram, mask, i):
-        wit = arr.feasible_strict(arr._signed_rows(normals, nmask), len(p))
+    wit = arr._try_ray_walk(tables, mask, p, row, i, nmask)
+    if wit is None and not arr._pair_redundant(tables, mask, i):
+        wit = arr.feasible_strict(arr._signed_rows(tables.normals, nmask), len(p))
     return wit
 
 
@@ -437,8 +596,7 @@ def _chamber_bfs_by_ladder(a):
     witnesses = [p0]
     facets = []
     index = {mask0: 0}
-    gram = arr._gram(normals)
-    supports = arr._supports(gram)
+    tables = arr._WalkTables(normals)
     for ci, mask in enumerate(masks):
         p = witnesses[ci]
         row = _pairings(normals, p)
@@ -446,7 +604,7 @@ def _chamber_bfs_by_ladder(a):
         for i in range(a.m):
             nmask = mask ^ (1 << i)
             if nmask not in index:
-                wit = _cross(normals, gram, supports, mask, p, row, i)
+                wit = _cross(tables, mask, p, row, i)
                 if wit is None:
                     continue
                 index[nmask] = len(masks)

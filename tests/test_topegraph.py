@@ -103,6 +103,32 @@ def test_walls_are_certified_once_per_complex(monkeypatch):
     assert checked == [g]
 
 
+def test_simpliciality_is_checked_once_per_complex(monkeypatch):
+    import interarr.topegraph as tg
+
+    checked = []
+    require = tg._require_simplicial
+    monkeypatch.setattr(tg, "_require_simplicial",
+                        lambda cc: checked.append(cc) or require(cc))
+    chamber_complex.cache_clear()
+    g = build_tope_graph(make_family("b", 2))
+    h_via_indegree(g)
+    h_via_separation(g)
+    assert checked == [g] and g.certified
+
+
+def test_non_simplicial_complex_is_refused_on_every_call():
+    square_cone = make_arrangement(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])
+    cc = chamber_complex(square_cone)
+    messages = []
+    for route in (h_via_indegree, h_via_indegree, h_via_separation, build_tope_graph):
+        with pytest.raises(NotSimplicialError) as exc:
+            route(square_cone if route is build_tope_graph else cc)
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1 and "has 4 walls, expected 3" in messages[0]
+    assert not cc.certified
+
+
 def test_h_examples():
     assert h_via_indegree(make_family("d", 3)) == IntPolynomial((1, 11, 11, 1))
     assert h_via_indegree(make_family("b", 3)) == IntPolynomial((1, 23, 23, 1))
@@ -328,3 +354,97 @@ def test_restricted_reference_matches_the_full_one(a):
         if bad is not cc:
             assert _changed_chambers(bad, cc)
             assert _expected_verdict(bad, cc) == _expected_verdict(bad), name
+
+
+# Test oracle: the certificate before it paired every witness at once in
+# packed lanes, kept verbatim.  It pairs one chamber's witness with one
+# normal at a time and gathers the negative pairings into a mask.
+
+
+def _verify_walls_by_loop(cc: ChamberComplex) -> None:
+    masks, facets, index = cc.masks, cc.facets, cc.index
+    for mask, walls in zip(masks, facets):
+        for h in walls:
+            across = index.get(mask ^ 1 << h)
+            if across is None:
+                raise CertificateError("recorded wall has no chamber across it")
+            if h not in facets[across]:
+                raise CertificateError("wall recorded by one of its two chambers only")
+    supports = [(1 << j, tuple((k, c) for k, c in enumerate(aj) if c))
+                for j, aj in enumerate(cc.arrangement.normals)]
+    for mask, w in zip(masks, cc.witnesses):
+        neg = 0
+        for bit, support in supports:
+            d = 0
+            for k, c in support:
+                d += c * w[k]
+            if d < 0:
+                neg |= bit
+            elif not d:
+                raise CertificateError("chamber witness lies outside its chamber")
+        if neg != mask:
+            raise CertificateError("chamber witness lies outside its chamber")
+
+
+@pytest.mark.parametrize("a", [
+    *(pytest.param(make_family(fam, n, s), id=f"{fam}-{n}-{s}") for fam, n, s in
+      [("b", 2, None), ("b", 3, None), ("d", 4, None), ("dns", 4, 2), ("dns", 5, 3)]),
+    pytest.param(B3_FULL_SUPPORT, id="b3-full-support")])
+def test_packed_certificate_matches_the_loop(a):
+    for name, bad in _corruptions(chamber_complex(a)):
+        assert _verdict(_verify_walls, bad) == _verdict(_verify_walls_by_loop, bad), name
+
+
+def _on_a_wall(cc, c):
+    """A point on wall h of chamber c, strictly inside every other
+    half-space of c: between c's witness and its neighbour's across h."""
+    h = cc.facets[c][0]
+    p, q = cc.witnesses[c], cc.witnesses[cc.index[cc.masks[c] ^ 1 << h]]
+    ah = cc.arrangement.normals[h]
+    c1, c2 = dot(ah, p), dot(ah, q)
+    z = tuple(c1 * y - c2 * x for x, y in zip(p, q))
+    return z if c1 > 0 else tuple(-x for x in z)
+
+
+def _lane_stress_cases(cc):
+    """(name, complex) pairs: the true complex and copies whose first or
+    last witness lies on a wall of its chamber or is negated."""
+    yield "true", cc
+    last = len(cc.masks) - 1
+    for c in (0, last) if cc.arrangement.m else ():
+        for kind, point in (("on a wall", _on_a_wall(cc, c)),
+                            ("negated", tuple(-x for x in cc.witnesses[c]))):
+            witnesses = list(cc.witnesses)
+            witnesses[c] = point
+            yield f"{kind} {c}", ChamberComplex(cc.arrangement, cc.masks, witnesses,
+                                                cc.facets)
+
+
+# b3 under a unimodular map with entries 2^41: its witnesses exceed 2^64
+_HUGE = 1 << 41
+B3_HUGE = make_arrangement(
+    3, [tuple(dot(a, col) for col in zip(*((1, _HUGE, 0), (0, 1, _HUGE), (0, 0, 1))))
+        for a in make_family("b", 3).normals], simplicial=True)
+
+
+@pytest.mark.parametrize("a", [
+    # 70 lines: the chamber masks need 71 bits, more than a machine word
+    pytest.param(make_arrangement(2, [(1, k) for k in range(-35, 35)], simplicial=True),
+                 id="70-lines"),
+    pytest.param(B3_HUGE, id="b3-huge"),
+    pytest.param(make_arrangement(0, []), id="dim-0"),
+    pytest.param(make_arrangement(1, [(1,)]), id="dim-1"),
+])
+def test_packed_certificate_lanes_match_the_loop(a):
+    cc = chamber_complex(a)
+    widest = max((abs(x) for w in cc.witnesses for x in w), default=0)
+    verdicts = {name: _verdict(_verify_walls, bad) for name, bad in _lane_stress_cases(cc)}
+    assert verdicts == {name: _verdict(_verify_walls_by_loop, bad)
+                        for name, bad in _lane_stress_cases(cc)}
+    assert verdicts.pop("true") == "pass"
+    assert set(verdicts.values()) <= {"chamber witness lies outside its chamber"}
+    if a is B3_HUGE:
+        assert widest > 1 << 64
+    if a.m == 70:
+        assert max(cc.masks).bit_length() > 64
+    assert len(verdicts) == (4 if a.m else 0)
