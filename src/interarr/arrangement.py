@@ -25,9 +25,15 @@ rest, and its witness is the point of the new chamber.
 After the first chamber, the simplicial walk derives a chamber's walls
 from its neighbour's: crossing wall w replaces each other wall k by the
 next hyperplane through the codimension-2 flat H_w & H_k, read from the
-walk's table of rank-2 flats; every chamber is still certified by an
-integer witness point, and any inconsistency falls back to the general
-walk.  The pair certificate and that pivot ask the same question, whether
+walk's table of rank-2 flats.  The new chamber's witness is the parent's
+mirrored across H_w, or else a point just past H_w on the ray from it,
+or else the LP oracle's point over the chamber's d walls.  The chambers
+of a central arrangement come in pairs C, -C with the same walls, so a
+new chamber whose antipode the walk already has takes that chamber's
+walls and negated witness, with no pivot: the walk pivots through about
+half of the chambers.  Every chamber is still certified by an integer
+witness point, and any inconsistency falls back to the general walk.
+The pair certificate and the pivot ask the same question, whether
 a_h = alpha a_j + beta a_k, answered by integer Cramer on the Gram
 matrix of the normals once per rank-2 flat in a walk (`_WalkTables`):
 the first pair of a flat that either asks about scans the hyperplanes
@@ -41,10 +47,10 @@ every built-in family), the mirror of p is p - c a_i with c =
 2 (a_i . p) / n2, with no scaling, gcd or division: an integral
 reflection is its own inverse, so it keeps p primitive, and every
 witness of a walk is primitive (the first point ends in 1, and every
-later one is such a mirror or gcd-reduced).  Only the entries of its
-row on the support of G_i change, and only those are computed and
-tested; in a built-in family of rank n >= 2 that support holds at most
-4n - 5 of up to n^2 entries.
+later one is such a mirror, gcd-reduced or a negated witness).  Only the
+entries of its row on the support of G_i change, and only those are
+computed and tested; in a built-in family of rank n >= 2 that support
+holds at most 4n - 5 of up to n^2 entries.
 The walls each chamber records (`ChamberComplex.facets`) are the only
 record of the adjacency; `ChamberComplex.edges` is read from them.
 """
@@ -58,7 +64,7 @@ from math import gcd
 
 from .feasibility import CertificateError, feasible_strict, generic_point
 from .lattice import GradedLattice, characteristic_polys
-from .linalg import EchelonBasis, dot, gcd_reduced, primitive_vector, solve_square_int
+from .linalg import EchelonBasis, dot, gcd_reduced, primitive_vector
 
 
 class NotEssentialError(ValueError):
@@ -455,24 +461,6 @@ def _pivot(tables, w, k, same_side: bool) -> int:
     return best
 
 
-def _witness_from_facets(a: Arrangement, mask: int, facets):
-    """An interior point of the chamber solved from its walls, with its
-    pairing row."""
-    rows = []
-    for f in facets:
-        v = a.normals[f]
-        rows.append(tuple(-x for x in v) if mask >> f & 1 else v)
-    sol = solve_square_int(rows, [1] * a.dim)
-    if sol is None:
-        raise _SimplicialityError("wall normals are dependent")
-    nums, den = sol
-    wit = gcd_reduced([-x for x in nums] if den < 0 else nums)
-    row = _pairings(a.normals, wit)
-    if _row_mask(row) != mask:
-        raise _SimplicialityError("facet witness landed in the wrong chamber")
-    return wit, row
-
-
 def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
     normals = a.normals
     d = a.dim
@@ -485,6 +473,7 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
     if len(facets0) != d:
         raise _SimplicialityError(f"seed chamber has {len(facets0)} walls, expected {d}")
     pivots: dict[int, int] = {}  # 2 (w m + k) + (sides of w and k differ) -> pivot
+    full = (1 << m) - 1
 
     masks = [mask0]
     witnesses = [p0]
@@ -499,6 +488,20 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
             nmask = mask ^ (1 << w)
             ni = index.get(nmask)
             if ni is None:
+                ni = len(masks)
+                index[nmask] = ni
+                masks.append(nmask)
+                anti = index.get(nmask ^ full)
+                if anti is not None:
+                    # C = nmask has the walls of its antipode -C.  -C was
+                    # added, and so is expanded, before C; once it is,
+                    # -C ^ v, the antipode of C ^ v, is known for each wall
+                    # v.  So every chamber that C adds comes through this
+                    # branch too, and C's None row is never read.
+                    witnesses.append(tuple([-x for x in witnesses[anti]]))
+                    facets.append(facets[anti])
+                    rows.append(None)
+                    continue
                 nf = [w]
                 base = 2 * w * m
                 for k in walls:
@@ -512,17 +515,24 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
                     nf.append(h)
                 if len(set(nf)) != d:
                     raise _SimplicialityError("pivoted walls collide")
-                # mirroring the parent witness is usually an interior point of
-                # the neighbour and avoids the exact solve; verify, never trust
-                hit = _mirror(tables, witnesses[ci], row, w, nmask)
+                # the parent's witness mirrored across w, or a point just past
+                # H_w on the ray from it, is usually an interior point of the
+                # neighbour; otherwise the LP over the new walls finds one
+                p = witnesses[ci]
+                hit = _mirror(tables, p, row, w, nmask)
                 if hit is None or max(map(abs, hit[0])) > 1 << 24:
-                    hit = _witness_from_facets(a, nmask, nf)
-                ni = len(masks)
-                masks.append(nmask)
+                    q = (_try_ray_walk(tables, mask, p, row, w, nmask)
+                         or feasible_strict([tuple(-x for x in normals[f])
+                                             if nmask >> f & 1 else normals[f]
+                                             for f in nf], d))
+                    if q is None:
+                        raise _SimplicialityError("wall normals are dependent")
+                    hit = q, _pairings(normals, q)
+                    if _row_mask(hit[1]) != nmask:
+                        raise _SimplicialityError("facet witness landed in the wrong chamber")
                 witnesses.append(hit[0])
                 rows.append(hit[1])
                 facets.append(tuple(sorted(nf)))
-                index[nmask] = ni
             elif w not in facets[ni]:
                 # a wall of one chamber is a wall of the chamber across it
                 raise _SimplicialityError("crossed wall is not a wall of the neighbour")

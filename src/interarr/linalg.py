@@ -1,4 +1,4 @@
-"""Small exact integer linear algebra helpers (ranks, residuals, solves).
+"""Small exact integer linear algebra helpers (ranks and residuals).
 
 Everything operates on tuples/lists of Python ints; sizes are tiny
 (dimension <= 8, a few dozen rows), so clarity beats asymptotics.
@@ -74,27 +74,3 @@ class EchelonBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-
-def solve_square_int(rows, rhs) -> tuple[list[int], int] | None:
-    """Solve an integer square system: (numerators, den), the solution being
-    numerators / den and |den| the determinant's absolute value; None if
-    singular.  One fraction-free Gauss-Jordan pass (Bareiss) over
-    [rows | rhs]: each division by the previous pivot is exact, and the last
-    pivot ends up on the whole diagonal, so the last column holds the
-    numerators."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    d = len(m)
-    prev = 1
-    for k in range(d):
-        piv = next((r for r in range(k, d) if m[r][k] != 0), None)
-        if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
-        rk, pk = m[k], m[k][k]
-        for i, ri in enumerate(m):
-            if i != k:
-                f = ri[k]
-                for j in range(k + 1, d + 1):
-                    ri[j] = (pk * ri[j] - f * rk[j]) // prev
-        prev = pk
-    return [r[d] for r in m], prev

@@ -18,10 +18,11 @@ from interarr.arrangement import _pairings, _row_mask
 from interarr.feasibility import feasible_strict
 from interarr.chow import chow_recursive, chow_via_chains
 from interarr.labeling import min_atom_label
-from interarr.linalg import EchelonBasis, dot, primitive_vector
+from interarr.linalg import EchelonBasis, dot, gcd_reduced, primitive_vector
 from interarr.lattice import GradedLattice, NotComparableError, lattice_isomorphic
 from interarr.poly import f_to_h
-from test_feasibility import feasible_strict_fraction, scale_to_int
+from interarr.topegraph import _verify_walls
+from test_feasibility import feasible_strict_fraction, scale_to_int, solve_square_int
 
 
 def arrangement_to_text(a) -> str:
@@ -151,9 +152,9 @@ def test_fast_and_general_bfs_agree():
 @pytest.mark.parametrize("fam, n, s, digest", [
     ("b", 3, None, "58813eef274da302b0b845a95837403e25acd6ac32f4ffe75942dbf975a906e7"),
     ("d", 4, None, "eff7b33a885dedca6bf1fb47ed47271a37e4507abca7bd87d12a92e85a0c69d0"),
-    ("dns", 4, 2, "6a7d2e59df9bf07ef475c95a4813c1044b979fe9ed28ea05e937d4a7eff4f43b"),
+    ("dns", 4, 2, "6319795740e66ab6b0396ebe13425ffb15f6c53126a580f44ed0b0f8227d8bee"),
     ("b", 5, None, "eeabf46f475d8720c477c5ba2acb5b2a93450786bff184144b085e59b8ab5dc5"),
-    ("dns", 5, 3, "b44eae39f02a9d03a61694c564e9bdca8c3caf9aba3819afacfd062c872cece0"),
+    ("dns", 5, 3, "6f501a2e17f39fef34c1dc513b3c3dc6563982111faa395630a57a751beac67d"),
 ])
 def test_fast_walk_witnesses_are_pinned(fam, n, s, digest):
     # the walk's witness lists stay byte-identical when its arithmetic changes
@@ -367,18 +368,20 @@ def _try_mirror_dense(normals, gram, p, row, i, target_mask):
 @pytest.mark.parametrize("case", ["b3", "d4", "dns42", "dns53", "b3 full support",
                                   "random 0", "random 1"])
 def test_sparse_mirror_matches_dense_oracle(case):
-    # every chamber of the walk against every hyperplane, walls or not: the
-    # same None or the same (q, qrow) as the dense oracle
+    # every chamber of both walks against every hyperplane, walls or not:
+    # the same None or the same (q, qrow) as the dense oracle
     a = {"b3": make_family("b", 3), "d4": make_family("d", 4),
          "dns42": make_family("dns", 4, 2), "dns53": make_family("dns", 5, 3),
          "b3 full support": B3_FULL_SUPPORT,
          "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}[case]
     random_case = case.startswith("random")
-    cc = (arr._chamber_bfs_general if random_case else arr._chamber_bfs_simplicial)(a)
+    walks = [arr._chamber_bfs_general(a)]
+    if not random_case:
+        walks.append(arr._chamber_bfs_simplicial(a))
     tables = arr._WalkTables(a.normals)
     gram = tables.gram
     seen = set()  # (gcd(q) == G_ii, a point was returned)
-    for mask, p in zip(cc.masks, cc.witnesses):
+    for mask, p in ((mk, p) for cc in walks for mk, p in zip(cc.masks, cc.witnesses)):
         row = _pairings(a.normals, p)
         for i in range(a.m):
             target = mask ^ 1 << i
@@ -469,6 +472,109 @@ def test_walk_witnesses_are_primitive(a):
             assert math.gcd(*w) == 1, (walk.__name__, w)
 
 
+# Test oracle: the simplicial walk before it copied each chamber from its
+# antipode, kept verbatim with the exact facet solve it fell back to where
+# the mirrored witness missed the neighbour.
+
+
+def _witness_from_facets(a, mask: int, facets):
+    """An interior point of the chamber solved from its walls, with its
+    pairing row."""
+    rows = []
+    for f in facets:
+        v = a.normals[f]
+        rows.append(tuple(-x for x in v) if mask >> f & 1 else v)
+    sol = solve_square_int(rows, [1] * a.dim)
+    if sol is None:
+        raise arr._SimplicialityError("wall normals are dependent")
+    nums, den = sol
+    wit = gcd_reduced([-x for x in nums] if den < 0 else nums)
+    row = _pairings(a.normals, wit)
+    if _row_mask(row) != mask:
+        raise arr._SimplicialityError("facet witness landed in the wrong chamber")
+    return wit, row
+
+
+def _chamber_bfs_by_facet_solve(a):
+    normals = a.normals
+    d = a.dim
+    m = a.m
+    tables = arr._WalkTables(normals)
+    p0 = arr.generic_point(normals, d)
+    row0 = _pairings(normals, p0)
+    mask0 = _row_mask(row0)
+    facets0 = arr._chamber_walls(tables, mask0, p0, row0, {})[0]
+    if len(facets0) != d:
+        raise arr._SimplicialityError(f"seed chamber has {len(facets0)} walls, expected {d}")
+    pivots: dict[int, int] = {}  # 2 (w m + k) + (sides of w and k differ) -> pivot
+
+    masks = [mask0]
+    witnesses = [p0]
+    facets = [facets0]
+    index = {mask0: 0}
+    rows = [row0]  # pairing rows, dropped once their chamber is expanded
+    for ci, mask in enumerate(masks):  # breadth-first: masks grows as chambers are found
+        walls = facets[ci]
+        row = rows[ci]
+        rows[ci] = None
+        for w in walls:
+            nmask = mask ^ (1 << w)
+            ni = index.get(nmask)
+            if ni is None:
+                nf = [w]
+                base = 2 * w * m
+                for k in walls:
+                    if k == w:
+                        continue
+                    key = base + 2 * k + ((mask >> w ^ mask >> k) & 1)
+                    try:
+                        h = pivots[key]
+                    except KeyError:
+                        h = pivots[key] = arr._pivot(tables, w, k, not key & 1)
+                    nf.append(h)
+                if len(set(nf)) != d:
+                    raise arr._SimplicialityError("pivoted walls collide")
+                # mirroring the parent witness is usually an interior point of
+                # the neighbour and avoids the exact solve; verify, never trust
+                hit = arr._mirror(tables, witnesses[ci], row, w, nmask)
+                if hit is None or max(map(abs, hit[0])) > 1 << 24:
+                    hit = _witness_from_facets(a, nmask, nf)
+                ni = len(masks)
+                masks.append(nmask)
+                witnesses.append(hit[0])
+                rows.append(hit[1])
+                facets.append(tuple(sorted(nf)))
+                index[nmask] = ni
+            elif w not in facets[ni]:
+                # a wall of one chamber is a wall of the chamber across it
+                raise arr._SimplicialityError("crossed wall is not a wall of the neighbour")
+    return arr.ChamberComplex(a, masks, witnesses, facets)
+
+
+@pytest.mark.parametrize("a", [
+    *(pytest.param(make_family(fam, n, s), id=f"{fam}-{n}-{s}")
+      for fam, n, s in _SMALL_FAMILIES),
+    pytest.param(B3_FULL_SUPPORT, id="b3-full-support"),
+    *(pytest.param(make_family("dns", 5, s), id=f"dns-5-{s}") for s in range(6))])
+def test_antipode_copies_match_the_facet_solve_walk(a):
+    # the same chambers in the same order, with the same walls and edges; of
+    # each pair C, -C the chamber found second holds the first one's walls
+    # and negated witness, and every witness is primitive and certified
+    cc, old = arr._chamber_bfs_simplicial(a), _chamber_bfs_by_facet_solve(a)
+    assert (cc.masks, cc.facets, cc.edges) == (old.masks, old.facets, old.edges)
+    full = (1 << a.m) - 1
+    copies = 0
+    for i, mask in enumerate(cc.masks):
+        anti = cc.index[mask ^ full]
+        if anti < i:
+            copies += 1
+            assert cc.facets[i] == cc.facets[anti]
+            assert cc.witnesses[i] == tuple(-x for x in cc.witnesses[anti])
+        assert math.gcd(*cc.witnesses[i]) == 1
+    assert 2 * copies == len(cc.masks)
+    _verify_walls(cc)
+
+
 # Test oracle: the pivot before the walk kept a table of rank-2 flats, which
 # scanned every hyperplane for each (w, k, side), kept verbatim.
 
@@ -526,10 +632,24 @@ def test_table_pivot_matches_scan_oracle(case):
     # through the pair's flat would cut the sector
     assert all(any(isinstance(h, int) for h in got) for got in outcomes.values())
     assert "a hyperplane cuts the sector between two walls" in set().union(*outcomes.values())
-    # the file the fast walk refuses for that reason
-    if case == "non-simplicial":
-        with pytest.raises(arr._SimplicialityError, match="cuts the sector"):
-            arr._chamber_bfs_simplicial(arrangements["non-simplicial 3"])
+
+
+@pytest.mark.parametrize("t, reason, by_facet_solve", [
+    (0, "seed chamber has 4 walls, expected 3", None),
+    (1, "facet witness landed in the wrong chamber", None),
+    (2, "crossed wall is not a wall of the neighbour", None),
+    # copying chambers from their antipodes makes fewer pivots: a revisit
+    # refuses this file before the pivot that refuses it in the oracle
+    (3, "crossed wall is not a wall of the neighbour",
+     "a hyperplane cuts the sector between two walls"),
+])
+def test_fast_walk_refuses_each_non_simplicial_file(t, reason, by_facet_solve):
+    a = _non_simplicial_files()[f"non-simplicial {t}"]
+    for walk, want in ((arr._chamber_bfs_simplicial, reason),
+                       (_chamber_bfs_by_facet_solve, by_facet_solve or reason)):
+        with pytest.raises(arr._SimplicialityError) as exc:
+            walk(a)
+        assert str(exc.value) == want, walk.__name__
 
 
 @pytest.mark.parametrize("case", ["b3", "dns42", "random 0", "random 1"])
@@ -570,6 +690,18 @@ def test_cone_certificate_matches_lp_oracle(a):
                 assert feasible_strict(arr._signed_rows(a.normals, mask ^ 1 << i),
                                        a.dim) is None, (mask, i)
     _assert_pair_certificates_match_minor_oracle(a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_essential_small())
+@example(make_arrangement(3, make_family("b", 3).normals))
+@example(B3_FULL_SUPPORT)
+def test_flagged_walk_matches_general_bfs_random(a):
+    # flagged simplicial, the walk either finds the general walk's complex or
+    # refuses and hands the input to the general walk
+    cc = chamber_complex(make_arrangement(a.dim, a.normals, simplicial=True))
+    gen = arr._chamber_bfs_general(a)
+    assert (cc.masks, cc.facets, cc.edges) == (gen.masks, gen.facets, gen.edges)
 
 
 # Test oracle: the crossing ladder the general walk ran before it decided a

@@ -7,8 +7,7 @@ from pathlib import Path
 import pytest
 
 from interarr.feasibility import feasible_strict, generic_point
-from interarr.linalg import (EchelonBasis, dot, gcd_reduced, primitive_vector,
-                             solve_square_int)
+from interarr.linalg import EchelonBasis, dot, gcd_reduced, primitive_vector
 
 # Test oracle: the Fraction phase-1 simplex and `scale_to_int` that the
 # library ran before its fraction-free tableau, kept verbatim but for the
@@ -229,6 +228,36 @@ def test_int_rank_and_residual():
     r = eb.residual((1, 1, 1))
     assert [r[p] for p in eb.pivots] == [0, 0] and any(r)
     assert eb.residual((2, 7, 11)) == [0, 0, 0]
+
+
+# Test oracle: the one-pass Gauss-Jordan solve that the simplicial walk ran
+# for a chamber's witness before the ray walk and the LP replaced it, kept
+# verbatim; the facet-solve walk oracle of test_arrangement reads it.
+
+
+def solve_square_int(rows, rhs) -> tuple[list[int], int] | None:
+    """Solve an integer square system: (numerators, den), the solution being
+    numerators / den and |den| the determinant's absolute value; None if
+    singular.  One fraction-free Gauss-Jordan pass (Bareiss) over
+    [rows | rhs]: each division by the previous pivot is exact, and the last
+    pivot ends up on the whole diagonal, so the last column holds the
+    numerators."""
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    d = len(m)
+    prev = 1
+    for k in range(d):
+        piv = next((r for r in range(k, d) if m[r][k] != 0), None)
+        if piv is None:
+            return None
+        m[k], m[piv] = m[piv], m[k]
+        rk, pk = m[k], m[k][k]
+        for i, ri in enumerate(m):
+            if i != k:
+                f = ri[k]
+                for j in range(k + 1, d + 1):
+                    ri[j] = (pk * ri[j] - f * rk[j]) // prev
+        prev = pk
+    return [r[d] for r in m], prev
 
 
 # Test oracle: the Cramer solve the library ran before its one-pass
