@@ -9,7 +9,7 @@ computation routes.
 from .arrangement import (Arrangement, Flat, InvalidParamsError,
                           NotEssentialError, chamber_count, f_polynomial,
                           f_vector, intersection_lattice, load_arrangement,
-                          make_arrangement, make_family, restrict)
+                          make_arrangement, make_family)
 from .chow import (ArithmeticityReport, NonDivisibleError, TooLargeError,
                    char_poly_bruteforce, characteristic_poly,
                    chow_dns, chow_recursive, chow_type_a, chow_type_b,

@@ -39,9 +39,9 @@ matrix of the normals once per rank-2 flat in a walk (`_WalkTables`):
 the first pair of a flat that either asks about scans the hyperplanes
 and fills the entries of every pair in the flat, so a chamber pays only
 sign tests.  Both walks test a witness through its pairing row (a_j . w
-for every hyperplane j): the row of a witness mirrored across hyperplane
-i follows from its parent's row and the Gram row G_i, with no dot
-product, and so do the crossing times of the ray walk.  Where the
+for every hyperplane j).  A mirrored or ray-walked point q = alpha p +
+beta a_i, made primitive, has the row (alpha row + beta G_i) / g, with no
+dot product (`_on_line`), and both rungs return it.  Where the
 reflection is integral (n2 = a_i . a_i divides 2 a_i entrywise, as in
 every built-in family), the mirror of p is p - c a_i with c =
 2 (a_i . p) / n2, with no scaling, gcd or division: an integral
@@ -63,8 +63,8 @@ from itertools import combinations, permutations
 from math import gcd
 
 from .feasibility import CertificateError, feasible_strict, generic_point
-from .lattice import GradedLattice, characteristic_polys
-from .linalg import EchelonBasis, dot, gcd_reduced, primitive_vector
+from .lattice import GradedLattice, moebius_inversion_from_above
+from .linalg import EchelonBasis, dot, primitive_vector
 
 
 class NotEssentialError(ValueError):
@@ -81,6 +81,17 @@ class _SimplicialityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Arrangement:
+    """A central arrangement: one primitive integer normal per hyperplane.
+
+    `simplicial` promises that every chamber is a simplicial cone, and
+    selects the fast chamber walk; the library trusts it.  Every built-in
+    family is a Coxeter arrangement or a restriction of one (dns(n, s) is a
+    restriction of D_(n+s)), and a restriction of a simplicial arrangement
+    is simplicial, so these hold it by theorem.  The command line checks
+    the promise a file makes against the face counts of its lattice of
+    flats.
+    """
+
     dim: int
     normals: tuple[tuple[int, ...], ...]
     simplicial: bool = False  # compared, so the walk cache keys on it
@@ -274,13 +285,6 @@ def restrict_to_flat(a: Arrangement, hyperplanes) -> Arrangement:
                                         for r in _cover_classes(a, basis)), a.simplicial)
 
 
-def restrict(a: Arrangement, h: int) -> Arrangement:
-    """Restriction to hyperplane h: all other hyperplanes cut down to it."""
-    if not 0 <= h < a.m:
-        raise InvalidParamsError(f"hyperplane index {h} out of range")
-    return restrict_to_flat(a, [h])
-
-
 # ---------------------------------------------------------------------------
 # chambers
 
@@ -305,12 +309,12 @@ class ChamberComplex:
     __slots__ = ("arrangement", "masks", "witnesses", "facets", "index", "_edges",
                  "certified")
 
-    def __init__(self, a: Arrangement, masks, witnesses, facets):
+    def __init__(self, a: Arrangement, masks, witnesses, facets, index):
         self.arrangement = a
         self.masks = masks                  # bitmask per chamber
         self.witnesses = witnesses          # integer interior point per chamber
         self.facets = facets                # sorted wall hyperplanes per chamber
-        self.index = {mk: i for i, mk in enumerate(masks)}
+        self.index = index                  # mask -> chamber id, the walk's own
         self._edges = None
         self.certified = False              # set once topegraph has checked the walls
 
@@ -319,10 +323,10 @@ class ChamberComplex:
         """(chamber, chamber, wall) per adjacent pair, id-sorted: read from
         `facets`, the only record of the walls, once per complex."""
         if self._edges is None:
-            index = self.index
-            self._edges = sorted(
-                (ci, cj, w) for ci, (mask, walls) in enumerate(zip(self.masks, self.facets))
-                for w in walls if (cj := index[mask ^ 1 << w]) > ci)
+            index, facets = self.index, self.facets
+            # the index's own id objects: fresh ones would be a second copy
+            self._edges = sorted((ci, cj, w) for mask, ci in index.items() for w in facets[ci]
+                                 if (cj := index[mask ^ 1 << w]) > ci)
         return self._edges
 
     @property
@@ -351,11 +355,6 @@ def _row_mask(row) -> int | None:
     return mask
 
 
-def _gram(normals) -> tuple[tuple[int, ...], ...]:
-    """G[i][j] = a_i . a_j, so a reflected point's pairings need no dot product."""
-    return tuple(_pairings(normals, a) for a in normals)
-
-
 def _signed_rows(normals, mask):
     return [tuple(-x for x in v) if mask >> h & 1 else v
             for h, v in enumerate(normals)]
@@ -382,7 +381,7 @@ class _WalkTables:
     per walk: the Gram matrix, the reflection of every hyperplane and,
     filled as the walk asks, the rank-2 flats.
 
-    `reflections[i]` is (n2, G_i, the nonzero (j, G_ij), integral), n2 =
+    `reflections[i]` is (n2, the nonzero (j, G_ij), integral), n2 =
     G_ii and `integral` true when n2 divides 2 a_i entrywise (for a
     primitive a_i, when n2 is 1 or 2, as for every hyperplane of a
     built-in family): then the reflection across H_i is an integer matrix.
@@ -392,9 +391,9 @@ class _WalkTables:
 
     def __init__(self, normals):
         self.normals = normals
-        self.gram = gram = _gram(normals)
+        self.gram = gram = tuple(_pairings(normals, a) for a in normals)  # a_i . a_j
         self.reflections = tuple(
-            (gi[i], gi, tuple((j, x) for j, x in enumerate(gi) if x),
+            (gi[i], tuple((j, x) for j, x in enumerate(gi) if x),
              all(2 * x % gi[i] == 0 for x in ai))
             for i, (ai, gi) in enumerate(zip(normals, gram)))
         self._flats = {}
@@ -521,10 +520,10 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
                 p = witnesses[ci]
                 hit = _mirror(tables, p, row, w, nmask)
                 if hit is None or max(map(abs, hit[0])) > 1 << 24:
-                    q = (_try_ray_walk(tables, mask, p, row, w, nmask)
-                         or feasible_strict([tuple(-x for x in normals[f])
-                                             if nmask >> f & 1 else normals[f]
-                                             for f in nf], d))
+                    hit = _try_ray_walk(tables, mask, p, row, w, nmask)
+                if hit is None:
+                    signed = _signed_rows(normals, nmask)
+                    q = feasible_strict([signed[f] for f in nf], d)
                     if q is None:
                         raise _SimplicialityError("wall normals are dependent")
                     hit = q, _pairings(normals, q)
@@ -536,7 +535,18 @@ def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
             elif w not in facets[ni]:
                 # a wall of one chamber is a wall of the chamber across it
                 raise _SimplicialityError("crossed wall is not a wall of the neighbour")
-    return ChamberComplex(a, masks, witnesses, facets)
+    return ChamberComplex(a, masks, witnesses, facets, index)
+
+
+def _on_line(tables, p, row, i, alpha, beta, target_mask):
+    """q = alpha p + beta a_i over the gcd g of its entries, with its row
+    (alpha row + beta G_i) / g from p's `row`; None outside the target."""
+    qrow = [alpha * x + beta * y for x, y in zip(row, tables.gram[i])]
+    if _row_mask(qrow) != target_mask:
+        return None
+    q = [alpha * x + beta * y for x, y in zip(p, tables.normals[i])]
+    g = gcd(*q)  # q != 0: its row has no zero
+    return tuple([x // g for x in q]), tuple([x // g for x in qrow])
 
 
 def _mirror(tables, p, row, i, target_mask):
@@ -549,9 +559,8 @@ def _mirror(tables, p, row, i, target_mask):
     G_i: only those entries are computed and tested, since every other one
     keeps the sign `row` already has.  An integral reflection is its own
     inverse, so q is primitive when p is, as every witness of a walk is.
-    Otherwise q = (n2 p - 2 (a_i . p) a_i) / g with g the gcd of its
-    entries, and the whole row (n2 row - 2 row[i] G_i) / g is tested."""
-    n2, gi, support, integral = tables.reflections[i]
+    Otherwise q is n2 p - 2 (a_i . p) a_i over its gcd (`_on_line`)."""
+    n2, support, integral = tables.reflections[i]
     aip = row[i]
     if integral:
         c = 2 * aip // n2
@@ -565,23 +574,14 @@ def _mirror(tables, p, row, i, target_mask):
                 return None
             qrow[j] = d
         return tuple([x - c * y for x, y in zip(p, tables.normals[i])]), tuple(qrow)
-    q = [n2 * x - 2 * aip * y for x, y in zip(p, tables.normals[i])]
-    qrow = [n2 * x - 2 * aip * y for x, y in zip(row, gi)]
-    g = gcd(*q)
-    if g > 1:
-        q = [x // g for x in q]
-        qrow = [x // g for x in qrow]
-    if _row_mask(qrow) != target_mask:
-        return None
-    return tuple(q), tuple(qrow)
+    return _on_line(tables, p, row, i, n2, -2 * aip, target_mask)
 
 
 def _try_ray_walk(tables, mask, p, row, i, target_mask):
-    """A point just past H_i on the ray from p along a_i, out of the chamber;
-    None unless it lies in the target chamber.  `row` is p's pairing row,
-    and along the ray a_j . x changes at the rate -s_i G_ij.  A crossing
-    time is a pair (num, den > 0); pairs are compared by cross-multiplying."""
-    normals = tables.normals
+    """A point just past H_i on the ray from p along a_i, out of the chamber,
+    with its row (`_on_line`); None unless it lies in the target chamber.
+    `row` is p's pairing row, and along the ray a_j . x changes at the rate
+    -s_i G_ij.  A crossing time (num, den > 0) compares by cross-multiplying."""
     gi = tables.gram[i]
     si = -1 if mask >> i & 1 else 1
     t_i = None
@@ -603,9 +603,7 @@ def _try_ray_walk(tables, mask, p, row, i, target_mask):
         step, scale = t_i[0] + t_i[1], t_i[1]
     else:
         step, scale = t_i[0] * t_next[1] + t_next[0] * t_i[1], 2 * t_i[1] * t_next[1]
-    step *= -si
-    q = gcd_reduced([scale * x + step * y for x, y in zip(p, normals[i])])
-    return q if _row_mask(_pairings(normals, q)) == target_mask else None
+    return _on_line(tables, p, row, i, scale, -si * step, target_mask)
 
 
 def _pair_redundant(tables, mask, i) -> bool:
@@ -651,13 +649,13 @@ def _chamber_walls(tables, mask, p, row, index):
     for i in range(len(signed)):
         nmask = mask ^ 1 << i
         if nmask not in index:
-            hit = _mirror(tables, p, row, i, nmask)
-            wit = hit[0] if hit is not None else _try_ray_walk(tables, mask, p, row, i, nmask)
-            if wit is None:
+            hit = (_mirror(tables, p, row, i, nmask)
+                   or _try_ray_walk(tables, mask, p, row, i, nmask))
+            if hit is None:
                 if not _pair_redundant(tables, mask, i):
                     undecided.append(i)
                 continue
-            crossed[i] = wit
+            crossed[i] = hit[0]
         walls.append(i)
         known.append(signed[i])
     for i in undecided:
@@ -689,7 +687,7 @@ def _chamber_bfs_general(a: Arrangement) -> ChamberComplex:
             masks.append(mask ^ 1 << i)
             witnesses.append(crossed[i])
         facets.append(walls)
-    return ChamberComplex(a, masks, witnesses, facets)
+    return ChamberComplex(a, masks, witnesses, facets, index)
 
 
 def _verify_central_symmetry(cc: ChamberComplex) -> None:
@@ -703,7 +701,7 @@ def _verify_central_symmetry(cc: ChamberComplex) -> None:
 def chamber_complex(a: Arrangement) -> ChamberComplex:
     """Chambers with walls and adjacency; cached per arrangement."""
     if a.dim == 0:
-        return ChamberComplex(a, [0], [()], [()])
+        return ChamberComplex(a, [0], [()], [()], {0: 0})
     if a.rank() != a.dim:
         raise NotEssentialError(
             f"rank {a.rank()} < dim {a.dim}: quotient to an essential arrangement first")
@@ -727,15 +725,18 @@ def f_vector(a: Arrangement) -> list[int]:
 
     A cone of dimension k+1 is a pair (flat X of dimension k+1, chamber of
     the restriction A^X).  By Zaslavsky's theorem A^X has
-    sum over Y >= X of |mu(X, Y)| chambers, so every entry is a sum of
-    Moebius values on the lattice of flats.
+    sum over Y >= X of |mu(X, Y)| chambers, which is |g(X)| for g(X) = sum
+    over Y >= X of mu(X, Y) (-1)^rank(Y), since mu(X, Y) has the sign of
+    (-1)^(rank(Y) - rank(X)).  One Moebius inversion over the lattice of
+    flats gives g at every flat.
     """
     if not a.is_essential():
         raise NotEssentialError("f-vector requires an essential arrangement")
     lat = intersection_lattice(a)
     out = [0] * (a.dim + 1)
-    for x, rank in enumerate(lat.rank):
-        out[a.dim - rank] += sum(abs(chi[0]) for chi in characteristic_polys(lat, x).values())
+    g = moebius_inversion_from_above(lat, [(-1) ** rank for rank in lat.rank])
+    for rank, gx in zip(lat.rank, g):
+        out[a.dim - rank] += abs(gx)
     return out
 
 

@@ -28,8 +28,8 @@ from .permstats import (h_b_closed, h_d_closed, increment_closed,
                         inversion_sequence)
 from .poly import IntPolynomial, h_to_gamma
 from .signed_partitions import enumerate_lattice, variant_b
-from .topegraph import (build_tope_graph, dump_tope_graph, h_via_indegree,
-                        h_via_separation)
+from .topegraph import (NotSimplicialError, build_tope_graph, dump_tope_graph,
+                        h_via_indegree, h_via_separation)
 
 
 def _emit(payload: dict, fmt: str, text_lines) -> None:
@@ -116,9 +116,23 @@ def _gamma_h_closed(fam: str, n: int, s: int | None, parser):
     parser.error(f"--method closed is not available for family {fam}")
 
 
+def _require_face_counts(graph, fv) -> None:
+    """Refuse a chamber complex with fewer chambers or walls than the
+    lattice of flats counts, f_(d-1) and f_(d-2) of the f-vector `fv`.  Its
+    chambers and walls are certified, so neither count can exceed the true
+    one, and equal counts mean that the walk missed none.  A file flagged
+    `--simplicial` that is not can lead the fast walk to a certified
+    complex that misses walls."""
+    if graph.arrangement.dim and (len(graph.masks), len(graph.edges)) != (fv[-1], fv[-2]):
+        raise NotSimplicialError(
+            f"arrangement is not simplicial: the walk found {len(graph.masks)} chambers "
+            f"and {len(graph.edges)} walls, the lattice of flats counts {fv[-1]} and {fv[-2]}")
+
+
 def cmd_gamma(args, parser) -> int:
     arr, fam, n, s = _family_arrangement(args, parser)
     method = "topegraph" if args.method == "auto" else args.method
+    fv = None
     if method == "closed":
         if args.base is not None or args.dump_tope_graph:
             parser.error("--base and --dump-tope-graph require --method "
@@ -127,6 +141,9 @@ def cmd_gamma(args, parser) -> int:
     else:
         write_dump = _dump_writer("--dump-tope-graph", args.dump_tope_graph, args, parser)
         graph = build_tope_graph(arr)
+        if args.simplicial:
+            fv = f_vector(arr)
+            _require_face_counts(graph, fv)
         route = h_via_indegree if method == "topegraph" else h_via_separation
         h = route(graph, args.base)
         if write_dump:
@@ -139,7 +156,7 @@ def cmd_gamma(args, parser) -> int:
         payload["h"] = h.to_json_coeffs()
         lines.append(f"h = {h.to_text()}")
     if args.show_f:
-        fv = f_vector(arr)
+        fv = fv or f_vector(arr)
         payload["f"] = fv
         lines.append(f"f = ({', '.join(str(x) for x in fv)})")
     _emit(payload, args.format, lines)

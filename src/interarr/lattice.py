@@ -131,6 +131,26 @@ def characteristic_polys(lat: GradedLattice, lo: int) -> dict[int, list[int]]:
     return chis
 
 
+def moebius_inversion_from_above(lat: GradedLattice, f) -> list[int]:
+    """g with f(x) = sum of g(y) over y >= x for every element x, that is
+    g(x) = sum over y >= x of mu(x, y) f(y).
+
+    Highest rank first: g(y) is final once every element above y has been
+    taken off it, and is then taken off every element below y, read from
+    y's down mask.
+    """
+    masks = lat._ensure_down_masks()
+    g = list(f)
+    for y in sorted(range(len(g)), key=lat.rank.__getitem__, reverse=True):
+        gy = g[y]
+        bits = masks[y] ^ 1 << y
+        while bits:
+            lsb = bits & -bits
+            g[lsb.bit_length() - 1] -= gy
+            bits ^= lsb
+    return g
+
+
 def _refine_colors(lat: GradedLattice):
     lower = lat.lower_covers()
     colors = list(lat.rank)

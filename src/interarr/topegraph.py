@@ -14,17 +14,17 @@ certified is not checked again, and one that failed is checked, and
 refused, on every call.  Sign strings appear only in the optional base
 argument and in the text dump.
 
-The wall certificate builds no point on any wall.  It checks that every
-recorded wall of a chamber has a chamber across it that records the same
-wall, and that each chamber's witness lies strictly inside the chamber.
-It pairs all witnesses with one normal at once, in packed int lanes: one
-int per coordinate holds that coordinate of every witness, so a normal's
-pairings take one multiply-add of those ints per nonzero entry of the
-normal, read here from the normals themselves (the walk derives its
-pairings by reflection from the Gram matrix instead, so each route still
-checks the other), and a few and/subtract operations test the sign of
-every lane against the chamber masks, packed the same way.  Convexity
-does the rest; see `_verify_walls`.
+The wall certificate builds no point on any wall.  It checks that each
+chamber's witness lies strictly inside the chamber and, on the edge list
+the h routines read too, that every recorded wall has a chamber across it
+that records it.  It pairs all witnesses with one normal at once, in
+packed int lanes: one int per coordinate holds that coordinate of every
+witness, so a normal's pairings take one multiply-add of those ints per
+nonzero entry of the normal, read here from the normals themselves (the
+walk derives its pairings from the Gram matrix instead, so each route still
+checks the other), and a few and/subtract operations test the sign of every
+lane against the chamber masks, packed the same way.  Convexity does the
+rest; see `_verify_walls`.
 """
 
 from __future__ import annotations
@@ -47,22 +47,9 @@ class NotSimplicialError(ValueError):
 
 
 def _verify_walls(cc: ChamberComplex) -> None:
-    """Certify every recorded wall by two checks: the chamber across each
-    wall h of a chamber (its mask with bit h flipped) exists and records h
-    too, and each chamber's witness pairs with every normal nonzero and
-    with the chamber's sign.
-
-    The pairings of all chambers with one normal are computed at once, in
-    packed lanes: one int per witness coordinate k holds w[k] of every
-    chamber in an F-bit lane, and a normal's lanes are the sum of at most
-    one multiple of those ints per nonzero entry.  2^(F-1) exceeds
-    max |w| max ||a_j||_1, so each lane 2^(F-1) + a_j . w lies strictly
-    between 0 and 2^F: its top bit is set exactly when the pairing is
-    >= 0, and that of the lane less one exactly when it is >= 1.  Both must
-    match the normal's bit of the chamber masks, packed the same way (F > m
-    keeps a mask in its lane).  F is 8, 16, 32 or 64 where one of those is
-    enough, so that an array packs the columns at C speed, and otherwise
-    the least multiple of 8 that is.
+    """Certify every recorded wall: each chamber's witness lies inside it
+    (`_verify_witnesses`, whose lanes are freed before the edge list is
+    built), and the chamber across each wall h records h too.
 
     Convexity does the rest.  The witnesses p and q of two chambers whose
     masks differ only at h pair with each a_j, j != h, with the same sign,
@@ -70,25 +57,43 @@ def _verify_walls(cc: ChamberComplex) -> None:
     q crosses H_h, it lies strictly inside every other half-space of both
     chambers: h is a wall of both.
     """
-    masks, facets, index = cc.masks, cc.facets, cc.index
-    for mask, walls in zip(masks, facets):
-        for h in walls:
-            across = index.get(mask ^ 1 << h)
-            if across is None:
-                raise CertificateError("recorded wall has no chamber across it")
-            if h not in facets[across]:
-                raise CertificateError("wall recorded by one of its two chambers only")
+    _verify_witnesses(cc)
+    try:
+        edges = cc.edges  # finds the chamber across every recorded wall
+    except KeyError:
+        raise CertificateError("recorded wall has no chamber across it") from None
+    # Edge (i, j, h), i < j, stands for i's record of h and, with h in facets[j],
+    # for j's; a record names one chamber across it, so no two edges share one.
+    # Hence 2 len(edges) records, all of them only if each is one of an edge's two.
+    facets = cc.facets
+    if 2 * len(edges) != sum(map(len, facets)) or any(h not in facets[j] for _, j, h in edges):
+        raise CertificateError("wall recorded by one of its two chambers only")
+
+
+def _verify_witnesses(cc: ChamberComplex) -> None:
+    """Check that each chamber's witness lies strictly inside the chamber,
+    pairing all chambers with one normal at once in packed lanes: one int
+    per witness coordinate k holds w[k] of every chamber in an F-bit lane,
+    and a normal's lanes are the sum of at most one multiple of those ints
+    per nonzero entry.  2^(F-1) exceeds max |w| max ||a_j||_1, so each lane
+    2^(F-1) + a_j . w lies strictly between 0 and 2^F: its top bit is set
+    exactly when the pairing is >= 0, and that of the lane less one exactly
+    when it is >= 1.  Both must match the normal's bit of the chamber
+    masks, packed the same way (F > m keeps a mask in its lane).  F is 8,
+    16, 32 or 64 where one of those is enough, so that an array packs the
+    columns at C speed, and otherwise the least multiple of 8 that is.
+    """
     normals = cc.arrangement.normals
     columns = list(zip(*cc.witnesses))
     largest = max(max(map(max, columns), default=0), -min(map(min, columns), default=0))
     reach = largest * max((sum(map(abs, a)) for a in normals), default=1)
     width, pack = _packer((max(reach.bit_length(), len(normals)) + 8) // 8)
     top = 8 * width - 1
-    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(masks), "little")
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(cc.masks), "little")
     high = ones << top
     columns = [x - ((x & high) << 1) for x in map(pack, columns)]  # signed lanes
     # bit j of a lane is set where the pairing with a_j must be positive
-    positive = pack(masks) ^ (high << 1) - ones
+    positive = pack(cc.masks) ^ (high << 1) - ones
     for j, a in enumerate(normals):
         lanes = high
         for x, c in zip(columns, a):

@@ -12,14 +12,15 @@ import interarr.arrangement as arr
 from interarr.arrangement import (Arrangement, Flat, InvalidParamsError,
                                   NotEssentialError, chamber_complex, make_arrangement,
                                   chamber_count, f_polynomial, f_vector, intersection_lattice,
-                                  make_family, parse_arrangement_text, restrict,
+                                  make_family, parse_arrangement_text,
                                   restrict_to_flat)
 from interarr.arrangement import _pairings, _row_mask
 from interarr.feasibility import feasible_strict
 from interarr.chow import chow_recursive, chow_via_chains
 from interarr.labeling import min_atom_label
 from interarr.linalg import EchelonBasis, dot, gcd_reduced, primitive_vector
-from interarr.lattice import GradedLattice, NotComparableError, lattice_isomorphic
+from interarr.lattice import (GradedLattice, NotComparableError, characteristic_polys,
+                              lattice_isomorphic)
 from interarr.poly import f_to_h
 from interarr.topegraph import _verify_walls
 from test_feasibility import feasible_strict_fraction, scale_to_int, solve_square_int
@@ -318,9 +319,31 @@ def test_integer_ray_walk_matches_fraction_oracle(case):
         row = _pairings(a.normals, p)
         for i in range(a.m):
             got = arr._try_ray_walk(tables, mask, p, row, i, mask ^ 1 << i)
-            assert got == _try_ray_walk_fraction(a.normals, mask, p, i, mask ^ 1 << i)
+            want = _try_ray_walk_fraction(a.normals, mask, p, i, mask ^ 1 << i)
+            assert got == (want and (want, _pairings(a.normals, want)))
             hits += got is not None
     assert hits
+
+
+@pytest.mark.parametrize("case", ["b3 full support", "random 0", "random 1"])
+def test_mirror_and_ray_walk_rows_are_the_pairings_of_their_points(case):
+    # both rungs return the row they tested, (alpha row + beta G_i) / g, and
+    # the walks keep it: it must be the point's own pairing row
+    a = {"b3 full support": B3_FULL_SUPPORT,
+         "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}[case]
+    tables = arr._WalkTables(a.normals)
+    hits = {"mirror": 0, "ray": 0}
+    cc = arr._chamber_bfs_general(a)
+    for mask, p in zip(cc.masks, cc.witnesses):
+        row = _pairings(a.normals, p)
+        for i in range(a.m):
+            target = mask ^ 1 << i
+            for rung, hit in (("mirror", arr._mirror(tables, p, row, i, target)),
+                              ("ray", arr._try_ray_walk(tables, mask, p, row, i, target))):
+                if hit is not None and (rung == "ray" or not tables.reflections[i][2]):
+                    assert hit[1] == _pairings(a.normals, hit[0]), (rung, mask, i)
+                    hits[rung] += 1
+    assert all(hits.values()), hits
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -449,7 +472,7 @@ def test_table_mirror_matches_gcd_oracle(case):
             got = arr._mirror(tables, p, row, i, target)
             assert got == _try_mirror(a.normals, tables.gram, supports, p, row, i, target), (
                 mask, i)
-            integral.add(tables.reflections[i][3])
+            integral.add(tables.reflections[i][2])
     # the integral step is taken in the root systems and the random pool; the
     # full-support image of b3 has non-integral reflections only
     assert integral == ({False} if case == "b3 full support"
@@ -548,7 +571,7 @@ def _chamber_bfs_by_facet_solve(a):
             elif w not in facets[ni]:
                 # a wall of one chamber is a wall of the chamber across it
                 raise arr._SimplicialityError("crossed wall is not a wall of the neighbour")
-    return arr.ChamberComplex(a, masks, witnesses, facets)
+    return arr.ChamberComplex(a, masks, witnesses, facets, index)
 
 
 @pytest.mark.parametrize("a", [
@@ -714,7 +737,8 @@ def _cross(tables, mask, p, row, i):
     hit = arr._mirror(tables, p, row, i, nmask)
     if hit is not None:
         return hit[0]
-    wit = arr._try_ray_walk(tables, mask, p, row, i, nmask)
+    hit = arr._try_ray_walk(tables, mask, p, row, i, nmask)
+    wit = hit and hit[0]
     if wit is None and not arr._pair_redundant(tables, mask, i):
         wit = arr.feasible_strict(arr._signed_rows(tables.normals, nmask), len(p))
     return wit
@@ -744,7 +768,7 @@ def _chamber_bfs_by_ladder(a):
                 witnesses.append(wit)
             walls.append(i)
         facets.append(tuple(walls))
-    return arr.ChamberComplex(a, masks, witnesses, facets)
+    return arr.ChamberComplex(a, masks, witnesses, facets, index)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -798,6 +822,29 @@ def _f_vector_by_walks(a):
     for flat in lat.elements:
         out[a.dim - flat.rank] += chamber_count(restrict_to_flat(a, flat.hyperplanes))
     return out
+
+
+# Test oracle: the f-vector before one Moebius inversion served every flat,
+# kept verbatim.  It runs a full characteristic-polynomial pass above each
+# flat and sums |mu| over it.
+
+
+def _f_vector_by_moebius_passes(a):
+    lat = intersection_lattice(a)
+    out = [0] * (a.dim + 1)
+    for x, rank in enumerate(lat.rank):
+        out[a.dim - rank] += sum(abs(chi[0]) for chi in characteristic_polys(lat, x).values())
+    return out
+
+
+def test_f_vector_matches_the_per_flat_moebius_oracle():
+    cases = [make_family("b", n) for n in range(1, 6)]
+    cases += [make_family("d", n) for n in range(3, 6)]
+    cases += [make_family("dns", n, s) for n in range(1, 6) for s in range(n + 1)
+              if (n, s) != (1, 0)]
+    cases += [make_family("a", n) for n in range(2, 6)]
+    for a in cases + list(RANDOM_POOL):
+        assert f_vector(a) == _f_vector_by_moebius_passes(a), a.normals
 
 
 def _euler_ok(fv) -> bool:
@@ -1009,7 +1056,7 @@ def test_matroid_rank_examples_and_axioms():
 
 
 def test_restrict_b2_to_coordinate():
-    r = restrict(make_family("b", 2), 2)
+    r = restrict_to_flat(make_family("b", 2), [2])
     assert r.dim == 1 and r.normals == ((1,),)
 
 
@@ -1017,7 +1064,7 @@ def test_restrict_coordinate_hyperplane_gives_smaller_b_lattice():
     for n in (2, 3, 4):
         bn = make_family("b", n)
         coord_idx = bn.normals.index(tuple(1 if i == 0 else 0 for i in range(n)))
-        restricted = restrict(bn, coord_idx)
+        restricted = restrict_to_flat(bn, [coord_idx])
         if n == 2:
             assert restricted.m == 1
             continue
@@ -1026,7 +1073,7 @@ def test_restrict_coordinate_hyperplane_gives_smaller_b_lattice():
 
 
 def test_restrict_single_hyperplane_is_empty():
-    r = restrict(make_arrangement(1, [(1,)]), 0)
+    r = restrict_to_flat(make_arrangement(1, [(1,)]), [0])
     assert r.dim == 0 and r.m == 0
     assert len(intersection_lattice(r)) == 1
 
@@ -1121,7 +1168,7 @@ def test_fast_and_general_bfs_agree_on_restrictions():
     # symmetric; both walks must produce identical complexes on them
     for base in (make_family("b", 4), make_family("d", 4)):
         for h in range(base.m):
-            sub = restrict(base, h)
+            sub = restrict_to_flat(base, [h])
             _assert_same_complex(arr._chamber_bfs_simplicial(sub),
                                  arr._chamber_bfs_general(sub))
 

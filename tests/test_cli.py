@@ -6,12 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
+import interarr.arrangement as arr
 import interarr.cli as cli
 import interarr.topegraph as topegraph
 from interarr import fixtures
-from interarr.arrangement import ChamberComplex, make_family
-from test_arrangement import arrangement_to_text
+from interarr.arrangement import (ChamberComplex, chamber_complex, f_vector,
+                                  make_arrangement, make_family)
+from interarr.topegraph import NotSimplicialError
+from test_arrangement import _essential_small, arrangement_to_text
 
 
 def run(capsys, *argv):
@@ -149,6 +153,46 @@ def test_gamma_non_simplicial_file_with_simplicial_flag_exits_2(tmp_path, capsys
     _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method, ["--simplicial"])
 
 
+# Non-simplicial files that the fast walk does not refuse: it completes,
+# certified, with all 24 chambers but only 36 of their 38 walls.  They stay
+# out of NON_SIMPLICIAL_NORMALS, whose refusals the walk tests pin; the
+# lattice of flats' face counts refuse them instead.
+UNDERCOUNTED_NORMALS = [
+    ["0 0 1", "0 1 -2", "0 1 1", "1 -1 -2", "1 2 1", "2 1 -1"],
+    ["0 1 -1", "1 -1 1", "2 -2 1", "2 -1 0", "2 -1 1", "2 0 -1"],
+]
+
+
+@pytest.mark.parametrize("normals", UNDERCOUNTED_NORMALS)
+@pytest.mark.parametrize("method", ["topegraph", "separation"])
+def test_simplicial_flag_is_checked_against_face_counts(tmp_path, capsys, normals, method):
+    dump = tmp_path / "graph.txt"
+    _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method,
+                                   ["--simplicial", "--dump-tope-graph", str(dump)])
+    assert not dump.exists()
+
+
+def _undercounted_files():
+    return [make_arrangement(3, [tuple(map(int, ln.split())) for ln in normals])
+            for normals in UNDERCOUNTED_NORMALS]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_essential_small())
+@example(_undercounted_files()[0])
+@example(_undercounted_files()[1])
+def test_face_counts_pass_exactly_when_the_flagged_walk_is_complete(a):
+    cc = chamber_complex(make_arrangement(a.dim, a.normals, simplicial=True))
+    gen = arr._chamber_bfs_general(a)
+    try:
+        cli._require_face_counts(cc, f_vector(a))
+    except NotSimplicialError:
+        passed = False
+    else:
+        passed = True
+    assert passed == (dict(zip(cc.masks, cc.facets)) == dict(zip(gen.masks, gen.facets)))
+
+
 def _assert_non_simplicial_exits_2(tmp_path, capsys, normals, method, flags):
     path = tmp_path / "arr.txt"
     path.write_text("dim 3\n" + "\n".join(normals) + "\n", encoding="utf-8")
@@ -199,7 +243,7 @@ def test_negated_first_witness_exits_1(capsys, monkeypatch, family, k):
         cc = walk(a)  # cached: corrupt a copy, not the cached complex
         witnesses = list(cc.witnesses)
         witnesses[k] = tuple(-x for x in witnesses[k])
-        return ChamberComplex(a, cc.masks, witnesses, cc.facets)
+        return ChamberComplex(a, cc.masks, witnesses, cc.facets, cc.index)
 
     monkeypatch.setattr(topegraph, "chamber_complex", corrupted)
     code, out, err = run(capsys, "gamma", "--family", *family)
@@ -222,7 +266,7 @@ def test_dropped_wall_is_caught(capsys, monkeypatch, sides, code, message):
         h = facets[0][-1]
         for c in (0, cc.index[cc.masks[0] ^ 1 << h])[:sides]:
             facets[c] = tuple(w for w in facets[c] if w != h)
-        return ChamberComplex(a, cc.masks, cc.witnesses, facets)
+        return ChamberComplex(a, cc.masks, cc.witnesses, facets, cc.index)
 
     monkeypatch.setattr(topegraph, "chamber_complex", corrupted)
     for method in ("topegraph", "separation"):

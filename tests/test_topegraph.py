@@ -85,9 +85,31 @@ def test_h_routes_certify_a_complex_they_are_given(route):
     g = next(g for g in range(cc.arrangement.m) if g not in walls)
     facets = list(cc.facets)
     facets[5] = tuple(sorted(walls[1:] + (g,)))
-    bad = ChamberComplex(cc.arrangement, cc.masks, cc.witnesses, facets)
+    bad = ChamberComplex(cc.arrangement, cc.masks, cc.witnesses, facets, cc.index)
     with pytest.raises(CertificateError):
         route(bad)
+
+
+def test_wall_with_no_chamber_across_is_a_certificate_error(monkeypatch):
+    # the edge list finds the chamber across every recorded wall; one that
+    # is missing is a failed certificate, never a KeyError, on every route
+    a = make_family("b", 3)
+    cc = chamber_complex(a)
+    walls = cc.facets[5]
+    g = next(g for g in range(a.m) if g not in walls and cc.masks[5] ^ 1 << g not in cc.index)
+    facets = list(cc.facets)
+    facets[5] = tuple(sorted(walls + (g,)))
+    bad = ChamberComplex(a, cc.masks, cc.witnesses, facets, cc.index)
+    message = "recorded wall has no chamber across it"
+    for route in (_verify_walls, h_via_indegree, h_via_separation):
+        with pytest.raises(CertificateError, match=message):
+            route(bad)
+    import interarr.topegraph as tg
+
+    monkeypatch.setattr(tg, "chamber_complex", lambda arrangement: bad)
+    with pytest.raises(CertificateError, match=message):
+        dump_tope_graph(build_tope_graph(a))
+    assert not bad.certified
 
 
 def test_walls_are_certified_once_per_complex(monkeypatch):
@@ -267,7 +289,7 @@ def _corruptions(cc):
     """(name, complex) pairs: the true complex and copies broken one way each."""
     def copy(witnesses=None, facets=None):
         return ChamberComplex(cc.arrangement, cc.masks, witnesses or cc.witnesses,
-                              facets or cc.facets)
+                              facets or cc.facets, cc.index)
 
     def with_witness(k, f):
         witnesses = list(cc.witnesses)
@@ -395,6 +417,23 @@ def test_packed_certificate_matches_the_loop(a):
         assert _verdict(_verify_walls, bad) == _verdict(_verify_walls_by_loop, bad), name
 
 
+@pytest.mark.parametrize("a", [pytest.param(make_family("b", 3), id="b3"),
+                               pytest.param(make_family("dns", 4, 2), id="dns-4-2")])
+def test_one_sided_records_that_keep_the_count_are_caught(a):
+    # the upper end's record of one edge and the lower end's of another
+    # dropped: one edge fewer and two records fewer keep 2 len(edges) equal
+    # to the records, so the far-end test, not the count, refuses it
+    cc = chamber_complex(a)
+    (_, j, h), (i, _, g) = cc.edges[0], cc.edges[-1]
+    facets = list(cc.facets)
+    facets[j] = tuple(w for w in facets[j] if w != h)
+    facets[i] = tuple(w for w in facets[i] if w != g)
+    bad = ChamberComplex(a, cc.masks, cc.witnesses, facets, cc.index)
+    assert 2 * len(bad.edges) == sum(map(len, facets))
+    assert _verdict(_verify_walls, bad) == _verdict(_verify_walls_by_loop, bad) == (
+        "wall recorded by one of its two chambers only")
+
+
 def _on_a_wall(cc, c):
     """A point on wall h of chamber c, strictly inside every other
     half-space of c: between c's witness and its neighbour's across h."""
@@ -417,7 +456,7 @@ def _lane_stress_cases(cc):
             witnesses = list(cc.witnesses)
             witnesses[c] = point
             yield f"{kind} {c}", ChamberComplex(cc.arrangement, cc.masks, witnesses,
-                                                cc.facets)
+                                                cc.facets, cc.index)
 
 
 # b3 under a unimodular map with entries 2^41: its witnesses exceed 2^64
