@@ -10,35 +10,37 @@ side of hyperplane h).  Sign strings over '+'/'-' exist only at the
 boundary: `ChamberComplex.sign_strings()`, the
 `dump_tope_graph` text and the CLI's `--base`.
 
-Chamber enumeration is breadth-first wall-crossing.  One routine,
-`_chamber_walls`, decides every candidate wall of a chamber exactly and
-returns a point of each new chamber across one; the general walk asks it
-of every chamber, the walk for arrangements flagged simplicial only of
-the first.  Its first pass runs the cheap rungs on every hyperplane: a
-neighbour already found, the mirror image of the chamber's point and a
-ray walk across the hyperplane prove walls, and a Farkas certificate (a
-nonnegative combination of two other signed normals) proves a non-wall.
-Its second pass gives what is left to the integer LP oracle, first on
-the chamber's known walls and the flipped hyperplane only: most
-non-walls are infeasible already there.  The full system decides the
-rest, and its witness is the point of the new chamber.
-After the first chamber, the simplicial walk derives a chamber's walls
-from its neighbour's: crossing wall w replaces each other wall k by the
-next hyperplane through the codimension-2 flat H_w & H_k, read from the
-walk's table of rank-2 flats.  The new chamber's witness is the parent's
-mirrored across H_w, or else a point just past H_w on the ray from it,
-or else the LP oracle's point over the chamber's d walls.  The chambers
-of a central arrangement come in pairs C, -C with the same walls, so a
-new chamber whose antipode the walk already has takes that chamber's
-walls and negated witness, with no pivot: the walk pivots through about
-half of the chambers.  Every chamber is still certified by an integer
-witness point, and any inconsistency falls back to the general walk.
+Chamber enumeration is one breadth-first wall-crossing loop,
+`_chamber_bfs`.  The chambers of a central arrangement come in pairs C,
+-C with the same walls, so a chamber whose antipode the walk expanded
+first takes that chamber's walls, and a new chamber whose antipode the
+walk already has takes its negated witness: the walk finds the walls of
+one chamber in each pair.  In wall mode one routine, `_chamber_walls`,
+decides every candidate wall of such a chamber exactly and returns a
+point, with its pairing row, of each new chamber across one.  Its first
+pass runs the cheap rungs on every hyperplane: a neighbour already
+found, the mirror image of the chamber's point and a ray walk across the
+hyperplane prove walls, and a Farkas certificate (a nonnegative
+combination of two other signed normals) proves a non-wall.  Its second
+pass gives what is left to the integer LP oracle, first on the chamber's
+known walls and the flipped hyperplane only: most non-walls are
+infeasible already there.  The full system decides the rest, and its
+witness is the point of the new chamber.
+Arrangements flagged simplicial are walked in pivot mode, which asks
+`_chamber_walls` only about the first chamber and derives every other
+chamber's walls from its neighbour's: crossing wall w replaces each
+other wall k by the next hyperplane through the codimension-2 flat H_w &
+H_k, read from the walk's table of rank-2 flats.  The new chamber's
+witness is the parent's mirrored across H_w, or else a point just past
+H_w on the ray from it, or else the LP oracle's point over the chamber's
+d walls.  Every chamber is still certified by an integer witness point,
+and any inconsistency falls back to wall mode.
 The pair certificate and the pivot ask the same question, whether
 a_h = alpha a_j + beta a_k, answered by integer Cramer on the Gram
 matrix of the normals once per rank-2 flat in a walk (`_WalkTables`):
 the first pair of a flat that either asks about scans the hyperplanes
 and fills the entries of every pair in the flat, so a chamber pays only
-sign tests.  Both walks test a witness through its pairing row (a_j . w
+sign tests.  Both modes test a witness through its pairing row (a_j . w
 for every hyperplane j).  A mirrored or ray-walked point q = alpha p +
 beta a_i, made primitive, has the row (alpha row + beta G_i) / g, with no
 dot product (`_on_line`), and both rungs return it.  Where the
@@ -76,7 +78,7 @@ class InvalidParamsError(ValueError):
 
 
 class _SimplicialityError(RuntimeError):
-    """Internal: the fast chamber walk detected a non-simplicial situation."""
+    """Internal: the walk's pivot mode detected a non-simplicial situation."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class Arrangement:
     """A central arrangement: one primitive integer normal per hyperplane.
 
     `simplicial` promises that every chamber is a simplicial cone, and
-    selects the fast chamber walk; the library trusts it.  Every built-in
+    selects the walk's pivot mode; the library trusts it.  Every built-in
     family is a Coxeter arrangement or a restriction of one (dns(n, s) is a
     restriction of D_(n+s)), and a restriction of a simplicial arrangement
     is simplicial, so these hold it by theorem.  The command line checks
@@ -460,84 +462,6 @@ def _pivot(tables, w, k, same_side: bool) -> int:
     return best
 
 
-def _chamber_bfs_simplicial(a: Arrangement) -> ChamberComplex:
-    normals = a.normals
-    d = a.dim
-    m = a.m
-    tables = _WalkTables(normals)
-    p0 = generic_point(normals, d)
-    row0 = _pairings(normals, p0)
-    mask0 = _row_mask(row0)
-    facets0 = _chamber_walls(tables, mask0, p0, row0, {})[0]
-    if len(facets0) != d:
-        raise _SimplicialityError(f"seed chamber has {len(facets0)} walls, expected {d}")
-    pivots: dict[int, int] = {}  # 2 (w m + k) + (sides of w and k differ) -> pivot
-    full = (1 << m) - 1
-
-    masks = [mask0]
-    witnesses = [p0]
-    facets = [facets0]
-    index = {mask0: 0}
-    rows = [row0]  # pairing rows, dropped once their chamber is expanded
-    for ci, mask in enumerate(masks):  # breadth-first: masks grows as chambers are found
-        walls = facets[ci]
-        row = rows[ci]
-        rows[ci] = None
-        for w in walls:
-            nmask = mask ^ (1 << w)
-            ni = index.get(nmask)
-            if ni is None:
-                ni = len(masks)
-                index[nmask] = ni
-                masks.append(nmask)
-                anti = index.get(nmask ^ full)
-                if anti is not None:
-                    # C = nmask has the walls of its antipode -C.  -C was
-                    # added, and so is expanded, before C; once it is,
-                    # -C ^ v, the antipode of C ^ v, is known for each wall
-                    # v.  So every chamber that C adds comes through this
-                    # branch too, and C's None row is never read.
-                    witnesses.append(tuple([-x for x in witnesses[anti]]))
-                    facets.append(facets[anti])
-                    rows.append(None)
-                    continue
-                nf = [w]
-                base = 2 * w * m
-                for k in walls:
-                    if k == w:
-                        continue
-                    key = base + 2 * k + ((mask >> w ^ mask >> k) & 1)
-                    try:
-                        h = pivots[key]
-                    except KeyError:
-                        h = pivots[key] = _pivot(tables, w, k, not key & 1)
-                    nf.append(h)
-                if len(set(nf)) != d:
-                    raise _SimplicialityError("pivoted walls collide")
-                # the parent's witness mirrored across w, or a point just past
-                # H_w on the ray from it, is usually an interior point of the
-                # neighbour; otherwise the LP over the new walls finds one
-                p = witnesses[ci]
-                hit = _mirror(tables, p, row, w, nmask)
-                if hit is None or max(map(abs, hit[0])) > 1 << 24:
-                    hit = _try_ray_walk(tables, mask, p, row, w, nmask)
-                if hit is None:
-                    signed = _signed_rows(normals, nmask)
-                    q = feasible_strict([signed[f] for f in nf], d)
-                    if q is None:
-                        raise _SimplicialityError("wall normals are dependent")
-                    hit = q, _pairings(normals, q)
-                    if _row_mask(hit[1]) != nmask:
-                        raise _SimplicialityError("facet witness landed in the wrong chamber")
-                witnesses.append(hit[0])
-                rows.append(hit[1])
-                facets.append(tuple(sorted(nf)))
-            elif w not in facets[ni]:
-                # a wall of one chamber is a wall of the chamber across it
-                raise _SimplicialityError("crossed wall is not a wall of the neighbour")
-    return ChamberComplex(a, masks, witnesses, facets, index)
-
-
 def _on_line(tables, p, row, i, alpha, beta, target_mask):
     """q = alpha p + beta a_i over the gcd g of its entries, with its row
     (alpha row + beta G_i) / g from p's `row`; None outside the target."""
@@ -624,14 +548,16 @@ def _pair_redundant(tables, mask, i) -> bool:
 def _chamber_walls(tables, mask, p, row, index):
     """The walls of the chamber `mask` (interior point p, pairing row `row`),
     ascending, and an interior point of the chamber across each wall whose
-    chamber is not yet in `index`, as {wall: point}.
+    chamber is not yet in `index`, with its pairing row, as
+    {wall: (point, row)}.
 
-    Pass 1 runs the cheap exact rungs on every hyperplane.  It is a wall
-    when the chamber across it is already known, or when the mirror image
-    of p or a point just past H_i on the ray from p perpendicular to it
-    (`_try_ray_walk`) lands across it; it is no wall when a Farkas
+    Pass 1 runs the cheap exact rungs on every hyperplane, in this order.
+    It is a wall when the chamber across it is already known or when the
+    mirror image of p lands across it; it is no wall when a Farkas
     combination of two other signed normals certifies so
-    (`_pair_redundant`).  The walls found are the chamber's known walls.
+    (`_pair_redundant`); it is a wall when a point just past H_i on the
+    ray from p perpendicular to it (`_try_ray_walk`) lands across it.
+    The walls found are the chamber's known walls.
     Pass 2 decides what is left in hyperplane order, with the integer LP
     oracle.  If the chamber's known walls and the flipped row of i admit
     no common point, neither do all the rows, and i is no wall (Clarkson's
@@ -649,13 +575,16 @@ def _chamber_walls(tables, mask, p, row, index):
     for i in range(len(signed)):
         nmask = mask ^ 1 << i
         if nmask not in index:
-            hit = (_mirror(tables, p, row, i, nmask)
-                   or _try_ray_walk(tables, mask, p, row, i, nmask))
+            hit = _mirror(tables, p, row, i, nmask)
             if hit is None:
-                if not _pair_redundant(tables, mask, i):
+                # cheaper than the ray walk, and never true of a wall
+                if _pair_redundant(tables, mask, i):
+                    continue
+                hit = _try_ray_walk(tables, mask, p, row, i, nmask)
+                if hit is None:
                     undecided.append(i)
-                continue
-            crossed[i] = hit[0]
+                    continue
+            crossed[i] = hit
         walls.append(i)
         known.append(signed[i])
     for i in undecided:
@@ -664,29 +593,101 @@ def _chamber_walls(tables, mask, p, row, index):
             continue
         wit = feasible_strict(signed[:i] + [flipped] + signed[i + 1:], d)
         if wit is not None:
-            crossed[i] = wit
+            crossed[i] = wit, _pairings(tables.normals, wit)
             walls.append(i)
             known.append(signed[i])
     return tuple(sorted(walls)), crossed
 
 
-def _chamber_bfs_general(a: Arrangement) -> ChamberComplex:
+def _chamber_bfs(a: Arrangement, pivot: bool) -> ChamberComplex:
+    """The chamber complex, breadth-first from a generic point's chamber:
+    in pivot mode a new chamber's walls are pivoted from its parent's, in
+    wall mode `_chamber_walls` decides them (see the module docstring)."""
     normals = a.normals
-    p0 = generic_point(normals, a.dim)
-    mask0 = _row_mask(_pairings(normals, p0))
+    d = a.dim
+    m = a.m
+    tables = _WalkTables(normals)
+    p0 = generic_point(normals, d)
+    row0 = _pairings(normals, p0)
+    mask0 = _row_mask(row0)
+    pivots: dict[int, int] = {}  # 2 (w m + k) + (sides of w and k differ) -> pivot
+    full = (1 << m) - 1
+
     masks = [mask0]
     witnesses = [p0]
-    facets = []
+    facets = [None]  # None until the chamber's walls are known
     index = {mask0: 0}
-    tables = _WalkTables(normals)
+    rows = [row0]  # pairing rows, dropped once their chamber is expanded
     for ci, mask in enumerate(masks):  # breadth-first: masks grows as chambers are found
-        p = witnesses[ci]
-        walls, crossed = _chamber_walls(tables, mask, p, _pairings(normals, p), index)
-        for i in sorted(crossed):
-            index[mask ^ 1 << i] = len(masks)
-            masks.append(mask ^ 1 << i)
-            witnesses.append(crossed[i])
-        facets.append(walls)
+        walls = facets[ci]
+        row = rows[ci]
+        rows[ci] = None
+        if walls is None:
+            anti = index.get(mask ^ full, ci)
+            if anti < ci:
+                walls = facets[ci] = facets[anti]
+            else:
+                walls, crossed = _chamber_walls(tables, mask, witnesses[ci], row, index)
+                facets[ci] = walls
+                if pivot and len(walls) != d:
+                    raise _SimplicialityError(f"seed chamber has {len(walls)} walls, expected {d}")
+        for w in walls:
+            nmask = mask ^ (1 << w)
+            ni = index.get(nmask)
+            if ni is None:
+                index[nmask] = len(masks)
+                masks.append(nmask)
+                anti = index.get(nmask ^ full)
+                if anti is not None:
+                    # C = nmask has the walls of its antipode -C.  -C was
+                    # added, and so is expanded, before C; once it is,
+                    # -C ^ v, the antipode of C ^ v, is known for each wall
+                    # v.  So every chamber that C adds comes through this
+                    # branch too, and C's None row is never read.
+                    witnesses.append(tuple([-x for x in witnesses[anti]]))
+                    facets.append(facets[anti])
+                    rows.append(None)
+                    continue
+                if not pivot:
+                    hit = crossed[w]
+                    witnesses.append(hit[0])
+                    rows.append(hit[1])
+                    facets.append(None)
+                    continue
+                nf = [w]
+                base = 2 * w * m
+                for k in walls:
+                    if k == w:
+                        continue
+                    key = base + 2 * k + ((mask >> w ^ mask >> k) & 1)
+                    try:
+                        h = pivots[key]
+                    except KeyError:
+                        h = pivots[key] = _pivot(tables, w, k, not key & 1)
+                    nf.append(h)
+                if len(set(nf)) != d:
+                    raise _SimplicialityError("pivoted walls collide")
+                # the parent's witness mirrored across w, or a point just past
+                # H_w on the ray from it, is usually an interior point of the
+                # neighbour; otherwise the LP over the new walls finds one
+                p = witnesses[ci]
+                hit = _mirror(tables, p, row, w, nmask)
+                if hit is None or max(map(abs, hit[0])) > 1 << 24:
+                    hit = _try_ray_walk(tables, mask, p, row, w, nmask)
+                if hit is None:
+                    signed = _signed_rows(normals, nmask)
+                    q = feasible_strict([signed[f] for f in nf], d)
+                    if q is None:
+                        raise _SimplicialityError("wall normals are dependent")
+                    hit = q, _pairings(normals, q)
+                    if _row_mask(hit[1]) != nmask:
+                        raise _SimplicialityError("facet witness landed in the wrong chamber")
+                witnesses.append(hit[0])
+                rows.append(hit[1])
+                facets.append(tuple(sorted(nf)))
+            elif pivot and w not in facets[ni]:
+                # a wall of one chamber is a wall of the chamber across it
+                raise _SimplicialityError("crossed wall is not a wall of the neighbour")
     return ChamberComplex(a, masks, witnesses, facets, index)
 
 
@@ -705,13 +706,10 @@ def chamber_complex(a: Arrangement) -> ChamberComplex:
     if a.rank() != a.dim:
         raise NotEssentialError(
             f"rank {a.rank()} < dim {a.dim}: quotient to an essential arrangement first")
-    if a.simplicial:
-        try:
-            cc = _chamber_bfs_simplicial(a)
-        except _SimplicialityError:
-            cc = _chamber_bfs_general(a)
-    else:
-        cc = _chamber_bfs_general(a)
+    try:
+        cc = _chamber_bfs(a, a.simplicial)
+    except _SimplicialityError:
+        cc = _chamber_bfs(a, False)
     _verify_central_symmetry(cc)
     return cc
 

@@ -121,7 +121,7 @@ def _require_face_counts(graph, fv) -> None:
     lattice of flats counts, f_(d-1) and f_(d-2) of the f-vector `fv`.  Its
     chambers and walls are certified, so neither count can exceed the true
     one, and equal counts mean that the walk missed none.  A file flagged
-    `--simplicial` that is not can lead the fast walk to a certified
+    `--simplicial` that is not can lead the pivoting walk to a certified
     complex that misses walls."""
     if graph.arrangement.dim and (len(graph.masks), len(graph.edges)) != (fv[-1], fv[-2]):
         raise NotSimplicialError(

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
@@ -145,9 +146,9 @@ _SMALL_FAMILIES = [("a", n, None) for n in range(1, 5)] + [
 
 
 def test_fast_and_general_bfs_agree():
-    for fam, n, s in _SMALL_FAMILIES:
+    for fam, n, s in _SMALL_FAMILIES + [("dns", 5, s) for s in range(6)]:
         a = make_family(fam, n, s)
-        _assert_same_complex(arr._chamber_bfs_simplicial(a), arr._chamber_bfs_general(a))
+        _assert_same_complex(arr._chamber_bfs(a, True), arr._chamber_bfs(a, False))
 
 
 @pytest.mark.parametrize("fam, n, s, digest", [
@@ -159,7 +160,7 @@ def test_fast_and_general_bfs_agree():
 ])
 def test_fast_walk_witnesses_are_pinned(fam, n, s, digest):
     # the walk's witness lists stay byte-identical when its arithmetic changes
-    witnesses = arr._chamber_bfs_simplicial(make_family(fam, n, s)).witnesses
+    witnesses = arr._chamber_bfs(make_family(fam, n, s), True).witnesses
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == digest
 
 
@@ -171,27 +172,27 @@ def test_fast_walk_witnesses_are_pinned(fam, n, s, digest):
     ("dns", 5, 3, "e2c5e412bc55f14c1568f4cd4d35a8e01b5e3919376830038cec2f6a9ca4af33"),
 ])
 def test_fast_walk_facets_and_edges_are_pinned(fam, n, s, digest):
-    # beyond n = 4 the general walk is too slow for a tier-1 oracle, so the
-    # fast walk's walls and edges are pinned byte for byte instead
-    cc = arr._chamber_bfs_simplicial(make_family(fam, n, s))
+    # wall mode checks these walls up to n = 5 (test_fast_and_general_bfs_agree);
+    # the pin holds pivot mode's chamber order and edges byte for byte too
+    cc = arr._chamber_bfs(make_family(fam, n, s), True)
     assert hashlib.sha256(repr((cc.facets, cc.edges)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("case, digest", [
     ("b3", "c2e426e6df7b8649b0cfa69e41851a9425b88a51c3004ad44bf5572c12b7a8f3"),
     ("d4", "5d05adaa08e81e35922b2540672bc8d09452c861930e614df9c3d71454437578"),
-    ("dns42", "7083033d44a209384609471fc1cfba5784061e333209ff8731a2b94a57a5f154"),
-    ("square cone", "8f534d6be4047e67f9880d99c20f9c70e7b25afc40dd3e8616d253c8c984c2ef"),
-    ("random 0", "a233aa1bab1797976227b220434cb41bc0f0303e881fe2194a886092708cc247"),
-    ("random 1", "a32a4ff866d549180295386846f75d1db3c7bc5edb9f7e98538ab92733aed150"),
+    ("dns42", "b80b880ae7be73e10538ba48f368cbf8b27e97b3655139a630e8c058ebe3965e"),
+    ("square cone", "37c37ad5c64b16abf28987a356d5998e121c9be680b2ca79297cdd248258fc59"),
+    ("random 0", "ef96f704a08c3e9d3a1423300bde1f98ce7ff3ab1b772e8f8accc0c332a85aed"),
+    ("random 1", "c88842b8ebfbf0e6b87f3d7917f83abbaf3a2764386d1c76caaa3c1a7cf76d9f"),
 ])
 def test_general_walk_is_pinned(case, digest):
-    # the general walk's chambers, witnesses, walls and edges, byte for byte
+    # wall mode's chambers, witnesses, walls and edges, byte for byte
     a = {"b3": make_family("b", 3), "d4": make_family("d", 4),
          "dns42": make_family("dns", 4, 2),
          "square cone": make_arrangement(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]),
          "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}[case]
-    cc = arr._chamber_bfs_general(a)
+    cc = arr._chamber_bfs(a, False)
     got = repr((cc.masks, cc.witnesses, cc.facets, cc.edges))
     assert hashlib.sha256(got.encode()).hexdigest() == digest
 
@@ -217,6 +218,53 @@ RANDOM_POOL = (
     make_arrangement(3, [(1, 0, 0), (1, 1, 1), (2, -1, 2), (1, 2, -1), (1, -1, 1),
                          (1, 0, 1), (1, 2, 2), (1, -1, 0), (2, 1, -2), (1, -1, -1)]),
 )
+
+# non-simplicial inputs that wall mode walks: it decides their walls with
+# every rung, the LP included
+_WALL_CASES = {
+    "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1],
+    "square cone": make_arrangement(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]),
+    "five planes": make_arrangement(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)]),
+}
+
+
+def _assert_antipodes_copy_the_first(cc, first_witnesses=None):
+    """Of each pair C, -C of the walk the chamber found second holds the
+    first one's walls and negated witness, and the first one holds its
+    entry of `first_witnesses` when given."""
+    full = (1 << cc.arrangement.m) - 1
+    copies = 0
+    for i, mask in enumerate(cc.masks):
+        anti = cc.index[mask ^ full]
+        if anti < i:
+            copies += 1
+            assert cc.facets[i] == cc.facets[anti]
+            assert cc.witnesses[i] == tuple(-x for x in cc.witnesses[anti])
+        elif first_witnesses is not None:
+            assert cc.witnesses[i] == first_witnesses[i], i
+    assert 2 * copies == len(cc.masks)
+
+
+@pytest.mark.parametrize("case", [*_WALL_CASES, "b3"])
+def test_walls_are_decided_once_per_antipodal_pair(monkeypatch, case):
+    # wall mode asks about one chamber of each pair C, -C, pivot mode about
+    # the seed alone
+    a = {**_WALL_CASES, "b3": make_family("b", 3)}[case]
+    asked = []
+    decide = arr._chamber_walls
+
+    def recording(tables, mask, *rest):
+        asked.append(mask)
+        return decide(tables, mask, *rest)
+
+    monkeypatch.setattr(arr, "_chamber_walls", recording)
+    cc = arr._chamber_bfs(a, False)
+    full = (1 << a.m) - 1
+    assert len(asked) == len({min(mk, mk ^ full) for mk in asked}) == len(cc.masks) // 2
+    if a.simplicial:
+        asked.clear()
+        arr._chamber_bfs(a, True)
+        assert asked == [cc.masks[0]]
 
 
 def test_multi_term_non_wall_is_left_to_the_lp():
@@ -264,10 +312,10 @@ def _pair_redundant_minor(normals, mask, i) -> bool:
 
 def _assert_pair_certificates_match_minor_oracle(a):
     """The same verdict as the 2x2-minor search on every chamber and
-    hyperplane of the general walk; returns how many were certified."""
+    hyperplane of the wall-mode walk; returns how many were certified."""
     tables = arr._WalkTables(a.normals)
     certified = 0
-    for mask in arr._chamber_bfs_general(a).masks:
+    for mask in arr._chamber_bfs(a, False).masks:
         for i in range(a.m):
             got = arr._pair_redundant(tables, mask, i)
             assert got == _pair_redundant_minor(a.normals, mask, i), (mask, i)
@@ -312,7 +360,7 @@ def test_integer_ray_walk_matches_fraction_oracle(case):
     a = {"random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1],
          "b3": make_family("b", 3),
          "square cone": make_arrangement(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])}[case]
-    cc = arr._chamber_bfs_general(a)
+    cc = arr._chamber_bfs(a, False)
     tables = arr._WalkTables(a.normals)
     hits = 0
     for mask, p in zip(cc.masks, cc.witnesses):
@@ -333,7 +381,7 @@ def test_mirror_and_ray_walk_rows_are_the_pairings_of_their_points(case):
          "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}[case]
     tables = arr._WalkTables(a.normals)
     hits = {"mirror": 0, "ray": 0}
-    cc = arr._chamber_bfs_general(a)
+    cc = arr._chamber_bfs(a, False)
     for mask, p in zip(cc.masks, cc.witnesses):
         row = _pairings(a.normals, p)
         for i in range(a.m):
@@ -348,13 +396,13 @@ def test_mirror_and_ray_walk_rows_are_the_pairings_of_their_points(case):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_integer_simplex_matches_fraction_oracle_on_walls(monkeypatch, k):
-    # the same witness for every wall the general walk asks the LP about, and
+    # the same witness for every wall the wall-mode walk asks the LP about, and
     # the same None for every non-wall of its first chamber
     a = RANDOM_POOL[k]
     asked = []
     monkeypatch.setattr(arr, "feasible_strict",
                         lambda rows, n: asked.append(rows) or feasible_strict(rows, n))
-    cc = arr._chamber_bfs_general(a)
+    cc = arr._chamber_bfs(a, False)
     non_walls = [arr._signed_rows(a.normals, cc.masks[0] ^ 1 << i)
                  for i in range(a.m) if i not in cc.facets[0]]
     assert asked and non_walls
@@ -398,9 +446,9 @@ def test_sparse_mirror_matches_dense_oracle(case):
          "b3 full support": B3_FULL_SUPPORT,
          "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}[case]
     random_case = case.startswith("random")
-    walks = [arr._chamber_bfs_general(a)]
+    walks = [arr._chamber_bfs(a, False)]
     if not random_case:
-        walks.append(arr._chamber_bfs_simplicial(a))
+        walks.append(arr._chamber_bfs(a, True))
     tables = arr._WalkTables(a.normals)
     gram = tables.gram
     seen = set()  # (gcd(q) == G_ii, a point was returned)
@@ -461,7 +509,7 @@ def test_table_mirror_matches_gcd_oracle(case):
     # every chamber of the walk against every hyperplane, walls or not
     a = _MIRROR_CASES[case]
     random_case = case.startswith("random")
-    cc = (arr._chamber_bfs_general if random_case else arr._chamber_bfs_simplicial)(a)
+    cc = arr._chamber_bfs(a, not random_case)
     tables = arr._WalkTables(a.normals)
     supports = _supports(tables.gram)
     integral = set()
@@ -487,12 +535,9 @@ def test_table_mirror_matches_gcd_oracle(case):
 def test_walk_witnesses_are_primitive(a):
     # the integral mirror returns the gcd oracle's point only from a
     # primitive one; every witness of both walks is primitive
-    walks = [arr._chamber_bfs_general]
-    if a.simplicial:
-        walks.append(arr._chamber_bfs_simplicial)
-    for walk in walks:
-        for w in walk(a).witnesses:
-            assert math.gcd(*w) == 1, (walk.__name__, w)
+    for pivot in {False, a.simplicial}:
+        for w in arr._chamber_bfs(a, pivot).witnesses:
+            assert math.gcd(*w) == 1, (pivot, w)
 
 
 # Test oracle: the simplicial walk before it copied each chamber from its
@@ -574,27 +619,25 @@ def _chamber_bfs_by_facet_solve(a):
     return arr.ChamberComplex(a, masks, witnesses, facets, index)
 
 
-@pytest.mark.parametrize("a", [
-    *(pytest.param(make_family(fam, n, s), id=f"{fam}-{n}-{s}")
+@pytest.mark.parametrize("a, pivot", [
+    *(pytest.param(make_family(fam, n, s), True, id=f"{fam}-{n}-{s}")
       for fam, n, s in _SMALL_FAMILIES),
-    pytest.param(B3_FULL_SUPPORT, id="b3-full-support"),
-    *(pytest.param(make_family("dns", 5, s), id=f"dns-5-{s}") for s in range(6))])
-def test_antipode_copies_match_the_facet_solve_walk(a):
-    # the same chambers in the same order, with the same walls and edges; of
-    # each pair C, -C the chamber found second holds the first one's walls
-    # and negated witness, and every witness is primitive and certified
-    cc, old = arr._chamber_bfs_simplicial(a), _chamber_bfs_by_facet_solve(a)
+    pytest.param(B3_FULL_SUPPORT, True, id="b3-full-support"),
+    *(pytest.param(make_family("dns", 5, s), True, id=f"dns-5-{s}") for s in range(6)),
+    *(pytest.param(make_family(fam, n, s), False, id=f"walls-{fam}-{n}-{s}")
+      for fam, n, s in _SMALL_FAMILIES),
+    *(pytest.param(a, False, id=f"walls-{case}") for case, a in _WALL_CASES.items())])
+def test_antipode_copies_match_the_facet_solve_walk(a, pivot):
+    # the same chambers in the same order, with the same walls and edges, as
+    # the walk that decided every chamber (pivot mode: the facet-solve walk,
+    # wall mode: the ladder, whose witness the first chamber of each pair
+    # C, -C holds); the chamber found second holds the first one's walls and
+    # negated witness, and every witness is primitive and certified
+    cc = arr._chamber_bfs(a, pivot)
+    old = (_chamber_bfs_by_facet_solve if pivot else _chamber_bfs_by_ladder)(a)
     assert (cc.masks, cc.facets, cc.edges) == (old.masks, old.facets, old.edges)
-    full = (1 << a.m) - 1
-    copies = 0
-    for i, mask in enumerate(cc.masks):
-        anti = cc.index[mask ^ full]
-        if anti < i:
-            copies += 1
-            assert cc.facets[i] == cc.facets[anti]
-            assert cc.witnesses[i] == tuple(-x for x in cc.witnesses[anti])
-        assert math.gcd(*cc.witnesses[i]) == 1
-    assert 2 * copies == len(cc.masks)
+    _assert_antipodes_copy_the_first(cc, None if pivot else old.witnesses)
+    assert all(math.gcd(*w) == 1 for w in cc.witnesses)
     _verify_walls(cc)
 
 
@@ -644,7 +687,7 @@ def test_table_pivot_matches_scan_oracle(case):
     outcomes = {}
     for name, a in arrangements.items():
         tables = arr._WalkTables(a.normals)
-        for walls in arr._chamber_bfs_general(a).facets:
+        for walls in arr._chamber_bfs(a, False).facets:
             for w, k in permutations(walls, 2):
                 for same_side in (True, False):
                     got = _pivot_or_error(arr._pivot, tables, w, k, same_side)
@@ -668,11 +711,11 @@ def test_table_pivot_matches_scan_oracle(case):
 ])
 def test_fast_walk_refuses_each_non_simplicial_file(t, reason, by_facet_solve):
     a = _non_simplicial_files()[f"non-simplicial {t}"]
-    for walk, want in ((arr._chamber_bfs_simplicial, reason),
+    for walk, want in ((partial(arr._chamber_bfs, pivot=True), reason),
                        (_chamber_bfs_by_facet_solve, by_facet_solve or reason)):
         with pytest.raises(arr._SimplicialityError) as exc:
             walk(a)
-        assert str(exc.value) == want, walk.__name__
+        assert str(exc.value) == want, walk
 
 
 @pytest.mark.parametrize("case", ["b3", "dns42", "random 0", "random 1"])
@@ -706,7 +749,7 @@ def _essential_small(draw):
 @example(make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
 def test_cone_certificate_matches_lp_oracle(a):
     tables = arr._WalkTables(a.normals)
-    for mask in arr._chamber_bfs_general(a).masks:
+    for mask in arr._chamber_bfs(a, False).masks:
         for i in range(a.m):
             if arr._pair_redundant(tables, mask, i):
                 # sound: a certified non-wall has no point across it
@@ -720,14 +763,14 @@ def test_cone_certificate_matches_lp_oracle(a):
 @example(make_arrangement(3, make_family("b", 3).normals))
 @example(B3_FULL_SUPPORT)
 def test_flagged_walk_matches_general_bfs_random(a):
-    # flagged simplicial, the walk either finds the general walk's complex or
-    # refuses and hands the input to the general walk
+    # flagged simplicial, pivot mode either finds wall mode's complex or
+    # refuses and hands the input to wall mode
     cc = chamber_complex(make_arrangement(a.dim, a.normals, simplicial=True))
-    gen = arr._chamber_bfs_general(a)
+    gen = arr._chamber_bfs(a, False)
     assert (cc.masks, cc.facets, cc.edges) == (gen.masks, gen.facets, gen.edges)
 
 
-# Test oracle: the crossing ladder the general walk ran before it decided a
+# Test oracle: the crossing ladder the wall-mode walk ran before it decided a
 # chamber's walls in two passes, kept verbatim.  It asks the full LP about
 # every hyperplane that the three cheap rungs leave open.
 
@@ -778,10 +821,14 @@ def _chamber_bfs_by_ladder(a):
 @example(make_arrangement(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 3)]))
 @example(make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
 def test_two_pass_walls_match_the_ladder_oracle(a):
-    # chambers in the same order, the same witnesses, walls and edges
+    # chambers in the same order with the same walls and edges; the first
+    # chamber of each pair C, -C has the ladder's witness, the second the
+    # first one's negated
     def dump(cc):
-        return repr((cc.masks, cc.witnesses, cc.facets, cc.edges))
-    assert dump(arr._chamber_bfs_general(a)) == dump(_chamber_bfs_by_ladder(a))
+        return repr((cc.masks, cc.facets, cc.edges))
+    cc, ladder = arr._chamber_bfs(a, False), _chamber_bfs_by_ladder(a)
+    assert dump(cc) == dump(ladder)
+    _assert_antipodes_copy_the_first(cc, ladder.witnesses)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -798,7 +845,7 @@ def test_known_walls_refute_non_walls_before_the_full_lp(monkeypatch, k):
     _chamber_bfs_by_ladder(a)
     ladder = len(asked)
     asked.clear()
-    arr._chamber_bfs_general(a)
+    arr._chamber_bfs(a, False)
     full = refuted = t = 0
     while t < len(asked):
         size, wit = asked[t]
@@ -888,30 +935,37 @@ def test_chow_chains_match_recursion_random_dim3(a):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_essential_dim3())
 def test_fast_walk_matches_general_bfs_random_dim3(a):
-    # the fast walk either notices that the input is not simplicial or
-    # finds exactly the complex of the general walk
+    # pivot mode either notices that the input is not simplicial or finds
+    # exactly the complex of wall mode
     try:
-        fast = arr._chamber_bfs_simplicial(a)
+        fast = arr._chamber_bfs(a, True)
     except arr._SimplicialityError:
         return
-    _assert_same_complex(fast, arr._chamber_bfs_general(a))
+    _assert_same_complex(fast, arr._chamber_bfs(a, False))
 
 
 def test_simplicial_flag_runs_its_own_walk(monkeypatch):
-    flags = []
-    fast_walk = arr._chamber_bfs_simplicial
+    # the flag selects pivot mode; a file that pivot mode refuses is walked
+    # again in wall mode
+    modes = []
+    walk = arr._chamber_bfs
 
-    def recording(a):
-        flags.append(a.simplicial)
-        return fast_walk(a)
+    def recording(a, pivot):
+        modes.append(pivot)
+        return walk(a, pivot)
 
-    monkeypatch.setattr(arr, "_chamber_bfs_simplicial", recording)
-    chamber_complex.cache_clear()  # earlier tests may have walked flagged b3
+    monkeypatch.setattr(arr, "_chamber_bfs", recording)
+    chamber_complex.cache_clear()  # earlier tests may have walked these
     normals = make_family("b", 3).normals
     plain = chamber_complex(make_arrangement(3, normals))
     flagged = chamber_complex(make_arrangement(3, normals, simplicial=True))
-    assert flags == [True]
+    assert modes == [False, True]
     assert flagged is not plain and set(flagged.masks) == set(plain.masks)
+    cone = _non_simplicial_files()["non-simplicial 0"]
+    refused = chamber_complex(make_arrangement(3, cone.normals, simplicial=True))
+    assert modes == [False, True, True, False]
+    walls = walk(cone, False)
+    assert (refused.masks, refused.facets) == (walls.masks, walls.facets)
 
 
 def test_f_vector_examples():
@@ -1169,8 +1223,8 @@ def test_fast_and_general_bfs_agree_on_restrictions():
     for base in (make_family("b", 4), make_family("d", 4)):
         for h in range(base.m):
             sub = restrict_to_flat(base, [h])
-            _assert_same_complex(arr._chamber_bfs_simplicial(sub),
-                                 arr._chamber_bfs_general(sub))
+            _assert_same_complex(arr._chamber_bfs(sub, True),
+                                 arr._chamber_bfs(sub, False))
 
 
 def test_random_arrangements_match_bruteforce(tmp_path):

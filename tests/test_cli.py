@@ -183,7 +183,7 @@ def _undercounted_files():
 @example(_undercounted_files()[1])
 def test_face_counts_pass_exactly_when_the_flagged_walk_is_complete(a):
     cc = chamber_complex(make_arrangement(a.dim, a.normals, simplicial=True))
-    gen = arr._chamber_bfs_general(a)
+    gen = arr._chamber_bfs(a, False)
     try:
         cli._require_face_counts(cc, f_vector(a))
     except NotSimplicialError:
