@@ -10,7 +10,7 @@ from .arrangement import (Arrangement, Flat, InvalidParamsError,
                           NotEssentialError, chamber_count, f_polynomial,
                           f_vector, intersection_lattice, load_arrangement,
                           make_arrangement, make_family)
-from .chow import (ArithmeticityReport, NonDivisibleError, TooLargeError,
+from .chow import (ArithmeticityReport, NonDivisibleError,
                    char_poly_bruteforce, characteristic_poly,
                    chow_dns, chow_recursive, chow_type_a, chow_type_b,
                    chow_via_chains, dns_lattice, verify_chow_arithmetic,

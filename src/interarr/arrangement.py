@@ -548,11 +548,12 @@ def _pair_redundant(tables, mask, i) -> bool:
 def _chamber_walls(tables, mask, p, row, index):
     """The walls of the chamber `mask` (interior point p, pairing row `row`),
     ascending, and an interior point of the chamber across each wall whose
-    chamber is not yet in `index`, with its pairing row, as
-    {wall: (point, row)}.
+    chamber and its antipode are not yet in `index`, with its pairing row,
+    as {wall: (point, row)}.
 
     Pass 1 runs the cheap exact rungs on every hyperplane, in this order.
-    It is a wall when the chamber across it is already known or when the
+    It is a wall when the chamber across it or that chamber's antipode is
+    already known (chambers come in antipodal pairs) or when the
     mirror image of p lands across it; it is no wall when a Farkas
     combination of two other signed normals certifies so
     (`_pair_redundant`); it is a wall when a point just past H_i on the
@@ -568,13 +569,14 @@ def _chamber_walls(tables, mask, p, row, index):
     """
     d = len(p)
     signed = _signed_rows(tables.normals, mask)
+    full = (1 << len(signed)) - 1
     known = []          # signed rows of the walls proved so far
     walls = []
     crossed = {}
     undecided = []
     for i in range(len(signed)):
         nmask = mask ^ 1 << i
-        if nmask not in index:
+        if nmask not in index and nmask ^ full not in index:
             hit = _mirror(tables, p, row, i, nmask)
             if hit is None:
                 # cheaper than the ray walk, and never true of a wall

@@ -10,6 +10,10 @@
    reading chi of every [F, F'] from one `lattice.characteristic_polys`
    pass per flat F.
 
+The chain route and the closed forms count their chains or tuples by
+descents, and that histogram is the Chow polynomial's gamma vector, which
+`poly.gamma_to_h` expands.
+
 Also `characteristic_poly` of one interval (a lookup in that pass), the
 oracle that checks it (Whitney's subset sum, grouped by span, reading
 ranks and closures through `EchelonBasis` only), the closed forms' two
@@ -19,6 +23,7 @@ intermediate-arrangement family.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
@@ -28,17 +33,13 @@ from .labeling import el_label, filtered_descent_counts
 from .lattice import GradedLattice, NotComparableError, characteristic_polys
 from .linalg import EchelonBasis
 from .permstats import maxima_census
-from .poly import GammaVector, IntPolynomial, h_to_gamma, one_plus_t_power
+from .poly import GammaVector, IntPolynomial, gamma_to_h, h_to_gamma
 from .signed_partitions import enumerate_lattice, variant_dns
 from .topegraph import h_via_indegree
 
 
 class NonDivisibleError(ArithmeticError):
     """Raised when a characteristic polynomial fails to vanish at t = 1."""
-
-
-class TooLargeError(ValueError):
-    """Raised when the subset-sum oracle is given more than 20 hyperplanes."""
 
 
 def characteristic_poly(lat: GradedLattice, lo: int, hi: int) -> IntPolynomial:
@@ -74,9 +75,7 @@ def char_poly_bruteforce(a: Arrangement) -> IntPolynomial:
     two cancel; taking it into any other span makes one new basis, whose
     closure is read from residuals.  Spans whose count is 0 are dropped, so
     the work is about m times the number of flats, not 2^m.  The
-    independent oracle for the Moebius route; guarded to 20 hyperplanes."""
-    if a.m > 20:
-        raise TooLargeError(f"{a.m} hyperplanes exceed the 2^20 subset guard")
+    independent oracle for the Moebius route."""
     normals = a.normals
     bases = {0: EchelonBasis()}
     counts = {0: 1}
@@ -107,17 +106,13 @@ def char_poly_bruteforce(a: Arrangement) -> IntPolynomial:
 # chain route
 
 
-def _chain_weight(descents: int, n: int) -> IntPolynomial:
-    return IntPolynomial.t_power(descents) * one_plus_t_power(n - 1 - 2 * descents)
-
-
 def chain_sum(descent_counts: dict[int, int], n: int) -> IntPolynomial:
     """sum over descent counts d of count(d) * t^d (t+1)^(n-1-2d), the Chow
-    polynomial of a rank-n lattice (n >= 1) from its filtered chains."""
-    acc = IntPolynomial.zero()
-    for d, c in sorted(descent_counts.items()):
-        acc = acc + c * _chain_weight(d, n)
-    return acc
+    polynomial of a rank-n lattice (n >= 1) from its filtered chains: the
+    histogram is its gamma vector of degree n - 1."""
+    top = max(descent_counts, default=-1)
+    return gamma_to_h(GammaVector(
+        tuple(descent_counts.get(d, 0) for d in range(top + 1)), n - 1))
 
 
 def chow_via_chains(lat: GradedLattice, labeler) -> IntPolynomial:
@@ -155,10 +150,10 @@ def _chow_closed(n: int, weight) -> IntPolynomial:
     """sum over `_tuple_domain(n)` of prod(weight(a_i)) * t^des (t+1)^(n-1-2des)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc = IntPolynomial.zero()
+    weights = Counter()
     for tup, des in _tuple_domain(n):
-        acc = acc + prod(map(weight, tup)) * _chain_weight(des, n)
-    return acc
+        weights[des] += prod(map(weight, tup))
+    return chain_sum(weights, n)
 
 
 def chow_type_a(n: int) -> IntPolynomial:

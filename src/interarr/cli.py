@@ -420,8 +420,7 @@ def _verify_tasks(suite: str, n_max: int):
             add("charpoly", "a", 3, None, "charpoly/a-3")
         for n in range(3, min(4, n_max) + 1):
             for s in range(0, n + 1):
-                if make_family("dns", n, s).m <= 16:
-                    add("charpoly", "dns", n, s, f"charpoly/dns-{n}-{s}")
+                add("charpoly", "dns", n, s, f"charpoly/dns-{n}-{s}")
     return tasks
 
 

@@ -56,7 +56,9 @@ def label_set(x: SignedPartition, y: SignedPartition) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class LabeledChain:
-    """A maximal chain with its label word.
+    """A maximal chain with its label word and its number of descents, the
+    index of the gamma-basis element t^des (1+t)^(n-1-2des) it contributes
+    to the Chow polynomial.
 
     Descents are the positions where the word does not strictly rise
     (word_i >= word_{i+1}).  With injective labels along a chain, as for the
@@ -68,11 +70,7 @@ class LabeledChain:
 
     elements: tuple[int, ...]          # element ids, bottom to top
     word: tuple                        # one label per cover
-    descents: tuple[int, ...]          # 1-based positions i with word_i >= word_{i+1}
-
-    @property
-    def descent_count(self) -> int:
-        return len(self.descents)
+    descent_count: int                 # number of i with word_i >= word_{i+1}
 
 
 def _edge_labels(lat: GradedLattice, labeler):
@@ -81,10 +79,6 @@ def _edge_labels(lat: GradedLattice, labeler):
         [labeler(lat.elements[i], lat.elements[j]) for j in lat.covers[i]]
         for i in range(len(lat))
     ]
-
-
-def descent_positions(word) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(len(word) - 1) if word[i] >= word[i + 1])
 
 
 def count_chains_with_word(lat: GradedLattice, lo: int, hi: int, sigma) -> int:
@@ -132,16 +126,17 @@ def enumerate_filtered_chains(lat: GradedLattice, labeler):
 
     A prefix dies as soon as it violates (i) strict ascent at the first
     step, (ii) no descent immediately preceded by a non-strict-ascent.
-    Yields LabeledChain with 1-based descent positions.
+    Every surviving non-rise is a step into `_WEAK`, so the descents are
+    counted as the prefix grows.
     """
     labels = _edge_labels(lat, labeler)
     if lat.height == 0:
-        yield LabeledChain((lat.bottom,), (), ())
+        yield LabeledChain((lat.bottom,), (), 0)
         return
     top = lat.top
-    stack = [(lat.bottom, (lat.bottom,), (), _FIRST)]
+    stack = [(lat.bottom, (lat.bottom,), (), _FIRST, 0)]
     while stack:
-        v, chain, word, mode = stack.pop()
+        v, chain, word, mode, des = stack.pop()
         for w, lab in zip(lat.covers[v], labels[v]):
             if word:
                 nmode = _step_mode(word[-1], mode, lab)
@@ -151,10 +146,11 @@ def enumerate_filtered_chains(lat: GradedLattice, labeler):
                 nmode = _FIRST
             nchain = chain + (w,)
             nword = word + (lab,)
+            ndes = des + (nmode is _WEAK)
             if w == top:
-                yield LabeledChain(nchain, nword, descent_positions(nword))
+                yield LabeledChain(nchain, nword, ndes)
             else:
-                stack.append((w, nchain, nword, nmode))
+                stack.append((w, nchain, nword, nmode, ndes))
 
 
 def filtered_descent_counts(lat: GradedLattice, labeler) -> dict[int, int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .poly import IntPolynomial, one_plus_t_power
+from .poly import GammaVector, IntPolynomial, gamma_to_h
 
 
 class OddSumError(ArithmeticError):
@@ -64,11 +64,10 @@ def _census(n: int, stat, weight=None) -> dict[int, int]:
 
 
 def _census_poly(census: dict[int, int], n: int) -> IntPolynomial:
-    """sum over the census of c * (4t)^k (1+t)^(n-2k)."""
-    acc = IntPolynomial.zero()
-    for k, c in sorted(census.items()):
-        acc = acc + IntPolynomial.t_power(k, c * 4 ** k) * one_plus_t_power(n - 2 * k)
-    return acc
+    """sum over the census of c * (4t)^k (1+t)^(n-2k): the census scaled by
+    4^k is a gamma vector of degree n."""
+    return gamma_to_h(GammaVector(
+        tuple(census.get(k, 0) * 4 ** k for k in range(max(census) + 1)), n))
 
 
 def h_b_closed(n: int) -> IntPolynomial:

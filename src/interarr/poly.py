@@ -172,12 +172,14 @@ def is_palindromic(h: IntPolynomial) -> bool:
 
 
 def h_to_gamma(h: IntPolynomial, d: int | None = None) -> GammaVector:
-    """Expand a palindromic h in the gamma basis t^i (1+t)^(d-2i).
+    """Expand a palindromic h in the gamma basis t^i (1+t)^(d-2i), the
+    inverse of `gamma_to_h`.
 
-    Extraction is by elimination from the lowest index up: gamma_i is the
-    current coefficient of t^i once all lower basis elements are removed.
-    The basis property guarantees a zero remainder; a nonzero one means the
-    input was not palindromic of the claimed degree.
+    The coefficient of t^j in the expansion is sum over i <= j of
+    gamma_i C(d-2i, j-i), so forward substitution reads each gamma_j from
+    the low half of h: gamma_j = h_j - sum over i < j of gamma_i C(d-2i, j-i).
+    Expanding the result back must give h; if it does not, the input was not
+    palindromic of the claimed degree.
 
     `d` defaults to the degree of h; passing it explicitly expands inputs of
     deficient degree (such as differences of palindromic polynomials).
@@ -190,22 +192,20 @@ def h_to_gamma(h: IntPolynomial, d: int | None = None) -> GammaVector:
         d = h.degree
     elif d < h.degree:
         raise ValueError("d smaller than the degree of h")
-    residual = h
     entries = []
-    for i in range(d // 2 + 1):
-        g = residual[i]
-        entries.append(g)
-        if g:
-            residual = residual - IntPolynomial.t_power(i, g) * one_plus_t_power(d - 2 * i)
-    if not residual.is_zero():
-        raise NonPalindromicError(f"gamma elimination left a remainder for {h.to_text()}")
+    for j in range(d // 2 + 1):
+        entries.append(h[j] - sum(g * comb(d - 2 * i, j - i) for i, g in enumerate(entries)))
     while entries and entries[-1] == 0:
         entries.pop()
-    return GammaVector(tuple(entries), d)
+    gamma = GammaVector(tuple(entries), d)
+    if gamma_to_h(gamma) != h:
+        raise NonPalindromicError(f"gamma elimination left a remainder for {h.to_text()}")
+    return gamma
 
 
 def gamma_to_h(g: GammaVector) -> IntPolynomial:
-    """Exact expansion of sum gamma_i t^i (1+t)^(d-2i)."""
+    """Exact expansion of sum gamma_i t^i (1+t)^(d-2i), the library's one
+    expansion in this basis."""
     acc = IntPolynomial(())
     for i, gi in enumerate(g.entries):
         if gi:

@@ -267,6 +267,43 @@ def test_walls_are_decided_once_per_antipodal_pair(monkeypatch, case):
         assert asked == [cc.masks[0]]
 
 
+@pytest.mark.parametrize("case", ["random 0", "random 1", "dns42"])
+def test_wall_mode_runs_no_rung_toward_a_known_antipode(monkeypatch, case):
+    # a chamber whose antipode is indexed exists, which proves its wall with
+    # the chamber being decided; the walk copies it from that antipode, so
+    # no mirror, ray walk or LP may look for a point in it
+    a = {**_WALL_CASES, "dns42": make_family("dns", 4, 2)}[case]
+    full = (1 << a.m) - 1
+    walk = {}
+    known = []  # per rung call: is the antipode of its target indexed?
+    decide, mirror, ray, lp = (arr._chamber_walls, arr._mirror, arr._try_ray_walk,
+                               arr.feasible_strict)
+
+    def deciding(tables, mask, p, row, index):
+        walk.update(mask=mask, index=index)
+        return decide(tables, mask, p, row, index)
+
+    def targeted(rung):
+        def call(*args):
+            known.append(args[-1] ^ full in walk["index"])
+            return rung(*args)
+        return call
+
+    def solving(rows, d):
+        # the row the LP is asked to flip names the hyperplane crossed
+        signed = arr._signed_rows(a.normals, walk["mask"])
+        (i,) = [i for i, r in enumerate(signed) if tuple(-x for x in r) in rows]
+        known.append(walk["mask"] ^ 1 << i ^ full in walk["index"])
+        return lp(rows, d)
+
+    monkeypatch.setattr(arr, "_chamber_walls", deciding)
+    monkeypatch.setattr(arr, "_mirror", targeted(mirror))
+    monkeypatch.setattr(arr, "_try_ray_walk", targeted(ray))
+    monkeypatch.setattr(arr, "feasible_strict", solving)
+    arr._chamber_bfs(a, False)
+    assert known and not any(known)
+
+
 def test_multi_term_non_wall_is_left_to_the_lp():
     # (1, 1, 1) = e1 + e2 + e3 on the positive chamber: no two rows give it,
     # so the pair certificate misses this non-wall and the LP decides it

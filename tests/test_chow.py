@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from interarr.arrangement import (Arrangement, intersection_lattice, make_arrangement,
                                   make_family)
-from interarr.chow import (NonDivisibleError, TooLargeError, chain_sum,
+from interarr.chow import (NonDivisibleError, chain_sum,
                            char_poly_bruteforce, characteristic_poly,
                            check_chow_arithmetic, check_gamma_arithmetic, chow_dns,
                            chow_recursive, chow_type_a, chow_type_b,
@@ -18,7 +18,7 @@ from interarr.fixtures import CHOW_A_EXAMPLES, CHOW_B_EXAMPLES, chow_table
 from interarr.labeling import el_label, enumerate_filtered_chains, min_atom_label
 from interarr.lattice import GradedLattice, NotComparableError, characteristic_polys
 from interarr.linalg import EchelonBasis, primitive_vector
-from interarr.poly import IntPolynomial, is_palindromic
+from interarr.poly import IntPolynomial, is_palindromic, one_plus_t_power
 from interarr.topegraph import h_via_indegree
 from test_arrangement import RANDOM_POOL
 
@@ -155,9 +155,11 @@ def test_char_poly_bruteforce_examples():
     assert chi.coeffs[-1] == 1  # the empty subset contributes the leading term
 
 
-def test_char_poly_bruteforce_guard():
-    with pytest.raises(TooLargeError):
-        char_poly_bruteforce(make_family("b", 5))
+def test_char_poly_bruteforce_takes_more_than_twenty_hyperplanes():
+    # b5 has 25: the grouped sum works per flat, not per subset
+    b5 = make_family("b", 5)
+    lat = intersection_lattice(b5)
+    assert char_poly_bruteforce(b5) == characteristic_poly(lat, lat.bottom, lat.top)
 
 
 def test_char_poly_intermediate_closed_form():
@@ -287,6 +289,30 @@ def test_chow_type_b_examples():
         assert chow_type_b(n) == want
     assert chow_type_b(7) == IntPolynomial(
         (1, 28590, 1205199, 3724100, 1205199, 28590, 1))
+
+
+# Test oracle: the chain sum before `poly.gamma_to_h` expanded it, one
+# basis polynomial per descent count, kept verbatim.
+
+
+def _chain_weight(descents: int, n: int) -> IntPolynomial:
+    return IntPolynomial.t_power(descents) * one_plus_t_power(n - 1 - 2 * descents)
+
+
+def chain_sum_by_weights(descent_counts: dict[int, int], n: int) -> IntPolynomial:
+    acc = IntPolynomial.zero()
+    for d, c in sorted(descent_counts.items()):
+        acc = acc + c * _chain_weight(d, n)
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chain_sum_matches_the_basis_weights(data):
+    n = data.draw(st.integers(1, 12))
+    counts = data.draw(st.dictionaries(st.integers(0, (n - 1) // 2),
+                                       st.integers(-10 ** 6, 10 ** 6)))
+    assert chain_sum(counts, n) == chain_sum_by_weights(counts, n)
 
 
 def test_chow_chain_methods_agree(dns_lattices):

@@ -266,6 +266,13 @@ def test_filtered_chain_counts_match_dfs(pi_b, dns_lattices):
         assert dict(dfs) == filtered_descent_counts(lat, el_label)
 
 
+def test_descent_count_is_the_number_of_non_rises(pi_b, dns_lattices):
+    for lat in [pi_b[4]] + [dns_lattices[(4, s)] for s in range(5)]:
+        for chain in enumerate_filtered_chains(lat, el_label):
+            word = chain.word
+            assert chain.descent_count == sum(a >= b for a, b in zip(word, word[1:]))
+
+
 def _sweep_by_states(lat, labeler) -> dict[int, int]:
     """The layered sweep before prefix sums: every element keeps a
     {(last label, mode): descent histogram} map, and each cover steps every

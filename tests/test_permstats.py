@@ -3,10 +3,10 @@ from itertools import permutations
 
 import pytest
 
-from interarr.permstats import (h_b_closed, h_d_closed, increment_closed,
-                                inversion_sequence, maxima, maxima_census,
-                                peaks)
-from interarr.poly import IntPolynomial, h_to_gamma
+from interarr.permstats import (_census, _halve, _phi, h_b_closed, h_d_closed,
+                                increment_closed, inversion_sequence, maxima,
+                                maxima_census, peaks)
+from interarr.poly import IntPolynomial, h_to_gamma, one_plus_t_power
 
 
 def horizontal_flip(u) -> tuple[int, ...]:
@@ -91,6 +91,28 @@ def test_h_d_closed_values():
 def test_increment_closed_values():
     assert increment_closed(3) == IntPolynomial((0, 4, 4))
     assert h_to_gamma(increment_closed(4), d=4).entries == (0, 8, 16)
+
+
+# Test oracle: the census sum before `poly.gamma_to_h` expanded it, one
+# basis polynomial per census entry, kept verbatim.
+
+
+def census_poly_by_basis(census: dict[int, int], n: int) -> IntPolynomial:
+    acc = IntPolynomial.zero()
+    for k, c in sorted(census.items()):
+        acc = acc + IntPolynomial.t_power(k, c * 4 ** k) * one_plus_t_power(n - 2 * k)
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_forms_match_the_census_loop(n):
+    assert h_b_closed(n) == census_poly_by_basis(_census(n, peaks), n)
+    if n >= 2:
+        want = _halve(census_poly_by_basis(_census(n - 1, maxima), n))
+        assert increment_closed(n) == want
+    if n >= 3:
+        want = _halve(census_poly_by_basis(_census(n, peaks, _phi), n))
+        assert h_d_closed(n) == want
 
 
 def test_b_minus_d_is_n_increments():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interarr.poly import (GammaVector, IntPolynomial, NonPalindromicError,
                            f_to_h, gamma_to_h, h_to_gamma,
@@ -113,3 +115,57 @@ def test_arithmetic_and_eval():
     assert (p + q)(2) == 5 + 12
     assert (p - p).is_zero()
     assert (4 * p).coeffs == (4, 8)
+
+
+# Test oracle: `h_to_gamma` before forward substitution, which subtracted one
+# basis polynomial per index from a residual, kept verbatim.
+
+
+def h_to_gamma_by_elimination(h: IntPolynomial, d: int | None = None) -> GammaVector:
+    if h.is_zero():
+        return GammaVector((), 0 if d is None else d)
+    if d is None:
+        if not is_palindromic(h):
+            raise NonPalindromicError(f"not palindromic: {h.to_text()}")
+        d = h.degree
+    elif d < h.degree:
+        raise ValueError("d smaller than the degree of h")
+    residual = h
+    entries = []
+    for i in range(d // 2 + 1):
+        g = residual[i]
+        entries.append(g)
+        if g:
+            residual = residual - IntPolynomial.t_power(i, g) * one_plus_t_power(d - 2 * i)
+    if not residual.is_zero():
+        raise NonPalindromicError(f"gamma elimination left a remainder for {h.to_text()}")
+    while entries and entries[-1] == 0:
+        entries.pop()
+    return GammaVector(tuple(entries), d)
+
+
+def _outcome(fn, h, d):
+    try:
+        return fn(h, d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(-20, 20), max_size=8),
+       st.sampled_from(["as drawn", "odd mirror", "even mirror", "gamma"]),
+       st.one_of(st.none(), st.integers(-1, 3)))
+def test_h_to_gamma_matches_the_elimination(coeffs, shape, extra):
+    # palindromic or not, with d or without: equal values, or the same
+    # exception type and message
+    if shape == "odd mirror":
+        coeffs = coeffs + coeffs[-2::-1]
+    elif shape == "even mirror":
+        coeffs = coeffs + coeffs[::-1]
+    if shape == "gamma":
+        d = len(coeffs) + (extra or 0)
+        h = gamma_to_h(GammaVector(tuple(coeffs[:d // 2 + 1]), d))
+    else:
+        h = IntPolynomial(coeffs)
+    d = None if extra is None else (0 if h.is_zero() else h.degree) + extra
+    assert _outcome(h_to_gamma, h, d) == _outcome(h_to_gamma_by_elimination, h, d)

@@ -141,3 +141,17 @@ def test_subset_sum_oracle_shares_nothing_with_the_moebius_route():
                 and n.name == "char_poly_bruteforce")
     names = {name for _, name in _reads(body)}
     assert names & route == set()
+
+
+def test_gamma_to_h_is_the_one_gamma_expansion():
+    # chain counts, closed forms and censuses are gamma vectors, and only
+    # `poly.gamma_to_h` expands one in the basis t^i (1+t)^(d-2i)
+    readers = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if "one_plus_t_power" in {name for _, name in _reads(node)}:
+                readers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert readers == {"poly.gamma_to_h"}
