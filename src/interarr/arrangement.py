@@ -67,6 +67,7 @@ from math import gcd
 from .feasibility import CertificateError, feasible_strict, generic_point
 from .lattice import GradedLattice, moebius_inversion_from_above
 from .linalg import EchelonBasis, dot, primitive_vector
+from .poly import IntPolynomial
 
 
 class NotEssentialError(ValueError):
@@ -703,8 +704,6 @@ def _verify_central_symmetry(cc: ChamberComplex) -> None:
 @lru_cache(maxsize=12)
 def chamber_complex(a: Arrangement) -> ChamberComplex:
     """Chambers with walls and adjacency; cached per arrangement."""
-    if a.dim == 0:
-        return ChamberComplex(a, [0], [()], [()], {0: 0})
     if a.rank() != a.dim:
         raise NotEssentialError(
             f"rank {a.rank()} < dim {a.dim}: quotient to an essential arrangement first")
@@ -740,8 +739,6 @@ def f_vector(a: Arrangement) -> list[int]:
     return out
 
 
-def f_polynomial(fvec) -> "IntPolynomial":
+def f_polynomial(fvec) -> IntPolynomial:
     """f(t) = sum f_(d-1-i) t^i for the f-vector list (f_-1, ..., f_(d-1))."""
-    from .poly import IntPolynomial
-
     return IntPolynomial(tuple(reversed(fvec)))

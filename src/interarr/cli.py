@@ -59,6 +59,8 @@ def _dump_writer(flag: str, path, args, parser):
 
 
 def _resolve_family(args, parser) -> tuple[str, int | None, int | None]:
+    """(family, n, s) of the family flags: b is dns(n, n) and d is dns(n, 0),
+    so s is None exactly for a and file, and n is None exactly for file."""
     fam = args.family
     n, s = args.n, args.s
     if fam == "file":
@@ -89,31 +91,26 @@ def _resolve_family(args, parser) -> tuple[str, int | None, int | None]:
     return fam, n, s
 
 
-def _family_arrangement(args, parser):
-    fam, n, s = _resolve_family(args, parser)
+def _arrangement(args, fam: str, n: int | None, s: int | None):
+    """The arrangement of a resolved family: the file, A_n or dns(n, s)."""
     if fam == "file":
-        arr = load_arrangement(args.path, simplicial=args.simplicial)
-        return arr, fam, None, None
-    if fam == "a":
-        return make_family("a", n), fam, n, None
-    return make_family("dns", n, s), fam, n, s
+        return load_arrangement(args.path, simplicial=args.simplicial)
+    return make_family("a", n) if s is None else make_family("dns", n, s)
 
 
 # ---------------------------------------------------------------------------
 # gamma
 
 
-def _gamma_h_closed(fam: str, n: int, s: int | None, parser):
-    if fam == "b" or (fam == "dns" and s == n):
+def _gamma_h_closed(fam: str, n: int | None, s: int | None, parser):
+    if s is None:
+        parser.error(f"--method closed is not available for family {fam}")
+    if s == n:
         return h_b_closed(n)
-    if fam in ("d", "dns"):
-        if n < 3:
-            parser.error("the type-D closed form needs n >= 3")
-        h = h_d_closed(n)
-        if s:
-            h = h + s * increment_closed(n)
-        return h
-    parser.error(f"--method closed is not available for family {fam}")
+    if n < 3:
+        parser.error("the type-D closed form needs n >= 3")
+    h = h_d_closed(n)
+    return h + s * increment_closed(n) if s else h
 
 
 def _require_face_counts(graph, fv) -> None:
@@ -130,7 +127,8 @@ def _require_face_counts(graph, fv) -> None:
 
 
 def cmd_gamma(args, parser) -> int:
-    arr, fam, n, s = _family_arrangement(args, parser)
+    fam, n, s = _resolve_family(args, parser)
+    arr = _arrangement(args, fam, n, s)
     method = "topegraph" if args.method == "auto" else args.method
     fv = None
     if method == "closed":
@@ -178,18 +176,14 @@ def cmd_chow(args, parser) -> int:
     if method == "closed":
         if fam == "a":
             poly = chow_type_a(n)
-        elif fam == "b" or (fam == "dns" and s == n):
+        elif s is not None and s == n:
             poly = chow_type_b(n)
         else:
             parser.error(f"--method closed is not available for family {fam}")
     else:
-        partition_side = fam in ("b", "d", "dns")
-        if partition_side:
-            lat = dns_lattice(n, s)
-        else:
-            arr = (load_arrangement(args.path, simplicial=args.simplicial)
-                   if fam == "file" else make_family("a", n))
-            lat = intersection_lattice(arr)
+        partition_side = s is not None
+        lat = (dns_lattice(n, s) if partition_side
+               else intersection_lattice(_arrangement(args, fam, n, s)))
         if method == "recursive":
             poly = chow_recursive(lat)
         else:
@@ -209,8 +203,8 @@ def cmd_chow(args, parser) -> int:
 
 
 def cmd_fvector(args, parser) -> int:
-    arr, fam, n, s = _family_arrangement(args, parser)
-    fv = f_vector(arr)
+    fam, n, s = _resolve_family(args, parser)
+    fv = f_vector(_arrangement(args, fam, n, s))
     payload = {"family": fam, "n": n, "s": s, "f": fv}
     _emit(payload, args.format, [f"f = ({', '.join(str(x) for x in fv)})"])
     return 0
@@ -271,14 +265,14 @@ def cmd_tables(args, parser) -> int:
 # verify
 
 
-def _check_el(task):
-    kind, n, s = task
-    lat = enumerate_lattice(variant_b(n)) if kind == "b" else dns_lattice(n, s)
+def _check_el(n, s):
+    """EL on pi_B(n) for s None, else on the lattice of dns(n, s)."""
+    lat = enumerate_lattice(variant_b(n)) if s is None else dns_lattice(n, s)
     report = verify_el(lat, el_label)
     return (not report, f"{len(report)} violating intervals")
 
 
-def _check_el_negative(task):
+def _check_el_negative():
     """Two corruptions of the (1,1) label, each must break the EL property."""
     lat = enumerate_lattice(variant_b(2))
     for bad in ((2, 9), (0, 1)):
@@ -291,8 +285,7 @@ def _check_el_negative(task):
     return (True, "corrupted labeling was detected")
 
 
-def _check_chains(task):
-    _, n, _ = task
+def _check_chains(n):
     lat = enumerate_lattice(variant_b(n))
     total = 0
     for sigma in permutations(range(1, n + 1)):
@@ -306,8 +299,7 @@ def _check_chains(task):
     return (True, f"all words match, total {total}")
 
 
-def _check_four_way(task):
-    _, n, s = task
+def _check_four_way(n, s):
     lat = dns_lattice(n, s)
     chains = enumerate_filtered_chains(lat, el_label)
     dfs = chain_sum(Counter(c.descent_count for c in chains), lat.height)
@@ -320,45 +312,40 @@ def _check_four_way(task):
     return (True, dfs.to_text())
 
 
-def _check_type_b(task):
-    _, n, _ = task
+def _check_type_b(n):
     got = chow_via_chains(enumerate_lattice(variant_b(n)), el_label)
     want = chow_type_b(n)
     return (got == want, f"chains {got.to_text()} vs closed {want.to_text()}")
 
 
-def _check_type_a(task):
-    _, n, _ = task
+def _check_type_a(n):
     lat = intersection_lattice(make_family("a", n))
     got = chow_via_chains(lat, min_atom_label(lat))
     want = chow_type_a(n)
     return (got == want, f"chains {got.to_text()} vs closed {want.to_text()}")
 
 
-def _check_gamma_arith(task):
-    _, n, _ = task
+def _check_gamma_arith(n):
     report = verify_gamma_arithmetic(n)
     return (report.ok, "; ".join(report.failures) or
             f"increment {report.increment.entries}")
 
 
-def _check_chow_arith(task):
-    _, n, _ = task
+def _check_chow_arith(n):
     report = verify_chow_arithmetic(n)
     return (report.ok, "; ".join(report.failures) or
             f"increment {report.increment.to_text()}")
 
 
-def _check_lattice_iso(task):
-    _, n, _ = task
+def _check_lattice_iso(n):
     ok = lattice_isomorphic(intersection_lattice(make_family("b", n)),
                             enumerate_lattice(variant_b(n)))
     return (ok, "arrangement and partition lattices are isomorphic"
             if ok else "lattices differ")
 
 
-def _check_charpoly(task):
-    _, n, s = task
+def _check_charpoly(n, s):
+    """Moebius against subsets on A_n for s None, else on dns(n, s)."""
     arr = make_family("a", n) if s is None else make_family("dns", n, s)
     lat = intersection_lattice(arr)
     via_moebius = characteristic_poly(lat, lat.bottom, lat.top)
@@ -368,66 +355,46 @@ def _check_charpoly(task):
             f"moebius {via_moebius.to_text()} vs subsets {via_subsets.to_text()}")
 
 
-_CHECKS = {
-    "el": _check_el,
-    "el-negative": _check_el_negative,
-    "chains": _check_chains,
-    "chow-four-way": _check_four_way,
-    "chow-type-b": _check_type_b,
-    "chow-type-a": _check_type_a,
-    "gamma-arithmetic": _check_gamma_arith,
-    "chow-arithmetic": _check_chow_arith,
-    "lattice-iso": _check_lattice_iso,
-    "charpoly": _check_charpoly,
-}
-
-
 def _verify_tasks(suite: str, n_max: int):
-    """Named tasks (check-name, kind, n, s), filtered by suite and n_max."""
+    """(check, args, label) per check, filtered by suite and n_max.  The
+    checks are module-level functions, so a pool can pickle them."""
     tasks = []
-
-    def add(check, kind, n, s, label):
-        tasks.append((check, (kind, n, s), label))
-
     if suite in ("all", "el"):
         for n in range(2, min(4, n_max) + 1):
-            add("el", "b", n, None, f"el/pi-b-{n}")
-            for s in range(0, n):
-                add("el", "dns", n, s, f"el/dns-{n}-{s}")
+            tasks.append((_check_el, (n, None), f"el/pi-b-{n}"))
+            tasks += [(_check_el, (n, s), f"el/dns-{n}-{s}") for s in range(n)]
         if n_max >= 2:
-            add("el-negative", "b", 2, None, "el/negative-control")
+            tasks.append((_check_el_negative, (), "el/negative-control"))
     if suite in ("all", "chains"):
-        for n in range(2, min(4, n_max) + 1):
-            add("chains", "b", n, None, f"chains/count-formula-{n}")
+        tasks += [(_check_chains, (n,), f"chains/count-formula-{n}")
+                  for n in range(2, min(4, n_max) + 1)]
     if suite in ("all", "chow"):
-        for n in range(2, min(5, n_max) + 1):
-            for s in range(0, n + 1):
-                add("chow-four-way", "dns", n, s, f"chow/four-way-{n}-{s}")
-        for n in range(2, min(6, n_max) + 1):
-            add("chow-type-b", "b", n, None, f"chow/type-b-{n}")
-        for n in range(2, min(5, n_max) + 1):
-            add("chow-type-a", "a", n, None, f"chow/type-a-{n}")
+        tasks += [(_check_four_way, (n, s), f"chow/four-way-{n}-{s}")
+                  for n in range(2, min(5, n_max) + 1) for s in range(n + 1)]
+        tasks += [(_check_type_b, (n,), f"chow/type-b-{n}")
+                  for n in range(2, min(6, n_max) + 1)]
+        tasks += [(_check_type_a, (n,), f"chow/type-a-{n}")
+                  for n in range(2, min(5, n_max) + 1)]
     if suite in ("all", "gamma"):
-        for n in range(3, min(6, n_max) + 1):
-            add("gamma-arithmetic", "dns", n, None, f"gamma/arithmetic-{n}")
+        tasks += [(_check_gamma_arith, (n,), f"gamma/arithmetic-{n}")
+                  for n in range(3, min(6, n_max) + 1)]
     if suite in ("all", "chow-arith"):
-        for n in range(2, min(7, n_max) + 1):
-            add("chow-arithmetic", "dns", n, None, f"chow/arithmetic-{n}")
+        tasks += [(_check_chow_arith, (n,), f"chow/arithmetic-{n}")
+                  for n in range(2, min(7, n_max) + 1)]
     if suite in ("all", "lattice"):
-        for n in range(2, min(4, n_max) + 1):
-            add("lattice-iso", "b", n, None, f"lattice/iso-b-{n}")
+        tasks += [(_check_lattice_iso, (n,), f"lattice/iso-b-{n}")
+                  for n in range(2, min(4, n_max) + 1)]
         if n_max >= 3:
-            add("charpoly", "a", 3, None, "charpoly/a-3")
-        for n in range(3, min(4, n_max) + 1):
-            for s in range(0, n + 1):
-                add("charpoly", "dns", n, s, f"charpoly/dns-{n}-{s}")
+            tasks.append((_check_charpoly, (3, None), "charpoly/a-3"))
+        tasks += [(_check_charpoly, (n, s), f"charpoly/dns-{n}-{s}")
+                  for n in range(3, min(4, n_max) + 1) for s in range(n + 1)]
     return tasks
 
 
 def _run_verify_task(item):
-    check, task, label = item
+    check, args, label = item
     try:
-        ok, details = _CHECKS[check](task)
+        ok, details = check(*args)
     except Exception as exc:  # a crash is a failed check, not a crashed run
         ok, details = False, f"exception: {exc!r}"
     return {"check": label, "status": "pass" if ok else "fail", "details": details}

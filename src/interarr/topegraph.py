@@ -33,7 +33,7 @@ import sys
 from functools import cache
 
 from .arrangement import (Arrangement, ChamberComplex, chamber_complex,
-                          signs_to_mask)
+                          mask_to_signs, signs_to_mask)
 from .feasibility import CertificateError
 from .poly import IntPolynomial
 
@@ -132,11 +132,11 @@ def _packer(need: int):
 
 def _require_simplicial(cc: ChamberComplex) -> ChamberComplex:
     """`cc` itself, once every chamber is known to have exactly dim walls."""
-    dim = cc.arrangement.dim
-    for v, walls in enumerate(cc.facets):
+    dim, m = cc.arrangement.dim, cc.arrangement.m
+    for mask, walls in zip(cc.masks, cc.facets):
         if len(walls) != dim:
             raise NotSimplicialError(
-                f"arrangement is not simplicial: chamber {cc.sign_strings()[v]} "
+                f"arrangement is not simplicial: chamber {mask_to_signs(mask, m)} "
                 f"has {len(walls)} walls, expected {dim}")
     return cc
 

@@ -411,6 +411,10 @@ def test_arithmetic_checks_report_broken_values():
           for s in range(4)]
     assert check_gamma_arithmetic(hs).failures == [
         "gamma increment (0, 5) differs from closed form (0, 4)"]
+    # a bump that breaks the symmetry of every h but not the increments
+    hs = [h_via_indegree(make_family("dns", 3, s)) + IntPolynomial((0, 1)) for s in range(4)]
+    assert check_gamma_arithmetic(hs).failures == [
+        f"h is not palindromic at s={s}" for s in range(4)]
 
 
 def test_gamma_increment_closed_values():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -292,8 +293,31 @@ def test_gamma_closed_rejects_chamber_graph_flags(tmp_path, capsys, flag):
 
 
 def test_missing_file_exits_2(capsys):
-    code = cli.main(["gamma", "--family", "file", "--path", "/nonexistent/x.txt"])
-    assert code == 2
+    # --method closed reads the file too before it refuses the method, so a
+    # missing file is reported as such and not as a flag error
+    for method in ("auto", "closed"):
+        code, _, err = run(capsys, "gamma", "--family", "file", "--path", "/nonexistent/x.txt",
+                           "--method", method)
+        assert code == 2 and err.startswith("error: [Errno 2]"), method
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gamma", "--family", "a", "--n", "3"], "--method closed is not available for family a"),
+    (["gamma", "--family", "file", "--path", "arr.txt"],
+     "--method closed is not available for family file"),
+    (["chow", "--family", "file", "--path", "arr.txt"],
+     "--method closed is not available for family file"),
+    (["gamma", "--family", "d", "--n", "2"], "the type-D closed form needs n >= 3"),
+], ids=["gamma-a", "gamma-file", "chow-file", "gamma-d-2"])
+def test_closed_method_refusals_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "arr.txt").write_text(arrangement_to_text(make_family("d", 3)),
+                                      encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--method", "closed"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith(f"usage: interarr {argv[0]} ")
+    assert err.endswith(f"error: {message}\n")
 
 
 def test_dump_tope_graph(tmp_path, capsys):
@@ -394,6 +418,12 @@ def test_verify_task_labels():
     # no check of rank n runs below --n-max n, so below 2 none runs at all
     assert [label for _, _, label in cli._verify_tasks("lattice", 2)] == ["lattice/iso-b-2"]
     assert cli._verify_tasks("all", 1) == []
+
+
+def test_verify_tasks_survive_pickling():
+    # --jobs ships each task to a worker process: check, arguments and label
+    tasks = cli._verify_tasks("all", 7)
+    assert [pickle.loads(pickle.dumps(task)) for task in tasks] == tasks
 
 
 @pytest.fixture
