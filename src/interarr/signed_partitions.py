@@ -2,10 +2,10 @@
 
 Elements are mirror-symmetric partitions of {-n, ..., n}: the block through
 0 (the zero block) is self-mirrored, every other block B comes paired with
--B.  The rank of a partition with 2p + 1 blocks is n - p.  Subposets are
-cut out by restricting which {k, 0, -k} zero blocks may appear, which
-models the lattices of the intermediate arrangements between type D and
-type B.
+-B.  The rank of a partition with 2p + 1 blocks is n - p.  The lattices of
+the intermediate arrangements between type D and type B are the parts of
+B_n where only some {k, 0, -k} zero blocks may appear: B_n is enumerated
+once, for the last n asked, and each variant keeps what it admits.
 
 A block is an int mask in absolute-value order: bit 0 is 0, bit 2r-1 is +r
 and bit 2r is -r.  A non-zero block's representative, its least absolute
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .lattice import GradedLattice
 
@@ -307,48 +308,45 @@ def variant_dns(n: int, s: int) -> LatticeVariant:
     return LatticeVariant(n, frozenset(range(1, s + 1)))
 
 
-def enumerate_lattice(v: LatticeVariant) -> GradedLattice:
-    """All partitions of the variant, graded by rank, with cover adjacency.
+@lru_cache(maxsize=1)
+def _type_b_lattice(n: int):
+    """B_n as (elements, ranks, covers) tuples, kept for the last n asked.
 
-    Rank-synchronous generation from the bottom.  Cover candidates are
-    mask tuples; each distinct one becomes a single SignedPartition, which
-    `v.admits` keeps or drops.  Each rank is numbered in the sorted order
-    of its block tuples and parents are visited in id order, so every cover
-    list comes out sorted.
-    """
-    n = v.n
-    bottom = SignedPartition.bottom(n)
-    elements: list[SignedPartition] = [bottom]
+    Rank-synchronous generation from the bottom: each distinct cover
+    candidate, a mask tuple, becomes a single SignedPartition.  Each rank is
+    numbered in the sorted order of its block tuples and parents are
+    visited in id order, so every cover list comes out sorted."""
+    elements: list[SignedPartition] = [SignedPartition.bottom(n)]
     cover_lists: list[list[int]] = [[]]
-    layer = [(0, bottom.masks)]
+    layer = [(0, elements[0].masks)]
     tuples: dict[int, tuple[int, ...]] = {}     # block mask -> sorted block tuple
-    top = 0
     while layer:
         parents: dict[tuple[int, ...], list[int]] = {}
         for pid, masks in layer:
             for q in _cover_masks(masks):
-                ups = parents.get(q)
-                if ups is None:
-                    parents[q] = [pid]
-                else:
-                    ups.append(pid)
-        kept = []
-        for q in parents:
-            p = SignedPartition._from_masks(n, q)
-            if v.admits(p):
-                kept.append(p)
-                for b in q:
-                    if b not in tuples:
-                        tuples[b] = _elements(b)
-        kept.sort(key=lambda p: tuple(map(tuples.__getitem__, p.masks)))
+                parents.setdefault(q, []).append(pid)
+        tuples.update((b, _elements(b)) for q in parents for b in q if b not in tuples)
         layer = []
-        for p in kept:
+        for q in sorted(parents, key=lambda q: tuple(map(tuples.__getitem__, q))):
             qid = len(elements)
-            elements.append(p)
+            elements.append(SignedPartition._from_masks(n, q))
             cover_lists.append([])
-            for pid in parents[p.masks]:
+            for pid in parents[q]:
                 cover_lists[pid].append(qid)
-            layer.append((qid, p.masks))
-        if layer:
-            top = layer[0][0]
-    return GradedLattice(elements, [p.rank for p in elements], cover_lists, 0, top)
+            layer.append((qid, q))
+    return tuple(elements), tuple(p.rank for p in elements), tuple(map(tuple, cover_lists))
+
+
+def enumerate_lattice(v: LatticeVariant) -> GradedLattice:
+    """The variant's partitions, graded by rank, with cover adjacency: a new
+    lattice of the elements of B_n that `v.admits`, renumbered in order.
+    They are the flats of a subarrangement of B_n, so each one above the
+    bottom covers an admitted one and the filter misses none."""
+    elements, ranks, covers = _type_b_lattice(v.n)
+    new_id = {}
+    for i, p in enumerate(elements):
+        if v.admits(p):
+            new_id[i] = len(new_id)
+    return GradedLattice([elements[i] for i in new_id], [ranks[i] for i in new_id],
+                         [[new_id[j] for j in covers[i] if j in new_id] for i in new_id],
+                         0, len(new_id) - 1)

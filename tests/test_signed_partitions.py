@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -9,9 +10,9 @@ from interarr.labeling import label_set
 from interarr.lattice import GradedLattice, NotComparableError, lattice_isomorphic
 from interarr.signed_partitions import (EdgeClass, LatticeVariant, NotACoverError,
                                         NotCanonicalError, SignedPartition,
-                                        _cover_masks, _mask, decode_cover,
-                                        enumerate_lattice, render, variant_b,
-                                        variant_dns)
+                                        _cover_masks, _mask, _type_b_lattice,
+                                        decode_cover, enumerate_lattice, render,
+                                        variant_b, variant_dns)
 from test_arrangement import check_graded
 
 
@@ -414,6 +415,38 @@ def test_lattices_match_sorting_oracle():
     variants.append(LatticeVariant(5, frozenset({2, 4})))
     for v in variants:
         _same_lattice(enumerate_lattice(v), _enumerate_by_sorting(v))
+
+
+def test_filtered_lattices_match_sorting_oracle_on_every_admitted_set():
+    # the filter of B_n is exact only because every admitted partition
+    # above the bottom covers an admitted one; the oracle reaches elements
+    # through admitted covers alone, so an admitted set where that fails
+    # would give two different lattices here
+    for n in range(1, 5):
+        for size in range(n + 1):
+            for allowed in itertools.combinations(range(1, n + 1), size):
+                v = LatticeVariant(n, frozenset(allowed))
+                _same_lattice(enumerate_lattice(v), _enumerate_by_sorting(v))
+
+
+def test_type_b_cache_keeps_one_n_and_shares_only_elements():
+    v = variant_dns(4, 2)
+    a, b = enumerate_lattice(v), enumerate_lattice(v)
+    assert a is not b
+    assert all(x is y for x, y in zip(a.elements, b.elements, strict=True))
+    assert a.leq(a.bottom, a.top)
+    assert a._down_masks is not None and b._down_masks is None
+    enumerate_lattice(variant_b(3))
+    enumerate_lattice(variant_dns(5, 1))
+    assert _type_b_lattice.cache_info().currsize <= 1
+    lat = enumerate_lattice(variant_dns(1, 0))
+    assert len(lat) == 1 and lat.top == lat.bottom
+
+
+def test_dns6_sizes_grow_linearly_in_s():
+    for s in range(7):
+        lat = enumerate_lattice(variant_dns(6, s))
+        assert (len(lat), sum(map(len, lat.covers))) == (2546 + 257 * s, 16396 + 1998 * s)
 
 
 def test_decode_cover_matches_tuple_decoder_on_every_ordered_pair():
