@@ -14,18 +14,18 @@ Chamber enumeration is one breadth-first wall-crossing loop,
 `_chamber_bfs`.  The chambers of a central arrangement come in pairs C,
 -C with the same walls, so a chamber whose antipode the walk expanded
 first takes that chamber's walls, and a new chamber whose antipode the
-walk already has takes its negated witness: the walk finds the walls of
-one chamber in each pair.  In wall mode one routine, `_chamber_walls`,
-decides every candidate wall of such a chamber exactly and returns a
-point, with its pairing row, of each new chamber across one.  Its first
-pass runs the cheap rungs on every hyperplane: a neighbour already
-found, the mirror image of the chamber's point and a ray walk across the
-hyperplane prove walls, and a Farkas certificate (a nonnegative
-combination of two other signed normals) proves a non-wall.  Its second
-pass gives what is left to the integer LP oracle, first on the chamber's
-known walls and the flipped hyperplane only: most non-walls are
-infeasible already there.  The full system decides the rest, and its
-witness is the point of the new chamber.
+walk already has stores None for its negated witness: the walk finds the
+walls and witness of one chamber in each pair.  In wall mode one routine,
+`_chamber_walls`, decides every candidate wall of such a chamber exactly
+and returns a point, with its pairing row, of each new chamber across
+one.  Its first pass runs the cheap rungs on every hyperplane: a
+neighbour already found, the mirror image of the chamber's point and a
+ray walk across the hyperplane prove walls, and a Farkas certificate (a
+nonnegative combination of two other signed normals) proves a non-wall.
+Its second pass gives what is left to the integer LP oracle, first on
+the chamber's known walls and the flipped hyperplane only: most
+non-walls are infeasible already there.  The full system decides the
+rest, and its witness is the point of the new chamber.
 Arrangements flagged simplicial are walked in pivot mode, which asks
 `_chamber_walls` only about the first chamber and derives every other
 chamber's walls from its neighbour's: crossing wall w replaces each
@@ -54,7 +54,7 @@ entries of its row on the support of G_i change, and only those are
 computed and tested; in a built-in family of rank n >= 2 that support
 holds at most 4n - 5 of up to n^2 entries.
 The walls each chamber records (`ChamberComplex.facets`) are the only
-record of the adjacency; `ChamberComplex.edges` is read from them.
+record of the adjacency; `ChamberComplex.edges` is streamed from them.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
-from .feasibility import CertificateError, feasible_strict, generic_point
+from .feasibility import feasible_strict, generic_point
 from .lattice import GradedLattice, moebius_inversion_from_above
 from .linalg import EchelonBasis, dot, primitive_vector
 from .poly import IntPolynomial
@@ -309,28 +309,22 @@ def signs_to_mask(signs: str) -> int:
 class ChamberComplex:
     """Chambers, their walls, and the wall-crossing adjacency of an arrangement."""
 
-    __slots__ = ("arrangement", "masks", "witnesses", "facets", "index", "_edges",
+    __slots__ = ("arrangement", "masks", "witnesses", "facets", "index", "edge_count",
                  "certified")
 
     def __init__(self, a: Arrangement, masks, witnesses, facets, index):
         self.arrangement = a
         self.masks = masks                  # bitmask per chamber
-        self.witnesses = witnesses          # integer interior point per chamber
+        self.witnesses = witnesses          # integer interior point, or None: -(antipode's)
         self.facets = facets                # sorted wall hyperplanes per chamber
         self.index = index                  # mask -> chamber id, the walk's own
-        self._edges = None
+        self.edge_count = None              # the edges topegraph counted as it checked the walls
         self.certified = False              # set once topegraph has checked the walls
 
     @property
     def edges(self):
-        """(chamber, chamber, wall) per adjacent pair, id-sorted: read from
-        `facets`, the only record of the walls, once per complex."""
-        if self._edges is None:
-            index, facets = self.index, self.facets
-            # the index's own id objects: fresh ones would be a second copy
-            self._edges = sorted((ci, cj, w) for mask, ci in index.items() for w in facets[ci]
-                                 if (cj := index[mask ^ 1 << w]) > ci)
-        return self._edges
+        """(chamber, chamber, wall) per adjacent pair, id-sorted, streamed."""
+        return _Edges(self)
 
     @property
     def vertices(self):
@@ -340,6 +334,30 @@ class ChamberComplex:
     def sign_strings(self):
         m = self.arrangement.m
         return [mask_to_signs(mk, m) for mk in self.masks]
+
+
+class _Edges:
+    """The edges (i, j, wall), i < j, never stored: streamed chamber by
+    chamber, each sorting its at most d edges whose far end is later, and
+    counted by the certificate or, before it, by a pass over the records."""
+
+    __slots__ = ("cc",)
+
+    def __init__(self, cc: ChamberComplex):
+        self.cc = cc
+
+    def __iter__(self):
+        index, facets = self.cc.index, self.cc.facets
+        for ci, mask in enumerate(self.cc.masks):
+            yield from sorted([(ci, cj, w) for w in facets[ci]
+                               if (cj := index[mask ^ 1 << w]) > ci])
+
+    def __len__(self):
+        if self.cc.edge_count is not None:
+            return self.cc.edge_count
+        index, facets = self.cc.index, self.cc.facets
+        return sum(index[mask ^ 1 << w] > ci for ci, mask in enumerate(self.cc.masks)
+                   for w in facets[ci])
 
 
 def _pairings(normals, p) -> tuple[int, ...]:
@@ -642,12 +660,12 @@ def _chamber_bfs(a: Arrangement, pivot: bool) -> ChamberComplex:
                 masks.append(nmask)
                 anti = index.get(nmask ^ full)
                 if anti is not None:
-                    # C = nmask has the walls of its antipode -C.  -C was
-                    # added, and so is expanded, before C; once it is,
-                    # -C ^ v, the antipode of C ^ v, is known for each wall
-                    # v.  So every chamber that C adds comes through this
-                    # branch too, and C's None row is never read.
-                    witnesses.append(tuple([-x for x in witnesses[anti]]))
+                    # C = nmask has the walls of its antipode -C, and -C's
+                    # negated witness.  -C was added, and so is expanded,
+                    # before C; once it is, -C ^ v, the antipode of C ^ v, is
+                    # known for each wall v.  So every chamber that C adds
+                    # comes through this branch too: C's None is never read.
+                    witnesses.append(None)
                     facets.append(facets[anti])
                     rows.append(None)
                     continue
@@ -694,13 +712,6 @@ def _chamber_bfs(a: Arrangement, pivot: bool) -> ChamberComplex:
     return ChamberComplex(a, masks, witnesses, facets, index)
 
 
-def _verify_central_symmetry(cc: ChamberComplex) -> None:
-    full = (1 << cc.arrangement.m) - 1
-    for mk in cc.masks:
-        if (mk ^ full) not in cc.index:
-            raise CertificateError("chamber set not closed under negation; BFS bug")
-
-
 @lru_cache(maxsize=12)
 def chamber_complex(a: Arrangement) -> ChamberComplex:
     """Chambers with walls and adjacency; cached per arrangement."""
@@ -708,11 +719,9 @@ def chamber_complex(a: Arrangement) -> ChamberComplex:
         raise NotEssentialError(
             f"rank {a.rank()} < dim {a.dim}: quotient to an essential arrangement first")
     try:
-        cc = _chamber_bfs(a, a.simplicial)
+        return _chamber_bfs(a, a.simplicial)
     except _SimplicialityError:
-        cc = _chamber_bfs(a, False)
-    _verify_central_symmetry(cc)
-    return cc
+        return _chamber_bfs(a, False)
 
 
 def chamber_count(a: Arrangement) -> int:

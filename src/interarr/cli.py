@@ -222,16 +222,21 @@ def _table_cell(task) -> list[int]:
     return chow_dns(n, s).to_json_coeffs()
 
 
-def _map_tasks(fn, tasks, jobs: int) -> list:
-    """fn over tasks in order; a pool never has more workers than tasks,
-    since it forks every worker at the first submit.  The pool is imported
-    here, so a serial run never loads multiprocessing."""
+def _map_tasks(fn, tasks, jobs: int, n_of) -> list:
+    """fn over tasks, in their order, run from the largest n_of(task) down:
+    a pool hands tasks out in order, so the costliest start first, and the
+    tasks of one n share its B_n.  A pool never has more workers than
+    tasks, since it forks every worker at the first submit.  The pool is
+    imported here, so a serial run never loads multiprocessing."""
+    by_n = sorted(tasks, key=lambda task: -n_of(task))
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            done = dict(zip(by_n, pool.map(fn, by_n)))
+    else:
+        done = {task: fn(task) for task in by_n}
+    return [done[task] for task in tasks]
 
 
 def cmd_tables(args, parser) -> int:
@@ -239,13 +244,9 @@ def cmd_tables(args, parser) -> int:
     ctab = fixtures.chow_table()
     tasks = [("gamma", n, s) for n in sorted(gtab) for s in sorted(gtab[n])]
     tasks += [("chow", n, s) for n in sorted(ctab) for s in sorted(ctab[n])]
-    # a pool hands tasks out in order: start the costliest rows (largest n)
-    # first, so that no worker is left with them at the end
-    by_cost = sorted(tasks, key=lambda task: -task[1])
-    results = dict(zip(by_cost, _map_tasks(_table_cell, by_cost, args.jobs)))
+    results = _map_tasks(_table_cell, tasks, args.jobs, lambda task: task[1])
     failures = 0
-    for kind, n, s in tasks:
-        got = results[kind, n, s]
+    for (kind, n, s), got in zip(tasks, results):
         if kind == "gamma":
             want = list(gtab[n][s])
             shown = f"({', '.join(str(x) for x in got)})"
@@ -272,9 +273,9 @@ def _check_el(n, s):
     return (not report, f"{len(report)} violating intervals")
 
 
-def _check_el_negative():
-    """Two corruptions of the (1,1) label, each must break the EL property."""
-    lat = enumerate_lattice(variant_b(2))
+def _check_el_negative(n):
+    """Two corruptions of the (1,1) label, each must break EL on pi_B(n)."""
+    lat = enumerate_lattice(variant_b(n))
     for bad in ((2, 9), (0, 1)):
         def corrupted(x, y, bad=bad):
             lab = el_label(x, y)
@@ -356,7 +357,7 @@ def _check_charpoly(n, s):
 
 
 def _verify_tasks(suite: str, n_max: int):
-    """(check, args, label) per check, filtered by suite and n_max.  The
+    """(check, (n, ...), label) per check, filtered by suite and n_max.  The
     checks are module-level functions, so a pool can pickle them."""
     tasks = []
     if suite in ("all", "el"):
@@ -364,7 +365,7 @@ def _verify_tasks(suite: str, n_max: int):
             tasks.append((_check_el, (n, None), f"el/pi-b-{n}"))
             tasks += [(_check_el, (n, s), f"el/dns-{n}-{s}") for s in range(n)]
         if n_max >= 2:
-            tasks.append((_check_el_negative, (), "el/negative-control"))
+            tasks.append((_check_el_negative, (2,), "el/negative-control"))
     if suite in ("all", "chains"):
         tasks += [(_check_chains, (n,), f"chains/count-formula-{n}")
                   for n in range(2, min(4, n_max) + 1)]
@@ -404,7 +405,7 @@ def cmd_verify(args, parser) -> int:
     tasks = _verify_tasks(args.suite, args.n_max)
     if not tasks:
         parser.error(f"suite {args.suite!r} selected no checks at --n-max {args.n_max}")
-    results = _map_tasks(_run_verify_task, tasks, args.jobs)
+    results = _map_tasks(_run_verify_task, tasks, args.jobs, lambda task: task[1][0])
     failed = [r for r in results if r["status"] != "pass"]
     if args.format == "json":
         print(json.dumps(results, sort_keys=True))

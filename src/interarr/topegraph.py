@@ -3,7 +3,7 @@
 The chamber graph is the certified `ChamberComplex`: one vertex per chamber
 (a bitmask over the hyperplanes) and an edge whenever two chambers share a
 wall.  The walls each chamber records are the only record of the graph;
-its edge list is read from them.  Directing every edge away from a base
+its edges are streamed from them.  Directing every edge away from a base
 chamber makes the base the unique source; both the in-degree generating
 polynomial and the separating-wall statistic yield the h-polynomial of
 the arrangement's sphere triangulation.  The h routines take an
@@ -15,8 +15,8 @@ refused, on every call.  Sign strings appear only in the optional base
 argument and in the text dump.
 
 The wall certificate builds no point on any wall.  It checks that each
-chamber's witness lies strictly inside the chamber and, on the edge list
-the h routines read too, that every recorded wall has a chamber across it
+chamber's witness lies strictly inside the chamber and, in one pass that
+counts the edges, that every recorded wall has a chamber across it
 that records it.  It pairs all witnesses with one normal at once, in
 packed int lanes: one int per coordinate holds that coordinate of every
 witness, so a normal's pairings take one multiply-add of those ints per
@@ -48,8 +48,8 @@ class NotSimplicialError(ValueError):
 
 def _verify_walls(cc: ChamberComplex) -> None:
     """Certify every recorded wall: each chamber's witness lies inside it
-    (`_verify_witnesses`, whose lanes are freed before the edge list is
-    built), and the chamber across each wall h records h too.
+    (`_verify_witnesses`, whose lanes are freed before the walls are read),
+    and the chamber across each wall h records h too; set `cc.edge_count`.
 
     Convexity does the rest.  The witnesses p and q of two chambers whose
     masks differ only at h pair with each a_j, j != h, with the same sign,
@@ -58,16 +58,17 @@ def _verify_walls(cc: ChamberComplex) -> None:
     chambers: h is a wall of both.
     """
     _verify_witnesses(cc)
-    try:
-        edges = cc.edges  # finds the chamber across every recorded wall
+    index, facets = cc.index, cc.facets
+    try:  # the lower end's record of each edge whose far end records it too
+        paired = sum(h in facets[cj] for ci, mask in enumerate(cc.masks) for h in facets[ci]
+                     if (cj := index[mask ^ 1 << h]) > ci)
     except KeyError:
         raise CertificateError("recorded wall has no chamber across it") from None
-    # Edge (i, j, h), i < j, stands for i's record of h and, with h in facets[j],
-    # for j's; a record names one chamber across it, so no two edges share one.
-    # Hence 2 len(edges) records, all of them only if each is one of an edge's two.
-    facets = cc.facets
-    if 2 * len(edges) != sum(map(len, facets)) or any(h not in facets[j] for _, j, h in edges):
+    # a record names one chamber across it, so no two edges share one: each
+    # record is one of an edge's two only if the records number 2 paired
+    if 2 * paired != sum(map(len, facets)):
         raise CertificateError("wall recorded by one of its two chambers only")
+    cc.edge_count = paired
 
 
 def _verify_witnesses(cc: ChamberComplex) -> None:
@@ -81,19 +82,28 @@ def _verify_witnesses(cc: ChamberComplex) -> None:
     when it is >= 1.  Both must match the normal's bit of the chamber
     masks, packed the same way (F > m keeps a mask in its lane).  F is 8,
     16, 32 or 64 where one of those is enough, so that an array packs the
-    columns at C speed, and otherwise the least multiple of 8 that is.
+    columns at C speed, and otherwise the least multiple of 8 that is.  A
+    chamber may store no witness when its antipode stores one: -w lies
+    inside -C exactly when w lies inside C, so only stored ones are packed.
     """
     normals = cc.arrangement.normals
-    columns = list(zip(*cc.witnesses))
+    witnesses, full = cc.witnesses, (1 << len(normals)) - 1
+    antipodes = [cc.index.get(mask ^ full) for mask in cc.masks]
+    if None in antipodes:
+        raise CertificateError("chamber set not closed under negation")
+    if any(w is None and witnesses[anti] is None for w, anti in zip(witnesses, antipodes)):
+        raise CertificateError("neither a chamber nor its antipode stores a witness")
+    masks = [mask for mask, w in zip(cc.masks, witnesses) if w is not None]
+    columns = list(zip(*[w for w in witnesses if w is not None]))
     largest = max(max(map(max, columns), default=0), -min(map(min, columns), default=0))
     reach = largest * max((sum(map(abs, a)) for a in normals), default=1)
     width, pack = _packer((max(reach.bit_length(), len(normals)) + 8) // 8)
     top = 8 * width - 1
-    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(cc.masks), "little")
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * len(masks), "little")
     high = ones << top
     columns = [x - ((x & high) << 1) for x in map(pack, columns)]  # signed lanes
     # bit j of a lane is set where the pairing with a_j must be positive
-    positive = pack(cc.masks) ^ (high << 1) - ones
+    positive = pack(masks) ^ (high << 1) - ones
     for j, a in enumerate(normals):
         lanes = high
         for x, c in zip(columns, a):
@@ -171,13 +181,16 @@ def _resolve_base(cc: ChamberComplex, base: str | None) -> int:
 
 def in_degrees(g: ChamberComplex, base: str | None = None) -> list[int]:
     """In-degree of every chamber once each edge points away from the base
-    chamber, toward the endpoint that the edge's wall separates from it."""
+    chamber, toward the endpoint that the edge's wall separates from it; each
+    edge is recorded at both ends, so count the chamber's separating walls."""
+    g = _certified(g)
     bmask = _resolve_base(g, base)
-    masks = g.masks
-    indeg = [0] * len(masks)
-    for i, j, h in g.edges:
-        # the endpoints differ exactly at h, so exactly one is separated
-        indeg[i if (masks[i] ^ bmask) >> h & 1 else j] += 1
+    indeg = []
+    for mask, walls in zip(g.masks, g.facets):
+        rel, k = mask ^ bmask, 0
+        for h in walls:
+            k += rel >> h & 1
+        indeg.append(k)
     return indeg
 
 

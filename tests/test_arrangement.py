@@ -127,6 +127,28 @@ def test_chambers_requires_essential():
         chamber_complex(braid)
 
 
+def witness(cc, i):
+    """A point inside chamber i: its stored witness, or its antipode's
+    negated where it stores none."""
+    w = cc.witnesses[i]
+    if w is None:
+        return tuple(-x for x in cc.witnesses[cc.index[cc.masks[i] ^ (1 << cc.arrangement.m) - 1]])
+    return w
+
+
+def all_witnesses(cc):
+    """A point inside every chamber, in id order."""
+    return [witness(cc, i) for i in range(len(cc.masks))]
+
+
+def edge_list(cc):
+    """Test oracle: the sorted edge list a complex stored before it streamed
+    its edges, its comprehension kept verbatim."""
+    index, facets = cc.index, cc.facets
+    return sorted((ci, cj, w) for mask, ci in index.items() for w in facets[ci]
+                  if (cj := index[mask ^ 1 << w]) > ci)
+
+
 def _assert_same_complex(fast, gen):
     """Same chambers, the same walls per chamber, and the same edges as
     (mask, mask, wall), whatever the order the walks found them in."""
@@ -160,7 +182,7 @@ def test_fast_and_general_bfs_agree():
 ])
 def test_fast_walk_witnesses_are_pinned(fam, n, s, digest):
     # the walk's witness lists stay byte-identical when its arithmetic changes
-    witnesses = arr._chamber_bfs(make_family(fam, n, s), True).witnesses
+    witnesses = all_witnesses(arr._chamber_bfs(make_family(fam, n, s), True))
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == digest
 
 
@@ -175,7 +197,7 @@ def test_fast_walk_facets_and_edges_are_pinned(fam, n, s, digest):
     # wall mode checks these walls up to n = 5 (test_fast_and_general_bfs_agree);
     # the pin holds pivot mode's chamber order and edges byte for byte too
     cc = arr._chamber_bfs(make_family(fam, n, s), True)
-    assert hashlib.sha256(repr((cc.facets, cc.edges)).encode()).hexdigest() == digest
+    assert hashlib.sha256(repr((cc.facets, list(cc.edges))).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("case, digest", [
@@ -193,7 +215,7 @@ def test_general_walk_is_pinned(case, digest):
          "square cone": make_arrangement(3, [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]),
          "random 0": RANDOM_POOL[0], "random 1": RANDOM_POOL[1]}[case]
     cc = arr._chamber_bfs(a, False)
-    got = repr((cc.masks, cc.witnesses, cc.facets, cc.edges))
+    got = repr((cc.masks, all_witnesses(cc), cc.facets, list(cc.edges)))
     assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
@@ -230,8 +252,9 @@ _WALL_CASES = {
 
 def _assert_antipodes_copy_the_first(cc, first_witnesses=None):
     """Of each pair C, -C of the walk the chamber found second holds the
-    first one's walls and negated witness, and the first one holds its
-    entry of `first_witnesses` when given."""
+    first one's walls and stores no witness, so that its witness is the
+    first one's negated, and the first one holds its entry of
+    `first_witnesses` when given."""
     full = (1 << cc.arrangement.m) - 1
     copies = 0
     for i, mask in enumerate(cc.masks):
@@ -239,9 +262,12 @@ def _assert_antipodes_copy_the_first(cc, first_witnesses=None):
         if anti < i:
             copies += 1
             assert cc.facets[i] == cc.facets[anti]
-            assert cc.witnesses[i] == tuple(-x for x in cc.witnesses[anti])
-        elif first_witnesses is not None:
-            assert cc.witnesses[i] == first_witnesses[i], i
+            assert cc.witnesses[i] is None
+            assert witness(cc, i) == tuple(-x for x in cc.witnesses[anti])
+        else:
+            assert cc.witnesses[i] is not None
+            if first_witnesses is not None:
+                assert cc.witnesses[i] == first_witnesses[i], i
     assert 2 * copies == len(cc.masks)
 
 
@@ -400,7 +426,7 @@ def test_integer_ray_walk_matches_fraction_oracle(case):
     cc = arr._chamber_bfs(a, False)
     tables = arr._WalkTables(a.normals)
     hits = 0
-    for mask, p in zip(cc.masks, cc.witnesses):
+    for mask, p in zip(cc.masks, all_witnesses(cc)):
         row = _pairings(a.normals, p)
         for i in range(a.m):
             got = arr._try_ray_walk(tables, mask, p, row, i, mask ^ 1 << i)
@@ -419,7 +445,7 @@ def test_mirror_and_ray_walk_rows_are_the_pairings_of_their_points(case):
     tables = arr._WalkTables(a.normals)
     hits = {"mirror": 0, "ray": 0}
     cc = arr._chamber_bfs(a, False)
-    for mask, p in zip(cc.masks, cc.witnesses):
+    for mask, p in zip(cc.masks, all_witnesses(cc)):
         row = _pairings(a.normals, p)
         for i in range(a.m):
             target = mask ^ 1 << i
@@ -489,7 +515,7 @@ def test_sparse_mirror_matches_dense_oracle(case):
     tables = arr._WalkTables(a.normals)
     gram = tables.gram
     seen = set()  # (gcd(q) == G_ii, a point was returned)
-    for mask, p in ((mk, p) for cc in walks for mk, p in zip(cc.masks, cc.witnesses)):
+    for mask, p in ((mk, p) for cc in walks for mk, p in zip(cc.masks, all_witnesses(cc))):
         row = _pairings(a.normals, p)
         for i in range(a.m):
             target = mask ^ 1 << i
@@ -550,7 +576,7 @@ def test_table_mirror_matches_gcd_oracle(case):
     tables = arr._WalkTables(a.normals)
     supports = _supports(tables.gram)
     integral = set()
-    for mask, p in zip(cc.masks, cc.witnesses):
+    for mask, p in zip(cc.masks, all_witnesses(cc)):
         row = _pairings(a.normals, p)
         for i in range(a.m):
             target = mask ^ 1 << i
@@ -573,7 +599,7 @@ def test_walk_witnesses_are_primitive(a):
     # the integral mirror returns the gcd oracle's point only from a
     # primitive one; every witness of both walks is primitive
     for pivot in {False, a.simplicial}:
-        for w in arr._chamber_bfs(a, pivot).witnesses:
+        for w in all_witnesses(arr._chamber_bfs(a, pivot)):
             assert math.gcd(*w) == 1, (pivot, w)
 
 
@@ -669,13 +695,17 @@ def test_antipode_copies_match_the_facet_solve_walk(a, pivot):
     # the walk that decided every chamber (pivot mode: the facet-solve walk,
     # wall mode: the ladder, whose witness the first chamber of each pair
     # C, -C holds); the chamber found second holds the first one's walls and
-    # negated witness, and every witness is primitive and certified
+    # no witness, and every witness is primitive and certified; the edges'
+    # number is a pass over the records before the certificate, its count after
     cc = arr._chamber_bfs(a, pivot)
     old = (_chamber_bfs_by_facet_solve if pivot else _chamber_bfs_by_ladder)(a)
-    assert (cc.masks, cc.facets, cc.edges) == (old.masks, old.facets, old.edges)
+    edges = edge_list(old)
+    assert (cc.masks, cc.facets, list(cc.edges), len(cc.edges)) == (
+        old.masks, old.facets, edges, len(edges))
     _assert_antipodes_copy_the_first(cc, None if pivot else old.witnesses)
-    assert all(math.gcd(*w) == 1 for w in cc.witnesses)
+    assert all(math.gcd(*w) == 1 for w in all_witnesses(cc))
     _verify_walls(cc)
+    assert (cc.edge_count, len(cc.edges)) == (len(edges), len(edges))
 
 
 # Test oracle: the pivot before the walk kept a table of rank-2 flats, which
@@ -804,7 +834,7 @@ def test_flagged_walk_matches_general_bfs_random(a):
     # refuses and hands the input to wall mode
     cc = chamber_complex(make_arrangement(a.dim, a.normals, simplicial=True))
     gen = arr._chamber_bfs(a, False)
-    assert (cc.masks, cc.facets, cc.edges) == (gen.masks, gen.facets, gen.edges)
+    assert (cc.masks, cc.facets, list(cc.edges)) == (gen.masks, gen.facets, edge_list(gen))
 
 
 # Test oracle: the crossing ladder the wall-mode walk ran before it decided a
@@ -859,12 +889,10 @@ def _chamber_bfs_by_ladder(a):
 @example(make_arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))
 def test_two_pass_walls_match_the_ladder_oracle(a):
     # chambers in the same order with the same walls and edges; the first
-    # chamber of each pair C, -C has the ladder's witness, the second the
-    # first one's negated
-    def dump(cc):
-        return repr((cc.masks, cc.facets, cc.edges))
+    # chamber of each pair C, -C has the ladder's witness, the second none
     cc, ladder = arr._chamber_bfs(a, False), _chamber_bfs_by_ladder(a)
-    assert dump(cc) == dump(ladder)
+    assert (cc.masks, cc.facets, list(cc.edges)) == (ladder.masks, ladder.facets,
+                                                     edge_list(ladder))
     _assert_antipodes_copy_the_first(cc, ladder.witnesses)
 
 

@@ -16,7 +16,7 @@ from interarr import fixtures
 from interarr.arrangement import (ChamberComplex, chamber_complex, f_vector,
                                   make_arrangement, make_family)
 from interarr.topegraph import NotSimplicialError
-from test_arrangement import _essential_small, arrangement_to_text
+from test_arrangement import _essential_small, arrangement_to_text, witness
 
 
 def run(capsys, *argv):
@@ -243,7 +243,7 @@ def test_negated_first_witness_exits_1(capsys, monkeypatch, family, k):
     def corrupted(a):
         cc = walk(a)  # cached: corrupt a copy, not the cached complex
         witnesses = list(cc.witnesses)
-        witnesses[k] = tuple(-x for x in witnesses[k])
+        witnesses[k] = tuple(-x for x in witness(cc, k))
         return ChamberComplex(a, cc.masks, witnesses, cc.facets, cc.index)
 
     monkeypatch.setattr(topegraph, "chamber_complex", corrupted)
@@ -390,6 +390,17 @@ def test_verify_jobs_deterministic(capsys):
     code2, out2, _ = run(capsys, "verify", "--suite", "el", "--n-max", "3",
                          "--jobs", "2")
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_verify_enumerates_each_type_b_lattice_once(capsys):
+    # the checks run grouped by n, so the one-entry B_n cache misses once
+    # per n; they are still reported in listing order
+    from interarr.signed_partitions import _type_b_lattice
+
+    _type_b_lattice.cache_clear()
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "4")
+    assert code == 0 and _type_b_lattice.cache_info().misses == 3  # n = 2, 3, 4
+    assert [line.split()[1][:-1] for line in out.splitlines()[:-1]] == VERIFY_ALL_4
 
 
 VERIFY_ALL_4 = [

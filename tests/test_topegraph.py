@@ -11,7 +11,7 @@ from interarr.arrangement import f_polynomial, f_vector, chamber_count
 from interarr.topegraph import (BaseNotAChamberError, NotSimplicialError,
                                 _verify_walls, build_tope_graph, dump_tope_graph,
                                 h_via_indegree, h_via_separation, in_degrees)
-from test_arrangement import B3_FULL_SUPPORT
+from test_arrangement import B3_FULL_SUPPORT, all_witnesses, edge_list, witness
 
 
 def edge_degrees(g):
@@ -234,7 +234,7 @@ def _verify_walls_by_dot(cc, chambers=None):
                 raise CertificateError("recorded wall has no chamber across it")
             if h not in cc.facets[cj]:
                 raise CertificateError("wall recorded by one of its two chambers only")
-            p, q = cc.witnesses[ci], cc.witnesses[cj]
+            p, q = witness(cc, ci), witness(cc, cj)
             ah = normals[h]
             c1, c2 = dot(ah, p), dot(ah, q)
             z = tuple(c1 * y - c2 * x for x, y in zip(p, q))
@@ -260,7 +260,7 @@ def _verdict(check, cc):
 def _changed_chambers(bad, true):
     """The chambers whose witness or walls differ between two complexes on
     the same chambers."""
-    return {c for c in range(len(true.masks)) if bad.witnesses[c] != true.witnesses[c]
+    return {c for c in range(len(true.masks)) if witness(bad, c) != witness(true, c)
             or bad.facets[c] != true.facets[c]}
 
 
@@ -274,7 +274,7 @@ def _expected_verdict(cc, true=None):
     verdict = _verdict(lambda c: _verify_walls_by_dot(c, chambers), cc)
     if verdict == "pass":
         for c in range(len(cc.masks)) if chambers is None else sorted(chambers):
-            mask, w = cc.masks[c], cc.witnesses[c]
+            mask, w = cc.masks[c], witness(cc, c)
             for j, aj in enumerate(cc.arrangement.normals):
                 d = dot(aj, w)
                 if d == 0 or (d < 0) != bool(mask >> j & 1):
@@ -292,8 +292,10 @@ def _corruptions(cc):
                               facets or cc.facets, cc.index)
 
     def with_witness(k, f):
+        # where chamber k stores no witness, as the last one does, the
+        # corrupted point is stored there in place of its antipode's negated
         witnesses = list(cc.witnesses)
-        witnesses[k] = tuple(f(witnesses[k]))
+        witnesses[k] = tuple(f(witness(cc, k)))
         return copy(witnesses=witnesses)
 
     def with_walls(walls_of):
@@ -327,7 +329,7 @@ def _corruptions(cc):
     rng = random.Random(len(cc.masks))
     for r in range(PERTURBATIONS):
         c = rng.randrange(len(cc.masks))
-        spread = max(map(abs, cc.witnesses[c])) * 4 >> r % 6
+        spread = max(map(abs, witness(cc, c))) * 4 >> r % 6
         yield f"perturbed {r}", with_witness(
             c, lambda w: (4 * x + rng.randint(-spread, spread) for x in w))
 
@@ -343,6 +345,16 @@ WITNESS_FAULTS = ("negated", "scaled", "shifted", "nudged", "perturbed")
 def test_pairing_certificate_matches_dot_products(a):
     cc = chamber_complex(a)
     corrupted = dict(_corruptions(cc))
+    # before the certificate, the edges' number is a pass over the records:
+    # the stored list's length, or the same wall with no chamber across it
+    for name, bad in corrupted.items():
+        try:
+            want = len(edge_list(bad))
+        except KeyError:
+            with pytest.raises(KeyError):
+                len(bad.edges)
+        else:
+            assert len(bad.edges) == want, name
     # the full reference on the true complex, the restricted one on each copy
     verdicts = {name: (_verdict(_verify_walls, bad),
                        _expected_verdict(bad, None if bad is cc else cc))
@@ -360,6 +372,11 @@ def test_pairing_certificate_matches_dot_products(a):
     assert verdicts["true"][0] == verdicts["scaled 1"][0] == verdicts["both sides"][0] == "pass"
     assert all(verdicts[name][0] != "pass" for name in
                ("negated 1", "shifted 1", "wrong wall", "two bits", "one side"))
+    # the last chamber, the base's antipode, stores no witness: a negated
+    # point stored in its place is a corrupted antipodal copy
+    last = len(cc.masks) - 1
+    assert cc.witnesses[last] is None
+    assert verdicts[f"negated {last}"][0] == "chamber witness lies outside its chamber"
     # a wall dropped from both of its chambers leaves them too few walls
     with pytest.raises(NotSimplicialError):
         h_via_indegree(corrupted["both sides"])
@@ -378,6 +395,36 @@ def test_restricted_reference_matches_the_full_one(a):
             assert _expected_verdict(bad, cc) == _expected_verdict(bad), name
 
 
+@pytest.mark.parametrize("a", [pytest.param(make_family("b", 3), id="b3"),
+                               pytest.param(make_family("dns", 4, 2), id="dns-4-2"),
+                               pytest.param(B3_FULL_SUPPORT, id="b3-full-support")])
+def test_a_witness_per_antipodal_pair_is_enough(a):
+    # the walk stores the witness of one chamber of each pair C, -C; a point
+    # stored for the other is checked like any other, and a pair that
+    # stores none, or a chamber with no antipode, is refused
+    cc = chamber_complex(a)
+    c = next(c for c, w in enumerate(cc.witnesses) if w is None)
+    anti = cc.index[cc.masks[c] ^ (1 << a.m) - 1]
+
+    def storing(changes):
+        witnesses = list(cc.witnesses)
+        for k, w in changes.items():
+            witnesses[k] = w
+        return ChamberComplex(a, cc.masks, witnesses, cc.facets, cc.index)
+
+    own = witness(cc, c)
+    assert _verdict(_verify_walls, storing({c: own})) == "pass"
+    assert _verdict(_verify_walls, storing({c: own, anti: None})) == "pass"
+    assert _verdict(_verify_walls, storing({c: cc.witnesses[anti]})) == (
+        "chamber witness lies outside its chamber")
+    assert _verdict(_verify_walls, storing({anti: None})) == (
+        "neither a chamber nor its antipode stores a witness")
+    last = len(cc.masks) - 1
+    cut = ChamberComplex(a, cc.masks[:last], cc.witnesses[:last], cc.facets[:last],
+                         {mask: i for mask, i in cc.index.items() if i != last})
+    assert _verdict(_verify_walls, cut) == "chamber set not closed under negation"
+
+
 # Test oracle: the certificate before it paired every witness at once in
 # packed lanes, kept verbatim.  It pairs one chamber's witness with one
 # normal at a time and gathers the negative pairings into a mask.
@@ -394,7 +441,7 @@ def _verify_walls_by_loop(cc: ChamberComplex) -> None:
                 raise CertificateError("wall recorded by one of its two chambers only")
     supports = [(1 << j, tuple((k, c) for k, c in enumerate(aj) if c))
                 for j, aj in enumerate(cc.arrangement.normals)]
-    for mask, w in zip(masks, cc.witnesses):
+    for mask, w in zip(masks, all_witnesses(cc)):
         neg = 0
         for bit, support in supports:
             d = 0
@@ -424,7 +471,7 @@ def test_one_sided_records_that_keep_the_count_are_caught(a):
     # dropped: one edge fewer and two records fewer keep 2 len(edges) equal
     # to the records, so the far-end test, not the count, refuses it
     cc = chamber_complex(a)
-    (_, j, h), (i, _, g) = cc.edges[0], cc.edges[-1]
+    (_, j, h), (i, _, g) = edge_list(cc)[0], edge_list(cc)[-1]
     facets = list(cc.facets)
     facets[j] = tuple(w for w in facets[j] if w != h)
     facets[i] = tuple(w for w in facets[i] if w != g)
@@ -438,7 +485,7 @@ def _on_a_wall(cc, c):
     """A point on wall h of chamber c, strictly inside every other
     half-space of c: between c's witness and its neighbour's across h."""
     h = cc.facets[c][0]
-    p, q = cc.witnesses[c], cc.witnesses[cc.index[cc.masks[c] ^ 1 << h]]
+    p, q = witness(cc, c), witness(cc, cc.index[cc.masks[c] ^ 1 << h])
     ah = cc.arrangement.normals[h]
     c1, c2 = dot(ah, p), dot(ah, q)
     z = tuple(c1 * y - c2 * x for x, y in zip(p, q))
@@ -452,7 +499,7 @@ def _lane_stress_cases(cc):
     last = len(cc.masks) - 1
     for c in (0, last) if cc.arrangement.m else ():
         for kind, point in (("on a wall", _on_a_wall(cc, c)),
-                            ("negated", tuple(-x for x in cc.witnesses[c]))):
+                            ("negated", tuple(-x for x in witness(cc, c)))):
             witnesses = list(cc.witnesses)
             witnesses[c] = point
             yield f"{kind} {c}", ChamberComplex(cc.arrangement, cc.masks, witnesses,
@@ -476,7 +523,7 @@ B3_HUGE = make_arrangement(
 ])
 def test_packed_certificate_lanes_match_the_loop(a):
     cc = chamber_complex(a)
-    widest = max((abs(x) for w in cc.witnesses for x in w), default=0)
+    widest = max((abs(x) for w in all_witnesses(cc) for x in w), default=0)
     verdicts = {name: _verdict(_verify_walls, bad) for name, bad in _lane_stress_cases(cc)}
     assert verdicts == {name: _verdict(_verify_walls_by_loop, bad)
                         for name, bad in _lane_stress_cases(cc)}
