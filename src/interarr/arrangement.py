@@ -332,8 +332,9 @@ class ChamberComplex:
         return self.masks
 
     def sign_strings(self):
+        """The chambers as sign strings, in id order, made one at a time."""
         m = self.arrangement.m
-        return [mask_to_signs(mk, m) for mk in self.masks]
+        return (mask_to_signs(mk, m) for mk in self.masks)
 
 
 class _Edges:

@@ -145,7 +145,7 @@ def cmd_gamma(args, parser) -> int:
         route = h_via_indegree if method == "topegraph" else h_via_separation
         h = route(graph, args.base)
         if write_dump:
-            write_dump([dump_tope_graph(graph)])
+            write_dump(dump_tope_graph(graph))
     gamma = h_to_gamma(h)
     payload = {"family": fam, "n": n, "s": s, "method": method,
                "gamma": list(gamma.entries)}

@@ -10,6 +10,11 @@ Two labeling regimes coexist and are not interchangeable:
 Chain filtering for the Chow-polynomial formula uses the strict reading:
 the first step must strictly ascend and every descent must be immediately
 preceded by a strict ascent.
+
+The chain tools read a lattice's labels through `_edge_labels`.  On a
+lattice filtered from B_n it reads the label memo kept with B_n, so each
+cover of B_n is labelled at most once per labeler however many rows of
+dns(n, s) contain it; every label is still made by the labeler passed in.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .lattice import GradedLattice, NotComparableError
-from .signed_partitions import (_COHERENT, _SIGNED, NotACoverError, SignedPartition,
-                                decode_cover)
+from .signed_partitions import (_COHERENT, _SIGNED, FilteredLattice, NotACoverError,
+                                SignedPartition, decode_cover)
 
 
 def r_label(x: SignedPartition, y: SignedPartition) -> int:
@@ -29,15 +34,18 @@ def r_label(x: SignedPartition, y: SignedPartition) -> int:
     return decode_cover(x, y)[2]
 
 
+_PAIR_LABELS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 def el_label(x: SignedPartition, y: SignedPartition) -> tuple[int, int]:
     """Pair label: (0, max) on coherent, (1, 1) on signed, (2, min) on
-    non-coherent edges; pairs compare lexicographically."""
+    non-coherent edges; pairs compare lexicographically.  Equal labels are
+    one shared tuple."""
     cls, i, j = decode_cover(x, y)
     if cls is _SIGNED:
         return (1, 1)
-    if cls is _COHERENT:
-        return (0, j)
-    return (2, i)
+    lab = (0, j) if cls is _COHERENT else (2, i)
+    return _PAIR_LABELS.setdefault(lab, lab)
 
 
 def label_set(x: SignedPartition, y: SignedPartition) -> frozenset[int]:
@@ -74,11 +82,38 @@ class LabeledChain:
 
 
 def _edge_labels(lat: GradedLattice, labeler):
-    """labels[i][k] = label of the cover from i to lat.covers[i][k]."""
-    return [
-        [labeler(lat.elements[i], lat.elements[j]) for j in lat.covers[i]]
-        for i in range(len(lat))
-    ]
+    """labels[i][k] = label of the cover from i to lat.covers[i][k].
+
+    A lattice filtered from B_n reads B_n's label memo and calls the
+    labeler only for a cover no lattice has asked it for yet; any other
+    lattice calls it once per cover.  A row may be the memo's own list:
+    read it, never change it."""
+    elements = lat.elements
+    if not isinstance(lat, FilteredLattice):
+        return [[labeler(x, elements[j]) for j in ups] for x, ups in zip(elements, lat.covers)]
+    memo = lat.memo
+    rows = memo.rows_for(labeler)
+    out = []
+    for x, ups, b, kept in zip(elements, lat.covers, lat.source, lat.kept):
+        row = rows[b]
+        if row is None:
+            row = rows[b] = [None] * len(memo.covers[b])
+        if kept is None:                # every cover of b is kept
+            if None in row:
+                _fill(row, range(len(ups)), x, ups, elements, labeler)
+        else:
+            _fill(row, kept, x, ups, elements, labeler)
+            row = [row[k] for k in kept]
+        out.append(row)
+    return out
+
+
+def _fill(row, at, x, ups, elements, labeler) -> None:
+    """Label each cover from x to elements[ups[p]] whose place at[p] in
+    row is still empty."""
+    for k, j in zip(at, ups):
+        if row[k] is None:
+            row[k] = labeler(x, elements[j])
 
 
 def count_chains_with_word(lat: GradedLattice, lo: int, hi: int, sigma) -> int:
@@ -173,11 +208,14 @@ def filtered_descent_counts(lat: GradedLattice, labeler) -> dict[int, int]:
     counts distinct prefixes of one element, and they extend to distinct
     maximal chains, so no digit exceeds that number and none carries:
     adding histograms is int addition and a descent is a shift by W.  The
-    labeler runs once per cover, as each element is expanded.
+    labels are read by `_edge_labels` before the sweep: the labeler runs at
+    most once per cover, and not at all for a cover of a lattice filtered
+    from B_n that another lattice has already had labelled by it.
     """
     if lat.height == 0:
         return {0: 1}
-    covers, elements, bottom, top = lat.covers, lat.elements, lat.bottom, lat.top
+    covers, bottom, top = lat.covers, lat.bottom, lat.top
+    labels = _edge_labels(lat, labeler)
     order = sorted(range(len(lat)), key=lat.rank.__getitem__)
     chains = [0] * len(lat)
     chains[bottom] = 1
@@ -189,15 +227,11 @@ def filtered_descent_counts(lat: GradedLattice, labeler) -> dict[int, int]:
     # and over those whose last step rose
     every = [{} for _ in order]
     rising = [{} for _ in order]
-    x = elements[bottom]
-    for w in covers[bottom]:
-        every[w][labeler(x, elements[w])] = 1
+    for w, lab in zip(covers[bottom], labels[bottom]):
+        every[w][lab] = 1
     for v in order:
         if v == bottom or v == top:
             continue
-        x = elements[v]
-        # labelled before the dead-element check: one labeler call per cover
-        labels = [labeler(x, elements[w]) for w in covers[v]]
         hists, rose = every[v], rising[v]
         every[v] = rising[v] = None
         if not hists:
@@ -206,7 +240,7 @@ def filtered_descent_counts(lat: GradedLattice, labeler) -> dict[int, int]:
         below = list(accumulate(map(hists.__getitem__, keys), initial=0))
         above = list(accumulate((rose.get(k, 0) for k in reversed(keys)), initial=0))
         above.reverse()
-        for w, lab in zip(covers[v], labels):
+        for w, lab in zip(covers[v], labels[v]):
             i = bisect_left(keys, lab)
             rise, fall = below[i], above[i] << width
             if rise:

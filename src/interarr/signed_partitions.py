@@ -5,7 +5,10 @@ Elements are mirror-symmetric partitions of {-n, ..., n}: the block through
 -B.  The rank of a partition with 2p + 1 blocks is n - p.  The lattices of
 the intermediate arrangements between type D and type B are the parts of
 B_n where only some {k, 0, -k} zero blocks may appear: B_n is enumerated
-once, for the last n asked, and each variant keeps what it admits.
+once, for the last n asked, and each variant keeps what it admits.  A
+filtered lattice records where in B_n each element and cover comes from,
+and shares the `LabelMemo` kept with B_n, which holds one label slot per
+cover of B_n for the last labeler asked.
 
 A block is an int mask in absolute-value order: bit 0 is 0, bit 2r-1 is +r
 and bit 2r is -r.  A non-zero block's representative, its least absolute
@@ -308,9 +311,51 @@ def variant_dns(n: int, s: int) -> LatticeVariant:
     return LatticeVariant(n, frozenset(range(1, s + 1)))
 
 
+class LabelMemo:
+    """The labels of B_n's covers for one labeler, kept with B_n.
+
+    rows[i] is None until some lattice filtered from B_n asks for a label
+    of a cover of element i; then it is a list parallel to covers[i] that
+    holds each label asked for, and None in the other places.  The labeler
+    is held by reference and compared with `is`, so its id is never reused
+    while its labels are kept; another labeler empties every row.  The memo
+    is exact because a labeler is a function of the two partitions, and
+    every filtered lattice shares B_n's element objects."""
+
+    __slots__ = ("covers", "labeler", "rows")
+
+    def __init__(self, covers):
+        self.covers = covers
+        self.labeler = None
+        self.rows: list = []
+
+    def rows_for(self, labeler) -> list:
+        """The rows of labeler, emptied first if it is not the last one asked."""
+        if labeler is not self.labeler:
+            self.labeler = labeler
+            self.rows = [None] * len(self.covers)
+        return self.rows
+
+
+class FilteredLattice(GradedLattice):
+    """A lattice filtered from B_n, which shares B_n's elements and label
+    memo: element i is element source[i] of B_n, and its covers are those
+    at positions kept[i] of that element's cover list in B_n, or all of
+    them when kept[i] is None."""
+
+    __slots__ = ("memo", "source", "kept")
+
+    def __init__(self, elements, rank, covers, bottom, top, memo, source, kept):
+        super().__init__(elements, rank, covers, bottom, top)
+        self.memo = memo
+        self.source = source
+        self.kept = kept
+
+
 @lru_cache(maxsize=1)
 def _type_b_lattice(n: int):
-    """B_n as (elements, ranks, covers) tuples, kept for the last n asked.
+    """B_n as (elements, ranks, covers, memo) for the last n asked, memo its
+    `LabelMemo`, dropped with it.
 
     Rank-synchronous generation from the bottom: each distinct cover
     candidate, a mask tuple, becomes a single SignedPartition.  Each rank is
@@ -334,19 +379,25 @@ def _type_b_lattice(n: int):
             for pid in parents[q]:
                 cover_lists[pid].append(qid)
             layer.append((qid, q))
-    return tuple(elements), tuple(p.rank for p in elements), tuple(map(tuple, cover_lists))
+    covers = tuple(map(tuple, cover_lists))
+    return tuple(elements), tuple(p.rank for p in elements), covers, LabelMemo(covers)
 
 
-def enumerate_lattice(v: LatticeVariant) -> GradedLattice:
+def enumerate_lattice(v: LatticeVariant) -> FilteredLattice:
     """The variant's partitions, graded by rank, with cover adjacency: a new
-    lattice of the elements of B_n that `v.admits`, renumbered in order.
-    They are the flats of a subarrangement of B_n, so each one above the
-    bottom covers an admitted one and the filter misses none."""
-    elements, ranks, covers = _type_b_lattice(v.n)
+    lattice of the elements of B_n that `v.admits`, renumbered in order,
+    which records where in B_n each element and cover comes from.  They are
+    the flats of a subarrangement of B_n, so each one above the bottom
+    covers an admitted one and the filter misses none."""
+    elements, ranks, covers, memo = _type_b_lattice(v.n)
     new_id = {}
     for i, p in enumerate(elements):
         if v.admits(p):
             new_id[i] = len(new_id)
-    return GradedLattice([elements[i] for i in new_id], [ranks[i] for i in new_id],
-                         [[new_id[j] for j in covers[i] if j in new_id] for i in new_id],
-                         0, len(new_id) - 1)
+    rows = [[new_id[j] for j in covers[i] if j in new_id] for i in new_id]
+    # the positions of the kept covers in B_n's cover list, None for all
+    kept = [None if len(row) == len(covers[i])
+            else [k for k, j in enumerate(covers[i]) if j in new_id]
+            for i, row in zip(new_id, rows)]
+    return FilteredLattice([elements[i] for i in new_id], [ranks[i] for i in new_id],
+                           rows, 0, len(new_id) - 1, memo, tuple(new_id), kept)

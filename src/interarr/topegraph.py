@@ -222,8 +222,10 @@ def h_via_separation(a, base: str | None = None) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def dump_tope_graph(g: ChamberComplex) -> str:
-    """Text dump: chambers as sign strings, then one line "i j k" per edge."""
-    lines = g.sign_strings()
-    lines += [f"{i} {j} {h}" for i, j, h in g.edges]
-    return "\n".join(lines) + "\n"
+def dump_tope_graph(g: ChamberComplex):
+    """Text dump, one line at a time as it is made: chambers as sign
+    strings, then one line "i j k" per edge."""
+    for signs in g.sign_strings():
+        yield signs + "\n"
+    for i, j, h in g.edges:
+        yield f"{i} {j} {h}\n"

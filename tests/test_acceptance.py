@@ -121,7 +121,7 @@ def test_criterion_8_h_method_agreement():
         if not (h1 == h2 == h3 and is_palindromic(h1) and h1(1) == fv[-1]
                 and len(graph.edges) == fv[a.dim - 1]):
             ok = False
-        signs = graph.sign_strings()
+        signs = list(graph.sign_strings())
         bases = signs if (fam, n) == ("d", 3) else signs[:5]
         if any(h_via_indegree(graph, b) != h1 or h_via_separation(graph, b) != h1
                for b in bases):

@@ -340,7 +340,7 @@ def test_dump_tope_graph_to_stdout(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "gamma", "--family", "b", "--n", "2", "--dump-tope-graph", "-")
     assert code == 0 and not (tmp_path / "-").exists()
     graph = topegraph.build_tope_graph(make_family("b", 2))
-    assert out == topegraph.dump_tope_graph(graph) + "gamma = (1, 4)\n"
+    assert out == "".join(topegraph.dump_tope_graph(graph)) + "gamma = (1, 4)\n"
 
 
 def test_dump_tope_graph_stdout_with_json_exits_2_before_computing(monkeypatch, capsys):

@@ -379,6 +379,73 @@ def test_sweep_labels_each_cover_once():
     assert set(calls.values()) == {1}
 
 
+def _inline_edge_labels(lat, labeler):
+    """The labelling before B_n's label memo, one labeler call per cover of
+    this lattice: the oracle the memo must reproduce."""
+    return [
+        [labeler(lat.elements[i], lat.elements[j]) for j in lat.covers[i]]
+        for i in range(len(lat))
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_memo_labels_match_inline_oracle_in_any_row_order(n):
+    # the rows come in a shuffled order, so most of them read slots that
+    # other rows filled, through positions kept by a different filter
+    order = list(range(n + 1))
+    random.Random(n).shuffle(order)
+    for labeler in (el_label, r_label):
+        for s in order:
+            lat = enumerate_lattice(variant_dns(n, s))
+            assert _edge_labels(lat, labeler) == _inline_edge_labels(lat, labeler), (n, s)
+        lat = enumerate_lattice(variant_b(n))
+        assert _edge_labels(lat, labeler) == _inline_edge_labels(lat, labeler), n
+
+
+def test_memo_keeps_the_labels_of_the_last_labeler_only():
+    lat = enumerate_lattice(variant_b(4))
+    want = {f: _inline_edge_labels(lat, f) for f in (el_label, r_label)}
+    for f in (el_label, r_label, el_label, el_label, r_label, r_label, el_label):
+        assert _edge_labels(lat, f) == want[f], f.__name__
+        assert lat.memo.labeler is f
+
+
+def test_memo_tells_apart_labelers_made_one_after_another():
+    # each labeler is dropped by the caller before the next one is made,
+    # so the next one may get its address: the memo must not mistake it
+    # for the last one
+    lat = enumerate_lattice(variant_dns(3, 1))
+
+    def constant(k):
+        return lambda x, y: k
+
+    for k in range(8):
+        labels = _edge_labels(lat, constant(k))
+        assert {lab for row in labels for lab in row} == {k}, k
+
+
+def test_memo_labels_each_cover_of_a_union_of_rows_once():
+    lats = [enumerate_lattice(variant_dns(5, s)) for s in range(6)]
+    calls = Counter()
+
+    def counting(x, y):
+        calls[x, y] += 1
+        return el_label(x, y)
+
+    got = [filtered_descent_counts(lat, counting) for lat in lats]
+    union = {(lat.elements[i], lat.elements[j])
+             for lat in lats for i, ups in enumerate(lat.covers) for j in ups}
+    assert set(calls) == union and set(calls.values()) == {1}
+    assert len(union) == sum(map(len, enumerate_lattice(variant_b(5)).covers))
+    assert got == [filtered_descent_counts(lat, el_label) for lat in lats]
+
+
+def test_el_label_shares_one_tuple_per_label():
+    lat = enumerate_lattice(variant_b(4))
+    labels = [lab for row in _inline_edge_labels(lat, el_label) for lab in row]
+    assert len({id(lab) for lab in labels}) == len(set(labels))
+
+
 def test_rank1_lattice_single_chain():
     lat = enumerate_lattice(variant_b(1))
     chains = list(enumerate_filtered_chains(lat, el_label))

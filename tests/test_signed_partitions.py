@@ -436,9 +436,12 @@ def test_type_b_cache_keeps_one_n_and_shares_only_elements():
     assert all(x is y for x, y in zip(a.elements, b.elements, strict=True))
     assert a.leq(a.bottom, a.top)
     assert a._down_masks is not None and b._down_masks is None
+    assert a.memo is b.memo is enumerate_lattice(variant_b(4)).memo
     enumerate_lattice(variant_b(3))
     enumerate_lattice(variant_dns(5, 1))
     assert _type_b_lattice.cache_info().currsize <= 1
+    # switching n dropped B_4 and its label memo with it
+    assert enumerate_lattice(v).memo is not a.memo
     lat = enumerate_lattice(variant_dns(1, 0))
     assert len(lat) == 1 and lat.top == lat.bottom
 

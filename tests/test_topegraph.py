@@ -48,7 +48,7 @@ def test_d3_simplicial_degrees():
 
 def test_in_degrees_unique_source_and_antipode():
     g = build_tope_graph(make_family("d", 3))
-    signs = g.sign_strings()
+    signs = list(g.sign_strings())
     for base in (signs[0], signs[7]):
         indeg = in_degrees(g, base)
         assert indeg.count(0) == 1
@@ -185,7 +185,7 @@ def test_base_independence_all_bases_d3():
 def test_base_independence_sampled_b4():
     g = build_tope_graph(make_family("b", 4))
     rng = random.Random(2)
-    signs = g.sign_strings()
+    signs = list(g.sign_strings())
     picks = rng.sample(range(len(signs)), 10)
     values = {h_via_indegree(g, signs[i]) for i in picks}
     assert len(values) == 1
@@ -193,7 +193,7 @@ def test_base_independence_sampled_b4():
 
 def test_sep_of_base_and_antipode():
     g = build_tope_graph(make_family("d", 3))
-    signs = g.sign_strings()
+    signs = list(g.sign_strings())
     indeg = in_degrees(g, signs[0])
     assert indeg[0] == 0  # contributes the constant 1
     # every wall of the antipode separates it from the base
@@ -205,7 +205,7 @@ def test_sep_of_base_and_antipode():
 
 def test_dump_format():
     g = build_tope_graph(make_arrangement(1, [(1,)]))
-    lines = dump_tope_graph(g).strip().split("\n")
+    lines = "".join(dump_tope_graph(g)).strip().split("\n")
     assert lines[0] in ("+", "-") and lines[1] in ("+", "-")
     i, j, h = lines[2].split()
     assert h == "0" and {lines[int(i)], lines[int(j)]} == {"+", "-"}
@@ -213,7 +213,7 @@ def test_dump_format():
 
 def test_dump_b2_exact():
     # the boundary format, byte for byte: chambers in walk order, then edges
-    assert dump_tope_graph(build_tope_graph(make_family("b", 2))) == (
+    assert "".join(dump_tope_graph(build_tope_graph(make_family("b", 2)))) == (
         "++++\n-+++\n+++-\n-+-+\n+-+-\n---+\n+---\n----\n"
         "0 1 0\n0 2 3\n1 3 2\n2 4 1\n3 5 1\n4 6 2\n5 7 3\n6 7 0\n")
 
