@@ -24,9 +24,8 @@ from .permstats import (OddSumError, h_b_closed, h_d_closed, increment_closed,
                         inversion_sequence, maxima, peaks)
 from .poly import (GammaVector, IntPolynomial, NonPalindromicError, f_to_h,
                    gamma_to_h, h_to_gamma, is_palindromic)
-from .signed_partitions import (EdgeClass, LatticeVariant, NotACoverError,
-                                SignedPartition, enumerate_lattice, variant_b,
-                                variant_dns)
+from .signed_partitions import (EdgeClass, NotACoverError, SignedPartition,
+                                enumerate_lattice)
 from .topegraph import (BaseNotAChamberError, NotSimplicialError,
                         build_tope_graph, h_via_indegree, h_via_separation,
                         in_degrees)

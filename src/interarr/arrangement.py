@@ -292,8 +292,12 @@ def restrict_to_flat(a: Arrangement, hyperplanes) -> Arrangement:
 # chambers
 
 
+_SIGNS = str.maketrans("01", "+-")
+
+
 def mask_to_signs(mask: int, m: int) -> str:
-    return "".join("-" if mask >> h & 1 else "+" for h in range(m))
+    # bit h is sign h; format(0, "00b") is "0", so m = 0 is read apart
+    return format(mask, f"0{m}b")[::-1].translate(_SIGNS) if m else ""
 
 
 def signs_to_mask(signs: str) -> int:

@@ -34,7 +34,7 @@ from .lattice import GradedLattice, NotComparableError, characteristic_polys
 from .linalg import EchelonBasis
 from .permstats import maxima_census
 from .poly import GammaVector, IntPolynomial, gamma_to_h, h_to_gamma, is_palindromic
-from .signed_partitions import enumerate_lattice, variant_dns
+from .signed_partitions import enumerate_lattice
 from .topegraph import h_via_indegree
 
 
@@ -201,7 +201,7 @@ def chow_recursive(lat: GradedLattice) -> IntPolynomial:
 
 def dns_lattice(n: int, s: int) -> GradedLattice:
     """Partition-side lattice of flats of the intermediate arrangement."""
-    return enumerate_lattice(variant_dns(n, s))
+    return enumerate_lattice(n, s)
 
 
 def chow_dns(n: int, s: int) -> IntPolynomial:

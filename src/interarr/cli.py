@@ -27,7 +27,7 @@ from .lattice import lattice_isomorphic
 from .permstats import (h_b_closed, h_d_closed, increment_closed,
                         inversion_sequence)
 from .poly import IntPolynomial, h_to_gamma
-from .signed_partitions import enumerate_lattice, variant_b
+from .signed_partitions import enumerate_lattice
 from .topegraph import (NotSimplicialError, build_tope_graph, dump_tope_graph,
                         h_via_indegree, h_via_separation)
 
@@ -267,15 +267,14 @@ def cmd_tables(args, parser) -> int:
 
 
 def _check_el(n, s):
-    """EL on pi_B(n) for s None, else on the lattice of dns(n, s)."""
-    lat = enumerate_lattice(variant_b(n)) if s is None else dns_lattice(n, s)
-    report = verify_el(lat, el_label)
+    """EL on the lattice of dns(n, s), pi_B(n) for s = n."""
+    report = verify_el(dns_lattice(n, s), el_label)
     return (not report, f"{len(report)} violating intervals")
 
 
 def _check_el_negative(n):
     """Two corruptions of the (1,1) label, each must break EL on pi_B(n)."""
-    lat = enumerate_lattice(variant_b(n))
+    lat = enumerate_lattice(n, n)
     for bad in ((2, 9), (0, 1)):
         def corrupted(x, y, bad=bad):
             lab = el_label(x, y)
@@ -287,7 +286,7 @@ def _check_el_negative(n):
 
 
 def _check_chains(n):
-    lat = enumerate_lattice(variant_b(n))
+    lat = enumerate_lattice(n, n)
     total = 0
     for sigma in permutations(range(1, n + 1)):
         expected = math.prod(2 * x - 1 for x in inversion_sequence(sigma))
@@ -314,7 +313,7 @@ def _check_four_way(n, s):
 
 
 def _check_type_b(n):
-    got = chow_via_chains(enumerate_lattice(variant_b(n)), el_label)
+    got = chow_via_chains(enumerate_lattice(n, n), el_label)
     want = chow_type_b(n)
     return (got == want, f"chains {got.to_text()} vs closed {want.to_text()}")
 
@@ -340,7 +339,7 @@ def _check_chow_arith(n):
 
 def _check_lattice_iso(n):
     ok = lattice_isomorphic(intersection_lattice(make_family("b", n)),
-                            enumerate_lattice(variant_b(n)))
+                            enumerate_lattice(n, n))
     return (ok, "arrangement and partition lattices are isomorphic"
             if ok else "lattices differ")
 
@@ -362,7 +361,7 @@ def _verify_tasks(suite: str, n_max: int):
     tasks = []
     if suite in ("all", "el"):
         for n in range(2, min(4, n_max) + 1):
-            tasks.append((_check_el, (n, None), f"el/pi-b-{n}"))
+            tasks.append((_check_el, (n, n), f"el/pi-b-{n}"))
             tasks += [(_check_el, (n, s), f"el/dns-{n}-{s}") for s in range(n)]
         if n_max >= 2:
             tasks.append((_check_el_negative, (2,), "el/negative-control"))

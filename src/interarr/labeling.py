@@ -11,10 +11,10 @@ Chain filtering for the Chow-polynomial formula uses the strict reading:
 the first step must strictly ascend and every descent must be immediately
 preceded by a strict ascent.
 
-The chain tools read a lattice's labels through `_edge_labels`.  On a
-lattice filtered from B_n it reads the label memo kept with B_n, so each
-cover of B_n is labelled at most once per labeler however many rows of
-dns(n, s) contain it; every label is still made by the labeler passed in.
+The chain tools read labels only through `lat.edge_labels(labeler)`.  A
+lattice filtered from B_n labels each cover of B_n at most once per
+labeler however many rows of dns(n, s) contain it; every label is still
+made by the labeler passed in.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .lattice import GradedLattice, NotComparableError
-from .signed_partitions import (_COHERENT, _SIGNED, FilteredLattice, NotACoverError,
-                                SignedPartition, decode_cover)
+from .signed_partitions import (_COHERENT, _SIGNED, NotACoverError, SignedPartition,
+                                decode_cover)
 
 
 def r_label(x: SignedPartition, y: SignedPartition) -> int:
@@ -81,41 +81,6 @@ class LabeledChain:
     descent_count: int                 # number of i with word_i >= word_{i+1}
 
 
-def _edge_labels(lat: GradedLattice, labeler):
-    """labels[i][k] = label of the cover from i to lat.covers[i][k].
-
-    A lattice filtered from B_n reads B_n's label memo and calls the
-    labeler only for a cover no lattice has asked it for yet; any other
-    lattice calls it once per cover.  A row may be the memo's own list:
-    read it, never change it."""
-    elements = lat.elements
-    if not isinstance(lat, FilteredLattice):
-        return [[labeler(x, elements[j]) for j in ups] for x, ups in zip(elements, lat.covers)]
-    memo = lat.memo
-    rows = memo.rows_for(labeler)
-    out = []
-    for x, ups, b, kept in zip(elements, lat.covers, lat.source, lat.kept):
-        row = rows[b]
-        if row is None:
-            row = rows[b] = [None] * len(memo.covers[b])
-        if kept is None:                # every cover of b is kept
-            if None in row:
-                _fill(row, range(len(ups)), x, ups, elements, labeler)
-        else:
-            _fill(row, kept, x, ups, elements, labeler)
-            row = [row[k] for k in kept]
-        out.append(row)
-    return out
-
-
-def _fill(row, at, x, ups, elements, labeler) -> None:
-    """Label each cover from x to elements[ups[p]] whose place at[p] in
-    row is still empty."""
-    for k, j in zip(at, ups):
-        if row[k] is None:
-            row[k] = labeler(x, elements[j])
-
-
 def count_chains_with_word(lat: GradedLattice, lo: int, hi: int, sigma) -> int:
     """Number of saturated chains lo -> hi whose scalar label word is the
     sorted label set permuted by sigma (1-based permutation of [k]).
@@ -164,7 +129,7 @@ def enumerate_filtered_chains(lat: GradedLattice, labeler):
     Every surviving non-rise is a step into `_WEAK`, so the descents are
     counted as the prefix grows.
     """
-    labels = _edge_labels(lat, labeler)
+    labels = lat.edge_labels(labeler)
     if lat.height == 0:
         yield LabeledChain((lat.bottom,), (), 0)
         return
@@ -208,14 +173,14 @@ def filtered_descent_counts(lat: GradedLattice, labeler) -> dict[int, int]:
     counts distinct prefixes of one element, and they extend to distinct
     maximal chains, so no digit exceeds that number and none carries:
     adding histograms is int addition and a descent is a shift by W.  The
-    labels are read by `_edge_labels` before the sweep: the labeler runs at
-    most once per cover, and not at all for a cover of a lattice filtered
-    from B_n that another lattice has already had labelled by it.
+    labels are read by `lat.edge_labels` before the sweep: the labeler
+    runs at most once per cover, and not at all for a cover of a lattice
+    filtered from B_n that another lattice has already had labelled by it.
     """
     if lat.height == 0:
         return {0: 1}
     covers, bottom, top = lat.covers, lat.bottom, lat.top
-    labels = _edge_labels(lat, labeler)
+    labels = lat.edge_labels(labeler)
     order = sorted(range(len(lat)), key=lat.rank.__getitem__)
     chains = [0] * len(lat)
     chains[bottom] = 1
@@ -264,7 +229,7 @@ def filtered_descent_counts(lat: GradedLattice, labeler) -> dict[int, int]:
 def _interval_words(lat: GradedLattice, labeler):
     """(lo, hi, words) for every interval lo < hi, where words lists the
     label word of each maximal chain from lo to hi."""
-    labels = _edge_labels(lat, labeler)
+    labels = lat.edge_labels(labeler)
     for lo in range(len(lat)):
         for hi in lat.up_set(lo):
             if hi != lo:

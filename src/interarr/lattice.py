@@ -43,6 +43,11 @@ class GradedLattice:
             self._lower = tuple(tuple(l) for l in lower)
         return self._lower
 
+    def edge_labels(self, labeler):
+        """labels[i][k] = the label of the cover i < covers[i][k], one call each."""
+        elements = self.elements
+        return [[labeler(x, elements[j]) for j in ups] for x, ups in zip(elements, self.covers)]
+
     def atoms(self):
         return [i for i, r in enumerate(self.rank) if r == 1]
 

@@ -2,13 +2,13 @@
 
 Elements are mirror-symmetric partitions of {-n, ..., n}: the block through
 0 (the zero block) is self-mirrored, every other block B comes paired with
--B.  The rank of a partition with 2p + 1 blocks is n - p.  The lattices of
-the intermediate arrangements between type D and type B are the parts of
-B_n where only some {k, 0, -k} zero blocks may appear: B_n is enumerated
-once, for the last n asked, and each variant keeps what it admits.  A
-filtered lattice records where in B_n each element and cover comes from,
-and shares the `LabelMemo` kept with B_n, which holds one label slot per
-cover of B_n for the last labeler asked.
+-B.  The rank of a partition with 2p + 1 blocks is n - p.  The lattice of
+dns(n, s), type D at s = 0 and type B at s = n, is the part of B_n with
+no zero block {k, 0, -k}, k > s: `enumerate_lattice(n, s)` filters it
+from B_n, enumerated once for the last n asked.  A filtered lattice
+records where in B_n its elements and covers come from, and reads its
+edge labels through the `LabelMemo` kept with B_n: one slot per cover of
+B_n for the last labeler asked.
 
 A block is an int mask in absolute-value order: bit 0 is 0, bit 2r-1 is +r
 and bit 2r is -r.  A non-zero block's representative, its least absolute
@@ -19,7 +19,6 @@ odd.  A fold or a merge is an or of masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -173,9 +172,6 @@ class SignedPartition:
     def __hash__(self) -> int:
         return hash((self.n, self.masks))
 
-    def __lt__(self, other) -> bool:
-        return self.blocks < other.blocks
-
     def __repr__(self) -> str:
         return f"SignedPartition({render(self)!r})"
 
@@ -287,28 +283,12 @@ def decode_cover(x: SignedPartition, y: SignedPartition) -> tuple[EdgeClass, int
     raise NotACoverError(x=x, y=y)
 
 
-@dataclass(frozen=True)
-class LatticeVariant:
-    """Which {k, 0, -k} zero blocks are admitted: all of them for the full
-    type-B lattice, none for type D, {1..s} for the intermediate family."""
-
-    n: int
-    allowed: frozenset[int]
-
-    def admits(self, p: SignedPartition) -> bool:
-        z = p.masks[0]
-        # a zero block {-k, 0, k} has three bits, the highest at 2k
-        return z.bit_count() != 3 or z.bit_length() >> 1 in self.allowed
-
-
-def variant_b(n: int) -> LatticeVariant:
-    return LatticeVariant(n, frozenset(range(1, n + 1)))
-
-
-def variant_dns(n: int, s: int) -> LatticeVariant:
-    if not 0 <= s <= n:
-        raise ValueError(f"s={s} out of range")
-    return LatticeVariant(n, frozenset(range(1, s + 1)))
+def _admitted(p: SignedPartition, s: int) -> bool:
+    """Whether p is a flat of dns(n, s): its zero block is not {k, 0, -k}
+    with k > s."""
+    z = p.masks[0]
+    # a zero block {-k, 0, k} has three bits, the highest at 2k
+    return z.bit_count() != 3 or z.bit_length() >> 1 <= s
 
 
 class LabelMemo:
@@ -351,6 +331,32 @@ class FilteredLattice(GradedLattice):
         self.source = source
         self.kept = kept
 
+    def edge_labels(self, labeler):
+        """As `GradedLattice.edge_labels`, calling the labeler only for a cover
+        of B_n not yet in its memo.  A row may be the memo's own: read only."""
+        elements, memo = self.elements, self.memo
+        rows = memo.rows_for(labeler)
+        out = []
+        for x, ups, b, kept in zip(elements, self.covers, self.source, self.kept):
+            row = rows[b]
+            if row is None:
+                row = rows[b] = [None] * len(memo.covers[b])
+            if kept is None:                # every cover of b is kept
+                if None in row:
+                    _fill(row, range(len(ups)), x, ups, elements, labeler)
+            else:
+                _fill(row, kept, x, ups, elements, labeler)
+                row = [row[k] for k in kept]
+            out.append(row)
+        return out
+
+
+def _fill(row, at, x, ups, elements, labeler) -> None:
+    """Label each cover x < elements[ups[p]] whose place at[p] in row is empty."""
+    for k, j in zip(at, ups):
+        if row[k] is None:
+            row[k] = labeler(x, elements[j])
+
 
 @lru_cache(maxsize=1)
 def _type_b_lattice(n: int):
@@ -383,21 +389,21 @@ def _type_b_lattice(n: int):
     return tuple(elements), tuple(p.rank for p in elements), covers, LabelMemo(covers)
 
 
-def enumerate_lattice(v: LatticeVariant) -> FilteredLattice:
-    """The variant's partitions, graded by rank, with cover adjacency: a new
-    lattice of the elements of B_n that `v.admits`, renumbered in order,
-    which records where in B_n each element and cover comes from.  They are
-    the flats of a subarrangement of B_n, so each one above the bottom
-    covers an admitted one and the filter misses none."""
-    elements, ranks, covers, memo = _type_b_lattice(v.n)
-    new_id = {}
-    for i, p in enumerate(elements):
-        if v.admits(p):
-            new_id[i] = len(new_id)
-    rows = [[new_id[j] for j in covers[i] if j in new_id] for i in new_id]
+def enumerate_lattice(n: int, s: int) -> FilteredLattice:
+    """The lattice of dns(n, s), B_n when s = n: the partitions of B_n with
+    no zero block {k, 0, -k}, k > s, renumbered in order, recording where
+    in B_n each element and cover comes from.  They are the flats of a
+    subarrangement of B_n, so each one above the bottom covers a kept one
+    and the filter misses none."""
+    if not 0 <= s <= n:
+        raise ValueError(f"need 0 <= s <= n, got n={n}, s={s}")
+    elements, ranks, covers, memo = _type_b_lattice(n)
+    source = [i for i, p in enumerate(elements) if _admitted(p, s)]
+    new_id = {i: k for k, i in enumerate(source)}
+    rows = [[new_id[j] for j in covers[i] if j in new_id] for i in source]
     # the positions of the kept covers in B_n's cover list, None for all
     kept = [None if len(row) == len(covers[i])
             else [k for k, j in enumerate(covers[i]) if j in new_id]
-            for i, row in zip(new_id, rows)]
-    return FilteredLattice([elements[i] for i in new_id], [ranks[i] for i in new_id],
-                           rows, 0, len(new_id) - 1, memo, tuple(new_id), kept)
+            for i, row in zip(source, rows)]
+    return FilteredLattice([elements[i] for i in source], [ranks[i] for i in source],
+                           rows, 0, len(source) - 1, memo, tuple(source), kept)

@@ -8,14 +8,14 @@ import pytest
 from interarr.arrangement import make_family
 from interarr.chow import dns_lattice
 from interarr.poly import h_to_gamma
-from interarr.signed_partitions import enumerate_lattice, variant_b
+from interarr.signed_partitions import enumerate_lattice
 from interarr.topegraph import h_via_indegree
 
 
 @pytest.fixture(scope="session")
 def pi_b():
     """Type-B signed partition lattices by n."""
-    return {n: enumerate_lattice(variant_b(n)) for n in range(1, 5)}
+    return {n: enumerate_lattice(n, n) for n in range(1, 5)}
 
 
 @pytest.fixture(scope="session")

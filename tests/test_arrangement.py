@@ -1282,6 +1282,20 @@ def test_sign_strings_are_stable():
     assert next(cs.sign_strings()) == "++++"
 
 
+def _signs_by_bits(mask, m):
+    """The sign string bit by bit, as `mask_to_signs` made it before it
+    formatted the mask in binary: the oracle for it."""
+    return "".join("-" if mask >> h & 1 else "+" for h in range(m))
+
+
+@pytest.mark.parametrize("m", [0, 1, 36, 49])
+def test_mask_to_signs_matches_bitwise_oracle(m):
+    rng = random.Random(m)
+    masks = [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(200)]
+    for mask in masks:
+        assert arr.mask_to_signs(mask, m) == _signs_by_bits(mask, m), (mask, m)
+
+
 def test_fast_and_general_bfs_agree_on_restrictions():
     # restrictions of simplicial arrangements are simplicial but far less
     # symmetric; both walks must produce identical complexes on them

@@ -436,10 +436,10 @@ def test_four_way_agreement_n5():
 
 
 def test_type_b_closed_matches_chains_up_to_6():
-    from interarr.signed_partitions import enumerate_lattice, variant_b
+    from interarr.signed_partitions import enumerate_lattice
 
     for n in (5, 6):
-        lat = enumerate_lattice(variant_b(n))
+        lat = enumerate_lattice(n, n)
         assert chow_via_chains(lat, el_label) == chow_type_b(n)
 
 

@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interarr.labeling import (_FIRST, _WEAK, _edge_labels, _interval_words,
-                               _step_mode, count_chains_with_word,
-                               dump_chain_line, el_label,
+from interarr.labeling import (_FIRST, _WEAK, _interval_words, _step_mode,
+                               count_chains_with_word, dump_chain_line, el_label,
                                enumerate_filtered_chains,
                                filtered_descent_counts, label_set,
                                min_atom_label, r_label, verify_el)
 from interarr.lattice import GradedLattice, NotComparableError
 from interarr.signed_partitions import (EdgeClass, NotACoverError,
                                         NotCanonicalError, SignedPartition,
-                                        decode_cover, enumerate_lattice,
-                                        variant_b, variant_dns)
+                                        decode_cover, enumerate_lattice)
 from interarr.arrangement import intersection_lattice, make_family
 from test_signed_partitions import _cover_blocks, representative
 
@@ -84,9 +82,9 @@ def _oracle_el_label(x, y):
 
 
 def test_cover_readers_match_oracle_on_every_cover():
-    variants = [variant_b(n) for n in range(1, 6)] + [variant_dns(5, s) for s in range(6)]
+    variants = [(n, n) for n in range(1, 6)] + [(5, s) for s in range(6)]
     for v in variants:
-        lat = enumerate_lattice(v)
+        lat = enumerate_lattice(*v)
         for a, ups in enumerate(lat.covers):
             x = lat.elements[a]
             for b in ups:
@@ -119,10 +117,10 @@ def test_cover_readers_reject_non_covers(reader, x, y):
 def test_cover_readers_match_oracle_on_every_rank_adjacent_pair():
     # every pair one rank apart, covers or not: the readers agree with the
     # oracle on covers and raise NotACoverError exactly where it does
-    variants = [variant_b(n) for n in range(1, 5)] + [variant_dns(4, s) for s in range(5)]
+    variants = [(n, n) for n in range(1, 5)] + [(4, s) for s in range(5)]
     pairs = hits = 0
     for v in variants:
-        lat = enumerate_lattice(v)
+        lat = enumerate_lattice(*v)
         layers = {}
         for p, r in zip(lat.elements, lat.rank):
             layers.setdefault(r, []).append(p)
@@ -280,7 +278,7 @@ def _sweep_by_states(lat, labeler) -> dict[int, int]:
     reproduce."""
     if lat.height == 0:
         return {0: 1}
-    labels = _edge_labels(lat, labeler)
+    labels = lat.edge_labels(labeler)
     order = sorted(range(len(lat)), key=lambda i: lat.rank[i])
     states: dict[int, dict] = {lat.bottom: {(None, _FIRST): [1]}}
     for v in order:
@@ -323,8 +321,8 @@ def _table_labeler(lat, labels):
 def test_sweep_matches_state_oracle_on_dns(n):
     # s = 0 is D_n and s = n is B_n; both sweeps share one labelling
     for s in range(n + 1):
-        lat = enumerate_lattice(variant_dns(n, s))
-        labels = [lab for row in _edge_labels(lat, el_label) for lab in row]
+        lat = enumerate_lattice(n, s)
+        labels = [lab for row in lat.edge_labels(el_label) for lab in row]
         labeler = _table_labeler(lat, labels)
         assert filtered_descent_counts(lat, labeler) == _sweep_by_states(lat, labeler), (n, s)
 
@@ -341,7 +339,7 @@ def _tie_lattice(name):
     if name == "a4 flats":
         return intersection_lattice(make_family("a", 4))
     n, s = {"b3": (3, 3), "d4": (4, 0), "dns31": (3, 1)}[name]
-    return enumerate_lattice(variant_dns(n, s))
+    return enumerate_lattice(n, s)
 
 
 @pytest.mark.parametrize("name", ["b3", "d4", "dns31", "a4 flats"])
@@ -367,7 +365,7 @@ def test_one_digit_holding_every_chain_does_not_carry(k):
 
 
 def test_sweep_labels_each_cover_once():
-    lat = enumerate_lattice(variant_dns(4, 2))
+    lat = enumerate_lattice(4, 2)
     calls = Counter()
 
     def counting(x, y):
@@ -396,17 +394,17 @@ def test_memo_labels_match_inline_oracle_in_any_row_order(n):
     random.Random(n).shuffle(order)
     for labeler in (el_label, r_label):
         for s in order:
-            lat = enumerate_lattice(variant_dns(n, s))
-            assert _edge_labels(lat, labeler) == _inline_edge_labels(lat, labeler), (n, s)
-        lat = enumerate_lattice(variant_b(n))
-        assert _edge_labels(lat, labeler) == _inline_edge_labels(lat, labeler), n
+            lat = enumerate_lattice(n, s)
+            assert lat.edge_labels(labeler) == _inline_edge_labels(lat, labeler), (n, s)
+        lat = enumerate_lattice(n, n)
+        assert lat.edge_labels(labeler) == _inline_edge_labels(lat, labeler), n
 
 
 def test_memo_keeps_the_labels_of_the_last_labeler_only():
-    lat = enumerate_lattice(variant_b(4))
+    lat = enumerate_lattice(4, 4)
     want = {f: _inline_edge_labels(lat, f) for f in (el_label, r_label)}
     for f in (el_label, r_label, el_label, el_label, r_label, r_label, el_label):
-        assert _edge_labels(lat, f) == want[f], f.__name__
+        assert lat.edge_labels(f) == want[f], f.__name__
         assert lat.memo.labeler is f
 
 
@@ -414,18 +412,18 @@ def test_memo_tells_apart_labelers_made_one_after_another():
     # each labeler is dropped by the caller before the next one is made,
     # so the next one may get its address: the memo must not mistake it
     # for the last one
-    lat = enumerate_lattice(variant_dns(3, 1))
+    lat = enumerate_lattice(3, 1)
 
     def constant(k):
         return lambda x, y: k
 
     for k in range(8):
-        labels = _edge_labels(lat, constant(k))
+        labels = lat.edge_labels(constant(k))
         assert {lab for row in labels for lab in row} == {k}, k
 
 
 def test_memo_labels_each_cover_of_a_union_of_rows_once():
-    lats = [enumerate_lattice(variant_dns(5, s)) for s in range(6)]
+    lats = [enumerate_lattice(5, s) for s in range(6)]
     calls = Counter()
 
     def counting(x, y):
@@ -436,18 +434,18 @@ def test_memo_labels_each_cover_of_a_union_of_rows_once():
     union = {(lat.elements[i], lat.elements[j])
              for lat in lats for i, ups in enumerate(lat.covers) for j in ups}
     assert set(calls) == union and set(calls.values()) == {1}
-    assert len(union) == sum(map(len, enumerate_lattice(variant_b(5)).covers))
+    assert len(union) == sum(map(len, enumerate_lattice(5, 5).covers))
     assert got == [filtered_descent_counts(lat, el_label) for lat in lats]
 
 
 def test_el_label_shares_one_tuple_per_label():
-    lat = enumerate_lattice(variant_b(4))
+    lat = enumerate_lattice(4, 4)
     labels = [lab for row in _inline_edge_labels(lat, el_label) for lab in row]
     assert len({id(lab) for lab in labels}) == len(set(labels))
 
 
 def test_rank1_lattice_single_chain():
-    lat = enumerate_lattice(variant_b(1))
+    lat = enumerate_lattice(1, 1)
     chains = list(enumerate_filtered_chains(lat, el_label))
     assert len(chains) == 1 and chains[0].descent_count == 0
 

@@ -131,6 +131,18 @@ def test_only_the_lattice_module_reads_its_order():
         assert names & private == set(), path.name
 
 
+def test_only_the_partition_module_reads_its_label_memo():
+    # where a filtered lattice comes from in B_n and the label memo kept
+    # with B_n are its own; every other module asks `lat.edge_labels`
+    private = {"memo", "source", "kept", "rows_for"}
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.stem == "signed_partitions":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert names & private == set(), path.name
+
+
 def test_subset_sum_oracle_shares_nothing_with_the_moebius_route():
     # `char_poly_bruteforce` checks the Moebius route, so its body reads
     # ranks and closures through `EchelonBasis` and names none of that route

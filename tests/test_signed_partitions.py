@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -8,11 +7,10 @@ from hypothesis import strategies as st
 from interarr.arrangement import intersection_lattice, make_family
 from interarr.labeling import label_set
 from interarr.lattice import GradedLattice, NotComparableError, lattice_isomorphic
-from interarr.signed_partitions import (EdgeClass, LatticeVariant, NotACoverError,
-                                        NotCanonicalError, SignedPartition,
-                                        _cover_masks, _mask, _type_b_lattice,
-                                        decode_cover, enumerate_lattice, render,
-                                        variant_b, variant_dns)
+from interarr.signed_partitions import (EdgeClass, NotACoverError, NotCanonicalError,
+                                        SignedPartition, _admitted, _cover_masks,
+                                        _mask, _type_b_lattice, decode_cover,
+                                        enumerate_lattice, render)
 from test_arrangement import check_graded
 
 
@@ -109,9 +107,9 @@ def _label_set_by_tuples(x, y):
     return frozenset(out)
 
 
-def _admits_by_tuples(v, p):
+def _admits_by_tuples(p, s):
     z = p.blocks[0]
-    return z[2] in v.allowed if len(z) == 3 else True
+    return z[2] <= s if len(z) == 3 else True
 
 
 def _render_by_tuples(p):
@@ -127,29 +125,37 @@ PI_B_SIZES = {1: 2, 2: 6, 3: 24, 4: 116, 5: 648}
 
 def test_lattice_sizes():
     for n, size in PI_B_SIZES.items():
-        assert len(enumerate_lattice(variant_b(n))) == size
+        assert len(enumerate_lattice(n, n)) == size
 
 
 def test_b2_shape():
-    lat = enumerate_lattice(variant_b(2))
+    lat = enumerate_lattice(2, 2)
     assert sorted(lat.rank) == [0, 1, 1, 1, 1, 2]
     check_graded(lat)
 
 
 def test_d3_matches_figure_node_count():
-    assert len(enumerate_lattice(variant_dns(3, 0))) == 15
+    assert len(enumerate_lattice(3, 0)) == 15
 
 
 def test_variant_coincidences():
+    # B_n is dns(n, n): the filter keeps every element and every cover
     for n in (2, 3, 4):
-        assert len(enumerate_lattice(variant_dns(n, n))) == len(enumerate_lattice(variant_b(n)))
-        assert len(enumerate_lattice(LatticeVariant(n, frozenset(range(1, n + 1))))) == \
-            len(enumerate_lattice(variant_b(n)))
+        elements, _, covers, _ = _type_b_lattice(n)
+        lat = enumerate_lattice(n, n)
+        assert lat.elements == elements and lat.covers == covers
+        assert lat.kept == [None] * len(elements)
+
+
+@pytest.mark.parametrize("n, s", [(3, 4), (3, -1), (-1, 0)])
+def test_enumerate_lattice_rejects_s_outside_0_to_n(n, s):
+    with pytest.raises(ValueError, match=f"n={n}, s={s}"):
+        enumerate_lattice(n, s)
 
 
 def test_element_invariants_exhaustive():
     for n in range(1, 6):
-        lat = enumerate_lattice(variant_b(n))
+        lat = enumerate_lattice(n, n)
         for p in lat.elements:
             p.validate()
             assert p.rank == n - (len(p.blocks) - 1) // 2
@@ -160,7 +166,7 @@ def test_bottom_covers_and_coatom():
     bottom = SignedPartition.bottom(2)
     assert len(_cover_blocks(bottom.blocks)) == 4
     assert len(_cover_masks(bottom.masks)) == 4
-    coatoms = [p for p in enumerate_lattice(variant_b(3)).elements
+    coatoms = [p for p in enumerate_lattice(3, 3).elements
                if len(p.blocks) == 3]
     for c in coatoms:
         assert _cover_blocks(c.blocks) == [(tuple(range(-3, 4)),)]
@@ -169,7 +175,7 @@ def test_bottom_covers_and_coatom():
 
 def test_covers_raise_rank_by_one():
     for n in (2, 3, 4):
-        lat = enumerate_lattice(variant_b(n))
+        lat = enumerate_lattice(n, n)
         for i, ups in enumerate(lat.covers):
             for j in ups:
                 assert lat.rank[j] == lat.rank[i] + 1
@@ -177,7 +183,7 @@ def test_covers_raise_rank_by_one():
 
 def test_maximal_chain_count_is_factorial_squared():
     for n in (2, 3, 4):
-        lat = enumerate_lattice(variant_b(n))
+        lat = enumerate_lattice(n, n)
         count = sum(1 for _ in lat.maximal_chains(lat.bottom, lat.top))
         assert count == math.factorial(n) ** 2
 
@@ -222,7 +228,7 @@ def _zero_size(p):
 def test_subposet_edge_laws():
     # crossing between the D-part and its complement always uses a signed edge
     for n in (2, 3, 4):
-        lat = enumerate_lattice(variant_b(n))
+        lat = enumerate_lattice(n, n)
         for i, ups in enumerate(lat.covers):
             x = lat.elements[i]
             for j in ups:
@@ -235,7 +241,7 @@ def test_subposet_edge_laws():
 
 def test_no_edge_between_different_singleton_zero_blocks():
     for n in (2, 3, 4):
-        lat = enumerate_lattice(variant_b(n))
+        lat = enumerate_lattice(n, n)
         for i, ups in enumerate(lat.covers):
             x = lat.elements[i]
             if _zero_size(x) != 3:
@@ -251,7 +257,7 @@ def test_one_jump_law():
     # passes through them in one contiguous stretch entered and left once
     for n in (2, 3, 4):
         for s in range(1, n + 1):
-            lat = enumerate_lattice(variant_dns(n, s))
+            lat = enumerate_lattice(n, s)
             marker = tuple(sorted((-s, 0, s)))
             for chain in lat.maximal_chains(lat.bottom, lat.top):
                 flags = [lat.elements[v].blocks[0] == marker for v in chain]
@@ -261,17 +267,17 @@ def test_one_jump_law():
 
 def test_lattice_isomorphic_to_arrangement_side():
     for n in (2, 3, 4, 5):
-        assert lattice_isomorphic(enumerate_lattice(variant_b(n)),
+        assert lattice_isomorphic(enumerate_lattice(n, n),
                                   intersection_lattice(make_family("b", n)))
     for n in (2, 3, 4):
         for s in range(n + 1):
-            assert lattice_isomorphic(enumerate_lattice(variant_dns(n, s)),
+            assert lattice_isomorphic(enumerate_lattice(n, s),
                                       intersection_lattice(make_family("dns", n, s)))
 
 
 def test_lattice_isomorphic_negative_and_reflexive():
-    b3 = enumerate_lattice(variant_b(3))
-    d3 = enumerate_lattice(variant_dns(3, 0))
+    b3 = enumerate_lattice(3, 3)
+    d3 = enumerate_lattice(3, 0)
     assert not lattice_isomorphic(b3, d3)
     assert lattice_isomorphic(b3, b3)
 
@@ -363,8 +369,8 @@ def _covers_by_sorting(p):
     return out
 
 
-def _enumerate_by_sorting(v):
-    bottom = SignedPartition.bottom(v.n)
+def _enumerate_by_sorting(n, s):
+    bottom = SignedPartition.bottom(n)
     elements = [bottom]
     ids = {bottom: 0}
     cover_lists = [[]]
@@ -374,7 +380,7 @@ def _enumerate_by_sorting(v):
         nxt = set()
         for p in layer:
             for q in _covers_by_sorting(p):
-                if v.admits(q):
+                if _admits_by_tuples(q, s):
                     pending.append((ids[p], q))
                     nxt.add(q)
         layer = sorted(nxt, key=lambda q: q.blocks)
@@ -399,7 +405,7 @@ def _same_lattice(a, b):
 
 def test_covers_match_sorting_oracle_on_b1_to_b6():
     for n in range(1, 7):
-        lat = _enumerate_by_sorting(variant_b(n))
+        lat = _enumerate_by_sorting(n, n)
         for p in lat.elements:
             got = _cover_blocks(p.blocks)
             assert got == [q.blocks for q in _covers_by_sorting(p)], render(p)
@@ -410,55 +416,49 @@ def test_covers_match_sorting_oracle_on_b1_to_b6():
 
 
 def test_lattices_match_sorting_oracle():
-    variants = [variant_b(n) for n in range(1, 7)]
-    variants += [variant_dns(n, s) for n in range(1, 6) for s in range(n + 1)]
-    variants.append(LatticeVariant(5, frozenset({2, 4})))
-    for v in variants:
-        _same_lattice(enumerate_lattice(v), _enumerate_by_sorting(v))
+    for n in range(1, 7):
+        _same_lattice(enumerate_lattice(n, n), _enumerate_by_sorting(n, n))
 
 
-def test_filtered_lattices_match_sorting_oracle_on_every_admitted_set():
-    # the filter of B_n is exact only because every admitted partition
-    # above the bottom covers an admitted one; the oracle reaches elements
-    # through admitted covers alone, so an admitted set where that fails
-    # would give two different lattices here
-    for n in range(1, 5):
-        for size in range(n + 1):
-            for allowed in itertools.combinations(range(1, n + 1), size):
-                v = LatticeVariant(n, frozenset(allowed))
-                _same_lattice(enumerate_lattice(v), _enumerate_by_sorting(v))
+def test_filtered_lattices_match_sorting_oracle_for_every_s():
+    # the filter of B_n is exact only because every kept partition above
+    # the bottom covers a kept one; the oracle reaches elements through
+    # kept covers alone, so an s where that fails would give two
+    # different lattices here
+    for n in range(1, 6):
+        for s in range(n + 1):
+            _same_lattice(enumerate_lattice(n, s), _enumerate_by_sorting(n, s))
 
 
 def test_type_b_cache_keeps_one_n_and_shares_only_elements():
-    v = variant_dns(4, 2)
-    a, b = enumerate_lattice(v), enumerate_lattice(v)
+    a, b = enumerate_lattice(4, 2), enumerate_lattice(4, 2)
     assert a is not b
     assert all(x is y for x, y in zip(a.elements, b.elements, strict=True))
     assert a.leq(a.bottom, a.top)
     assert a._down_masks is not None and b._down_masks is None
-    assert a.memo is b.memo is enumerate_lattice(variant_b(4)).memo
-    enumerate_lattice(variant_b(3))
-    enumerate_lattice(variant_dns(5, 1))
+    assert a.memo is b.memo is enumerate_lattice(4, 4).memo
+    enumerate_lattice(3, 3)
+    enumerate_lattice(5, 1)
     assert _type_b_lattice.cache_info().currsize <= 1
     # switching n dropped B_4 and its label memo with it
-    assert enumerate_lattice(v).memo is not a.memo
-    lat = enumerate_lattice(variant_dns(1, 0))
+    assert enumerate_lattice(4, 2).memo is not a.memo
+    lat = enumerate_lattice(1, 0)
     assert len(lat) == 1 and lat.top == lat.bottom
 
 
 def test_dns6_sizes_grow_linearly_in_s():
     for s in range(7):
-        lat = enumerate_lattice(variant_dns(6, s))
+        lat = enumerate_lattice(6, s)
         assert (len(lat), sum(map(len, lat.covers))) == (2546 + 257 * s, 16396 + 1998 * s)
 
 
 def test_decode_cover_matches_tuple_decoder_on_every_ordered_pair():
     # every ordered pair of elements, covers or not, including x == y and
     # pairs going down: the same value or the same exception class
-    variants = [variant_b(n) for n in range(1, 5)] + [variant_dns(4, s) for s in range(5)]
+    variants = [(n, n) for n in range(1, 5)] + [(4, s) for s in range(5)]
     pairs = covers = 0
     for v in variants:
-        elements = enumerate_lattice(v).elements
+        elements = enumerate_lattice(*v).elements
         for x in elements:
             for y in elements:
                 pairs += 1
@@ -517,9 +517,8 @@ def test_masks_round_trip_and_agree_with_tuple_bodies(pair, data):
         assert SignedPartition(p.n, p.blocks) == p
         assert render(p) == _render_by_tuples(p)
         assert p.rank == p.n - (len(p.blocks) - 1) // 2
-        allowed = frozenset(data.draw(st.sets(st.integers(1, p.n))))
-        v = LatticeVariant(p.n, allowed)
-        assert v.admits(p) == _admits_by_tuples(v, p)
+        s = data.draw(st.integers(0, p.n))
+        assert _admitted(p, s) == _admits_by_tuples(p, s)
     assert x.refines(y) == _refines_by_tuples(x, y)
     assert y.refines(x) == _refines_by_tuples(y, x)
     for lo, hi in (pair, pair[::-1]):
