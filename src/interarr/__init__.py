@@ -6,9 +6,9 @@ type B, all in exact integer arithmetic, cross-checked by independent
 computation routes.
 """
 
-from .arrangement import (Arrangement, Flat, InvalidParamsError,
-                          NotEssentialError, chamber_count, f_polynomial,
-                          f_vector, intersection_lattice, load_arrangement,
+from .arrangement import (Arrangement, InvalidParamsError, NotEssentialError,
+                          chamber_count, f_polynomial, f_vector,
+                          intersection_lattice, load_arrangement,
                           make_arrangement, make_family)
 from .chow import (ArithmeticityReport, NonDivisibleError,
                    char_poly_bruteforce, characteristic_poly,

@@ -232,47 +232,39 @@ def _cover_classes(a: Arrangement, basis: EchelonBasis) -> dict[tuple[int, ...],
     return classes
 
 
-@dataclass(frozen=True)
-class Flat:
-    """A lattice-of-intersections element: the closure-complete index set."""
-
-    hyperplanes: frozenset[int]
-    rank: int
-
-    def sort_key(self):
-        return (self.rank, tuple(sorted(self.hyperplanes)))
-
-
 def intersection_lattice(a: Arrangement) -> GradedLattice:
-    """All flats, rank by rank from their covers, graded by codimension.
+    """All flats, rank by rank from their covers, graded by codimension.  A
+    flat is the frozenset of the hyperplanes through it.
 
     A flat's covers are its `_cover_classes`: one reduction per hyperplane
     against the flat's echelon basis finds them all, and only a cover not
-    yet found copies the basis and adds one row.
+    yet found copies the basis and adds one row.  Each rank is numbered in
+    the sorted order of its hyperplane sets and parents are visited in id
+    order, so every cover list comes out sorted.
     """
-    bottom = frozenset()
-    ranks = {bottom: 0}
-    cover_pairs: list[tuple[frozenset, frozenset]] = []
-    layer = {bottom: EchelonBasis()}
+    flats, ranks, covers = [frozenset()], [0], [[]]
+    layer = [(0, EchelonBasis())]
     while layer:
-        nxt: dict[frozenset, EchelonBasis] = {}
-        for flat, basis in layer.items():
+        nxt: dict[frozenset, tuple[EchelonBasis, list[int]]] = {}
+        for fid, basis in layer:
+            flat = flats[fid]
             for residual, hs in _cover_classes(a, basis).items():
                 bigger = flat.union(hs)
                 if bigger not in nxt:
-                    nxt[bigger] = basis.copy()
-                    nxt[bigger].add(residual)
-                    ranks[bigger] = ranks[flat] + 1
-                cover_pairs.append((flat, bigger))
-        layer = nxt
-
-    flats = sorted((Flat(f, r) for f, r in ranks.items()), key=Flat.sort_key)
-    index = {f.hyperplanes: i for i, f in enumerate(flats)}
-    covers: list[list[int]] = [[] for _ in flats]
-    for lo, hi in cover_pairs:
-        covers[index[lo]].append(index[hi])
-    return GradedLattice(flats, [f.rank for f in flats], [sorted(c) for c in covers],
-                         index[bottom], len(flats) - 1)
+                    nxt[bigger] = (basis.copy(), [])
+                    nxt[bigger][0].add(residual)
+                nxt[bigger][1].append(fid)
+        rank = ranks[-1] + 1
+        layer = []
+        for bigger in sorted(nxt, key=sorted):
+            basis, parents = nxt[bigger]
+            for fid in parents:
+                covers[fid].append(len(flats))
+            layer.append((len(flats), basis))
+            flats.append(bigger)
+            ranks.append(rank)
+            covers.append([])
+    return GradedLattice(flats, ranks, covers)
 
 
 def restrict_to_flat(a: Arrangement, hyperplanes) -> Arrangement:

@@ -174,25 +174,18 @@ def chow_recursive(lat: GradedLattice) -> IntPolynomial:
     """H(lattice) = sum over flats F > bottom of chibar([bottom, F]) * H([F, top]).
 
     Upper intervals of a geometric lattice are determined by their lower
-    end, so memoizing on F collapses the flag sum to the one-step recursion.
+    end, so the flag sum collapses to the one-step recursion at every flat:
+    H([F, top]) for each F, kept in one list and filled from the top id
+    down, so each F' > F, which has a higher id, is done before F.
     """
-    top = lat.top
-    top_rank = lat.rank[top]
-    cache: dict[int, IntPolynomial] = {}
-
-    def upper(f: int) -> IntPolynomial:
-        if lat.rank[f] == top_rank:
-            return IntPolynomial.one()
-        if f in cache:
-            return cache[f]
+    upper = [IntPolynomial.one()] * len(lat)
+    for f in reversed(range(lat.top)):
         total = IntPolynomial.zero()
         for f2, chi in characteristic_polys(lat, f).items():
             if f2 != f:
-                total = total + divide_by_t_minus_1(IntPolynomial(chi)) * upper(f2)
-        cache[f] = total
-        return total
-
-    return upper(lat.bottom)
+                total = total + divide_by_t_minus_1(IntPolynomial(chi)) * upper[f2]
+        upper[f] = total
+    return upper[0]
 
 
 # ---------------------------------------------------------------------------

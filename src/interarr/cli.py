@@ -18,7 +18,7 @@ from .arrangement import (InvalidParamsError, f_vector, intersection_lattice,
                           load_arrangement, make_family)
 from .chow import (chain_sum, char_poly_bruteforce, characteristic_poly,
                    chow_dns, chow_recursive, chow_type_a, chow_type_b,
-                   chow_via_chains, dns_lattice, verify_chow_arithmetic,
+                   chow_via_chains, verify_chow_arithmetic,
                    verify_gamma_arithmetic)
 from .feasibility import CertificateError
 from .labeling import (count_chains_with_word, dump_chain_line, el_label,
@@ -182,7 +182,7 @@ def cmd_chow(args, parser) -> int:
             parser.error(f"--method closed is not available for family {fam}")
     else:
         partition_side = s is not None
-        lat = (dns_lattice(n, s) if partition_side
+        lat = (enumerate_lattice(n, s) if partition_side
                else intersection_lattice(_arrangement(args, fam, n, s)))
         if method == "recursive":
             poly = chow_recursive(lat)
@@ -268,7 +268,7 @@ def cmd_tables(args, parser) -> int:
 
 def _check_el(n, s):
     """EL on the lattice of dns(n, s), pi_B(n) for s = n."""
-    report = verify_el(dns_lattice(n, s), el_label)
+    report = verify_el(enumerate_lattice(n, s), el_label)
     return (not report, f"{len(report)} violating intervals")
 
 
@@ -300,7 +300,7 @@ def _check_chains(n):
 
 
 def _check_four_way(n, s):
-    lat = dns_lattice(n, s)
+    lat = enumerate_lattice(n, s)
     chains = enumerate_filtered_chains(lat, el_label)
     dfs = chain_sum(Counter(c.descent_count for c in chains), lat.height)
     layered = chow_via_chains(lat, el_label)

@@ -181,20 +181,19 @@ def filtered_descent_counts(lat: GradedLattice, labeler) -> dict[int, int]:
         return {0: 1}
     covers, bottom, top = lat.covers, lat.bottom, lat.top
     labels = lat.edge_labels(labeler)
-    order = sorted(range(len(lat)), key=lat.rank.__getitem__)
     chains = [0] * len(lat)
     chains[bottom] = 1
-    for v in order:
-        for w in covers[v]:
+    for v, ups in enumerate(covers):
+        for w in ups:
             chains[w] += chains[v]
     width = chains[top].bit_length()
     # per element: last label -> histogram, over every surviving prefix
     # and over those whose last step rose
-    every = [{} for _ in order]
-    rising = [{} for _ in order]
+    every = [{} for _ in covers]
+    rising = [{} for _ in covers]
     for w, lab in zip(covers[bottom], labels[bottom]):
         every[w][lab] = 1
-    for v in order:
+    for v in range(len(lat)):
         if v == bottom or v == top:
             continue
         hists, rose = every[v], rising[v]

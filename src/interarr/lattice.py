@@ -1,7 +1,10 @@
 """Finite graded lattices shared by the geometric and partition sides.
 
 Elements are indexed 0..N-1 with opaque payloads; `covers[i]` lists the ids
-covering i.  Instances are immutable after construction and safe to share.
+covering i.  Ids rise with rank: the bottom is 0 and the top is the last
+id, so a pass in rank order reads the ids in order, and one from the top
+reads them backwards.  Instances are immutable after construction and safe
+to share.
 """
 
 from __future__ import annotations
@@ -14,15 +17,17 @@ class NotComparableError(ValueError):
 
 
 class GradedLattice:
-    __slots__ = ("elements", "rank", "covers", "bottom", "top",
-                 "_lower", "_down_masks")
+    __slots__ = ("elements", "rank", "covers", "top", "_lower", "_down_masks")
+    bottom = 0
 
-    def __init__(self, elements, rank, covers, bottom: int, top: int):
+    def __init__(self, elements, rank, covers):
         self.elements = tuple(elements)
-        self.rank = tuple(rank)
+        self.rank = rank = tuple(rank)
+        if rank != tuple(sorted(rank)) or rank.count(0) != 1 or rank.count(rank[-1]) != 1:
+            raise ValueError("ids must rise with rank, with one element of rank 0 "
+                             "and one of the top rank")
         self.covers = tuple(tuple(c) for c in covers)
-        self.bottom = bottom
-        self.top = top
+        self.top = len(rank) - 1
         self._lower = None
         self._down_masks = None
 
@@ -66,14 +71,13 @@ class GradedLattice:
         return order
 
     def _ensure_down_masks(self):
-        # bitmask of {j : j <= i} per element; built once, rank by rank
+        # bitmask of {j : j <= i} per element; built once, in id order, so
+        # each mask is whole before it is passed up its covers
         if self._down_masks is None:
-            masks = [0] * len(self.elements)
-            for i in sorted(range(len(self.elements)), key=lambda v: self.rank[v]):
-                m = 1 << i
-                for j in self.lower_covers()[i]:
-                    m |= masks[j]
-                masks[i] = m
+            masks = [1 << i for i in range(len(self.elements))]
+            for m, ups in zip(masks, self.covers):
+                for j in ups:
+                    masks[j] |= m
             self._down_masks = masks
         return self._down_masks
 
@@ -140,13 +144,13 @@ def moebius_inversion_from_above(lat: GradedLattice, f) -> list[int]:
     """g with f(x) = sum of g(y) over y >= x for every element x, that is
     g(x) = sum over y >= x of mu(x, y) f(y).
 
-    Highest rank first: g(y) is final once every element above y has been
+    Highest id first: g(y) is final once every element above y has been
     taken off it, and is then taken off every element below y, read from
     y's down mask.
     """
     masks = lat._ensure_down_masks()
     g = list(f)
-    for y in sorted(range(len(g)), key=lat.rank.__getitem__, reverse=True):
+    for y in reversed(range(len(g))):
         gy = g[y]
         bits = masks[y] ^ 1 << y
         while bits:
@@ -181,7 +185,7 @@ def lattice_isomorphic(a: GradedLattice, b: GradedLattice) -> bool:
     matched neighbour; this keeps highly symmetric lattices tractable at
     the n <= 4 sizes it is used for.
     """
-    if len(a) != len(b) or sorted(a.rank) != sorted(b.rank):
+    if a.rank != b.rank:
         return False
     ca, cb = _refine_colors(a), _refine_colors(b)
     if sorted(ca) != sorted(cb):

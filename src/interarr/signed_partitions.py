@@ -325,8 +325,8 @@ class FilteredLattice(GradedLattice):
 
     __slots__ = ("memo", "source", "kept")
 
-    def __init__(self, elements, rank, covers, bottom, top, memo, source, kept):
-        super().__init__(elements, rank, covers, bottom, top)
+    def __init__(self, elements, rank, covers, memo, source, kept):
+        super().__init__(elements, rank, covers)
         self.memo = memo
         self.source = source
         self.kept = kept
@@ -406,4 +406,4 @@ def enumerate_lattice(n: int, s: int) -> FilteredLattice:
             else [k for k, j in enumerate(covers[i]) if j in new_id]
             for i, row in zip(source, rows)]
     return FilteredLattice([elements[i] for i in source], [ranks[i] for i in source],
-                           rows, 0, len(source) - 1, memo, tuple(source), kept)
+                           rows, memo, tuple(source), kept)

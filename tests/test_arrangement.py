@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import interarr.arrangement as arr
-from interarr.arrangement import (Arrangement, Flat, InvalidParamsError,
+from interarr.arrangement import (Arrangement, InvalidParamsError,
                                   NotEssentialError, chamber_complex, make_arrangement,
                                   chamber_count, f_polynomial, f_vector, intersection_lattice,
                                   make_family, parse_arrangement_text,
@@ -54,7 +54,7 @@ def contract_interval(lat: GradedLattice, lo: int, hi: int) -> GradedLattice:
     elements = [lat.elements[v] for v in ids]
     rank = [lat.rank[v] - base for v in ids]
     covers = [[pos[w] for w in lat.covers[v] if w in pos] for v in ids]
-    return GradedLattice(elements, rank, covers, pos[lo], pos[hi])
+    return GradedLattice(elements, rank, covers)
 
 
 def test_make_family_b2_normals_and_order():
@@ -931,8 +931,8 @@ def _f_vector_by_walks(a):
     inside X, in integer coordinates."""
     lat = intersection_lattice(a)
     out = [0] * (a.dim + 1)
-    for flat in lat.elements:
-        out[a.dim - flat.rank] += chamber_count(restrict_to_flat(a, flat.hyperplanes))
+    for flat, rank in zip(lat.elements, lat.rank):
+        out[a.dim - rank] += chamber_count(restrict_to_flat(a, flat))
     return out
 
 
@@ -1078,7 +1078,8 @@ def closure_of(a, subset) -> frozenset[int]:
 
 def _lattice_by_every_closure(a):
     """Oracle: close every (flat, hyperplane outside it) pair from scratch,
-    then number the flats by (rank, sorted hyperplanes)."""
+    then number the flats by (rank, sorted hyperplanes); the flats and
+    their ranks, and the cover lists."""
     ranks = {frozenset(): 0}
     pairs = set()
     layer = [frozenset()]
@@ -1092,22 +1093,22 @@ def _lattice_by_every_closure(a):
                     pairs.add((f, g))
                     nxt.add(g)
         layer = nxt
-    flats = sorted((Flat(f, r) for f, r in ranks.items()), key=Flat.sort_key)
-    ids = {f.hyperplanes: i for i, f in enumerate(flats)}
+    flats = sorted(ranks, key=lambda f: (ranks[f], sorted(f)))
+    ids = {f: i for i, f in enumerate(flats)}
     covers = [[] for _ in flats]
     for lo, hi in pairs:
         covers[ids[lo]].append(ids[hi])
-    return flats, [sorted(c) for c in covers]
+    return flats, [ranks[f] for f in flats], [sorted(c) for c in covers]
 
 
 def test_intersection_lattice_matches_every_closure_oracle():
     for fam in ("b", "a"):
         for n in range(2, 6):
             lat = intersection_lattice(make_family(fam, n))
-            flats, covers = _lattice_by_every_closure(make_family(fam, n))
+            flats, ranks, covers = _lattice_by_every_closure(make_family(fam, n))
             assert list(lat.elements) == flats, (fam, n)
             assert [list(c) for c in lat.covers] == covers, (fam, n)
-            assert lat.rank == tuple(f.rank for f in flats)
+            assert lat.rank == tuple(ranks)
             assert (lat.bottom, lat.top) == (0, len(flats) - 1)
 
 
@@ -1204,8 +1205,8 @@ def test_restriction_lattice_is_the_upper_interval():
     for a in cases + list(RANDOM_POOL):
         lat = intersection_lattice(a)
         for x, flat in enumerate(lat.elements):
-            sub = restrict_to_flat(a, flat.hyperplanes)
-            assert sub.dim == a.dim - flat.rank and sub.is_essential()
+            sub = restrict_to_flat(a, flat)
+            assert sub.dim == a.dim - lat.rank[x] and sub.is_essential()
             assert lattice_isomorphic(intersection_lattice(sub),
                                       contract_interval(lat, x, lat.top)), (a, flat)
 
@@ -1222,7 +1223,7 @@ def test_contract_interval():
         latn = intersection_lattice(bn)
         coord = bn.normals.index(tuple(1 if i == 0 else 0 for i in range(n)))
         atom = next(i for i, f in enumerate(latn.elements)
-                    if f.rank == 1 and f.hyperplanes == frozenset({coord}))
+                    if latn.rank[i] == 1 and f == frozenset({coord}))
         upper = contract_interval(latn, atom, latn.top)
         assert lattice_isomorphic(upper, intersection_lattice(make_family("b", n - 1)))
 

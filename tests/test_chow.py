@@ -68,7 +68,7 @@ def _mu(lat, base):
 
 
 def _oracle_lattices(pi_b, dns_lattices):
-    lats = {"3-chain": GradedLattice(("a", "b", "c"), (0, 1, 2), ((1,), (2,), ()), 0, 2),
+    lats = {"3-chain": GradedLattice(("a", "b", "c"), (0, 1, 2), ((1,), (2,), ())),
             "pi_b 3": pi_b[3], "a3": intersection_lattice(make_family("a", 3))}
     lats.update({f"dns 3 {s}": dns_lattices[(3, s)] for s in range(4)})
     lats.update({f"random {k}": intersection_lattice(a) for k, a in enumerate(RANDOM_POOL)})
@@ -88,9 +88,19 @@ def test_characteristic_polys_match_the_moebius_oracle(pi_b, dns_lattices):
 
 
 def test_moebius_three_chain():
-    lat = GradedLattice(("a", "b", "c"), (0, 1, 2), ((1,), (2,), ()), 0, 2)
+    lat = GradedLattice(("a", "b", "c"), (0, 1, 2), ((1,), (2,), ()))
     assert moebius(lat, 0) == _mu(lat, 0) == {0: 1, 1: -1, 2: 0}
     assert characteristic_polys(lat, 0) == {0: [1], 1: [-1, 1], 2: [0, -1, 1]}
+
+
+@pytest.mark.parametrize("rank, covers", [
+    ((2, 1, 0), ((), (0,), (1,))),
+    ((0, 0, 1), ((2,), (2,), ())),
+    ((0, 1, 1), ((1, 2), (), ())),
+], ids=["3-chain-top-first", "two-of-rank-0", "two-of-top-rank"])
+def test_lattice_ids_rise_with_rank_from_one_bottom_to_one_top(rank, covers):
+    with pytest.raises(ValueError, match="rise with rank"):
+        GradedLattice(("a", "b", "c"), rank, covers)
 
 
 def test_moebius_pi2(pi_b):
@@ -119,7 +129,7 @@ def test_moebius_alternates_with_rank(pi_b):
 
 
 def test_characteristic_poly_rank1():
-    lat = GradedLattice(("a", "b"), (0, 1), ((1,), ()), 0, 1)
+    lat = GradedLattice(("a", "b"), (0, 1), ((1,), ()))
     assert characteristic_poly(lat, 0, 1) == IntPolynomial((-1, 1))
     assert divide_by_t_minus_1(characteristic_poly(lat, 0, 1)) == IntPolynomial((1,))
 
@@ -325,10 +335,10 @@ def test_chow_chain_methods_agree(dns_lattices):
 
 
 def test_chow_rank_zero_and_one():
-    lat0 = GradedLattice(("x",), (0,), ((),), 0, 0)
+    lat0 = GradedLattice(("x",), (0,), ((),))
     assert chow_via_chains(lat0, el_label) == IntPolynomial((1,))
     assert chow_recursive(lat0) == IntPolynomial((1,))
-    lat1 = GradedLattice(("x", "y"), (0, 1), ((1,), ()), 0, 1)
+    lat1 = GradedLattice(("x", "y"), (0, 1), ((1,), ()))
     assert chow_recursive(lat1) == IntPolynomial((1,))
 
 

@@ -367,7 +367,7 @@ def test_dump_chains(tmp_path, capsys):
 def test_dump_chains_flag_errors_exit_2_before_computing(monkeypatch, capsys,
                                                          flags, message):
     # rejected before any lattice is built, so stdout stays empty
-    monkeypatch.setattr(cli, "dns_lattice", lambda n, s: pytest.fail("computed"))
+    monkeypatch.setattr(cli, "enumerate_lattice", lambda n, s: pytest.fail("computed"))
     with pytest.raises(SystemExit) as exc:
         cli.main(["chow", "--family", "dns", "--n", "3", "--s", "1", *flags])
     out = capsys.readouterr()

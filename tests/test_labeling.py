@@ -360,7 +360,7 @@ def test_one_digit_holding_every_chain_does_not_carry(k):
     # rank 2 with k atoms and ascending labels: all k chains have no
     # descent, so digit 0 holds k, which needs every bit of bit_length(k)
     lat = GradedLattice(range(k + 2), [0] + [1] * k + [2],
-                        [list(range(1, k + 1))] + [[k + 1]] * k + [[]], 0, k + 1)
+                        [list(range(1, k + 1))] + [[k + 1]] * k + [[]])
     assert filtered_descent_counts(lat, lambda x, y: int(y == k + 1)) == {0: k}
 
 

@@ -131,6 +131,22 @@ def test_only_the_lattice_module_reads_its_order():
         assert names & private == set(), path.name
 
 
+def test_no_library_sort_orders_by_rank():
+    # ids rise with rank, so a pass in rank order reads the ids in order
+    # and no sort by rank is needed
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "sorted"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "sort"):
+                for kw in node.keywords:
+                    if kw.arg == "key" and "rank" in {name for _, name in _reads(kw.value)}:
+                        found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_the_partition_module_reads_its_label_memo():
     # where a filtered lattice comes from in B_n and the label memo kept
     # with B_n are its own; every other module asks `lat.edge_labels`

@@ -392,8 +392,7 @@ def _enumerate_by_sorting(n, s):
             cover_lists[pid].append(ids[q])
     for lst in cover_lists:
         lst.sort()
-    top = max(ids.values(), key=lambda i: elements[i].rank)
-    return GradedLattice(elements, [p.rank for p in elements], cover_lists, ids[bottom], top)
+    return GradedLattice(elements, [p.rank for p in elements], cover_lists)
 
 
 def _same_lattice(a, b):
